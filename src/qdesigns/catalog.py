@@ -145,7 +145,9 @@ def build_design_from_reps(
             )
     if k is None:
         raise ValueError("no representatives given")
-    design = Design(group.v, k, t, expected_lambda, frozenset(blocks))
+    # copied from a set, a frozenset is presized to twice the set's size;
+    # filled from an iterator, it grows to the set's own table size
+    design = Design(group.v, k, t, expected_lambda, frozenset(iter(blocks)))
     if verify:
         verify_design(design)
     return design

@@ -10,14 +10,16 @@ trusts a construction.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import and_, attrgetter, eq, lt, neg, or_, xor
 from typing import Iterable, Optional, Sequence
 
-from .gf2 import rref_raw
 from .grassmann import (
     Subspace,
     contains,
+    enumerate_grassmannian,
     full_space,
     gaussian_binomial,
     orthogonal_complement,
@@ -85,59 +87,98 @@ class LargeSetReport:
     grassmannian_size: int
 
 
+_COUNT_BATCH = 1 << 16  # span-table entries per batch in t_subspace_counts
+
+
 @lru_cache(maxsize=None)
-def _local_t_subspaces(k: int, t: int) -> tuple[tuple[int, ...], ...]:
-    """Each t-subspace of GF(2)^k as the tuple of its nonzero vectors."""
-    from .grassmann import enumerate_grassmannian
-
-    out = []
-    for s in enumerate_grassmannian(k, t):
-        vecs = [0]
-        for r in s.rows:
-            vecs += [x ^ r for x in vecs]
-        out.append(tuple(vecs[1:]))
-    return tuple(out)
+def _local_t_subspace_rows(k: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """RREF rows of every t-subspace of GF(2)^k; empty when k < t."""
+    return tuple(s.rows for s in enumerate_grassmannian(k, t))
 
 
-def t_subspace_counts(blocks: Iterable[Subspace], v: int, t: int) -> dict[int, int]:
-    """Multiset of t-subspaces covered by blocks, keyed canonically.
+def _is_rref(rows: Sequence[int]) -> bool:
+    """Pivots (lowest set bits) strictly increase; each is zero in the other rows."""
+    prev = pivot_mask = 0
+    for r in rows:
+        low = r & -r
+        if low <= prev:
+            return False
+        prev = low
+        pivot_mask |= low
+    for r in rows:
+        if r & pivot_mask != r & -r:
+            return False
+    return True
 
-    The key of a t-subspace is its sorted nonzero vectors packed into one
-    int, v bits per vector.
+
+def _rref_columns(cols: Sequence[Sequence[int]]) -> bool:
+    """Whether every block is in RREF (see _is_rref), given its rows as columns.
+
+    Column i holds row i of every block, so each test maps over whole
+    columns instead of looping over blocks.
+    """
+    lows = [list(map(and_, c, map(neg, c))) for c in cols]
+    pivots = lows[0] if lows else []
+    for low in lows[1:]:
+        pivots = list(map(or_, pivots, low))
+    return (
+        (not lows or all(lows[0]))
+        and all(all(map(lt, a, b)) for a, b in zip(lows, lows[1:]))
+        and all(all(map(eq, map(and_, c, pivots), low)) for c, low in zip(cols, lows))
+    )
+
+
+def _count_batch(counts: Counter, batch: list[Subspace], k: int, t: int) -> None:
+    """Adds the t-subspaces of a batch of k-blocks to counts, column by column.
+
+    Column x of the span tables holds entry x of every block's table
+    (column 2^i is row i), built by one map over two earlier columns.
+    """
+    cols = list(zip(*map(attrgetter("rows"), batch)))
+    if not _rref_columns(cols):
+        block = next(b for b in batch if not _is_rref(b.rows))
+        raise VerificationError(f"block rows are not in RREF: {block}", witness=block)
+    if k < t:
+        return
+    table: list = [None] * (1 << k)
+    for x in range(1, 1 << k):
+        low = x & -x
+        table[x] = cols[low.bit_length() - 1] if x == low else list(map(xor, table[x ^ low], table[low]))
+    for c_rows in _local_t_subspace_rows(k, t):
+        counts.update(zip(*[table[c] for c in c_rows]))
+
+
+def t_subspace_counts(blocks: Iterable[Subspace], v: int, t: int) -> dict[tuple[int, ...], int]:
+    """Multiset of t-subspaces covered by blocks, keyed by their RREF rows.
+
+    If R is a block's RREF basis and C the RREF basis of a t-subspace of
+    GF(2)^k, then C*R is the RREF basis of the matching t-subspace of the
+    block, so every key is read straight out of the block's span table.
+    That only holds for canonical blocks: a block whose rows are not in
+    RREF (pivot = lowest set bit, pivots increasing, each pivot column zero
+    in the other rows) raises VerificationError with the block as witness,
+    since its t-subspaces could be split over several keys.  At t = 0 the
+    one key is () and its count is the number of blocks.
+
+    Blocks are counted in batches of one dimension, up to _COUNT_BATCH
+    table entries each, so no list of all keys is ever held.
     """
     if t == 0:
         n = sum(1 for _ in blocks)
-        return {0: n} if n else {}
-    counts: dict[int, int] = {}
-    local_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
+        return {(): n} if n else {}
+    counts: Counter[tuple[int, ...]] = Counter()
+    pending: dict[int, list[Subspace]] = {}  # dimension -> blocks not yet counted
     for block in blocks:
-        k = block.dim
-        locs = local_cache.get(k)
-        if locs is None:
-            locs = _local_t_subspaces(k, t)
-            local_cache[k] = locs
-        spanv = [0] * (1 << k)
-        rows = block.rows
-        for x in range(1, 1 << k):
-            low = x & -x
-            spanv[x] = spanv[x ^ low] ^ rows[low.bit_length() - 1]
-        for loc in locs:
-            vs = [spanv[c] for c in loc]
-            vs.sort()
-            key = 0
-            for g in vs:
-                key = (key << v) | g
-            counts[key] = counts.get(key, 0) + 1
+        k = len(block.rows)
+        batch = pending.setdefault(k, [])
+        batch.append(block)
+        if len(batch) << k >= _COUNT_BATCH:
+            _count_batch(counts, batch, k, t)
+            batch.clear()
+    for k, batch in pending.items():
+        if batch:
+            _count_batch(counts, batch, k, t)
     return counts
-
-
-def _key_to_subspace(key: int, v: int, t: int) -> Subspace:
-    mask = (1 << v) - 1
-    vecs = []
-    while key:
-        vecs.append(key & mask)
-        key >>= v
-    return Subspace(v, rref_raw(vecs).rows)
 
 
 def verify_design(d: Design) -> int:
@@ -164,13 +205,16 @@ def verify_design(d: Design) -> int:
     total = gaussian_binomial(d.v, d.t)
     if len(counts) != total and d.lam != 0:
         raise VerificationError(
-            f"only {len(counts)} of {total} {d.t}-subspaces are covered"
+            f"only {len(counts)} of {total} {d.t}-subspaces are covered",
+            witness=next(
+                (s for s in enumerate_grassmannian(d.v, d.t) if s.rows not in counts), None
+            ),
         )
     for key, c in counts.items():
         if c != d.lam:
             raise VerificationError(
                 f"a {d.t}-subspace lies in {c} blocks, expected {d.lam}",
-                witness=_key_to_subspace(key, d.v, d.t),
+                witness=Subspace(d.v, key),
             )
     return d.lam
 
@@ -208,13 +252,14 @@ def verify_large_set(ls: LargeSet) -> LargeSetReport:
         if d.lam != lam:
             raise VerificationError(f"design {i} declares lambda={d.lam}, expected {lam}")
         verify_design(d)
-    union: set[Subspace] = set()
-    total = 0
+    # pairwise, so no union of all blocks is ever held in memory
     for i, d in enumerate(ls.designs):
-        total += len(d.blocks)
-        union |= d.blocks
-        if len(union) != total:
-            raise VerificationError(f"designs up to index {i} overlap")
+        for j, earlier in enumerate(ls.designs[:i]):
+            if not d.blocks.isdisjoint(earlier.blocks):
+                raise VerificationError(
+                    f"designs {j} and {i} overlap", witness=min(d.blocks & earlier.blocks)
+                )
+    total = sum(len(d.blocks) for d in ls.designs)
     size = gaussian_binomial(ls.v, ls.k)
     if total != size:
         raise VerificationError(
@@ -315,34 +360,55 @@ def _parse_header(line: str, path) -> dict[str, int]:
 
 def write_design(path, d: Design) -> None:
     """One header line, then one block per line as its RREF basis rows."""
+    rows = sorted(map(attrgetter("rows"), d.blocks))
+    for r in rows:
+        if len(r) != d.k:
+            raise ValueError(f"block rows {list(r)} do not span a {d.k}-subspace")
+    line = " ".join(["%d"] * d.k) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"q=2 v={d.v} k={d.k} t={d.t} lambda={d.lam}\n")
-        for b in sorted(d.blocks, key=lambda s: s.rows):
-            fh.write(" ".join(str(r) for r in b.rows) + "\n")
+        fh.writelines(map(line.__mod__, rows))
 
 
 def read_design(path) -> Design:
+    """Parse a design file; a block given twice, in any basis, is an error.
+
+    Lines are read one at a time, so the file's text is never held whole.
+    """
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty design file")
-    hdr = _parse_header(lines[0], path)
-    for key in ("q", "v", "k", "t", "lambda"):
-        if key not in hdr:
-            raise ValueError(f"{path}: header is missing {key}=")
-    if hdr["q"] != 2:
-        raise ValueError(f"{path}: only q=2 is supported, got q={hdr['q']}")
-    v, k = hdr["v"], hdr["k"]
-    blocks = []
-    for ln in lines[1:]:
-        rows = [int(tok) for tok in ln.split()]
-        if len(rows) != k:
-            raise ValueError(f"{path}: block line has {len(rows)} rows, expected {k}")
-        s = span(v, rows)
-        if s.dim != k:
-            raise ValueError(f"{path}: block rows are dependent: {rows}")
-        blocks.append(s)
-    return Design(v, k, hdr["t"], hdr["lambda"], frozenset(blocks))
+        lines = filter(None, map(str.strip, fh))
+        header = next(lines, None)
+        if header is None:
+            raise ValueError(f"{path}: empty design file")
+        hdr = _parse_header(header, path)
+        for key in ("q", "v", "k", "t", "lambda"):
+            if key not in hdr:
+                raise ValueError(f"{path}: header is missing {key}=")
+        if hdr["q"] != 2:
+            raise ValueError(f"{path}: only q=2 is supported, got q={hdr['q']}")
+        v, k = hdr["v"], hdr["k"]
+        blocks = []
+        for ln in lines:
+            rows = tuple(map(int, ln.split()))
+            if len(rows) != k:
+                raise ValueError(f"{path}: block line has {len(rows)} rows, expected {k}")
+            # write_design leaves every block in RREF, which needs no elimination
+            if min(rows) > 0 and not max(rows) >> v and _is_rref(rows):
+                s = Subspace(v, rows)
+            else:
+                s = span(v, rows)
+                if s.dim != k:
+                    raise ValueError(f"{path}: block rows are dependent: {list(rows)}")
+            blocks.append(s)
+    unique = frozenset(blocks)
+    if len(unique) != len(blocks):
+        first: dict[Subspace, int] = {}
+        for i, s in enumerate(blocks, start=1):
+            j = first.setdefault(s, i)
+            if j != i:
+                rows = " ".join(map(str, s.rows))
+                raise ValueError(f"{path}: block {i} repeats block {j}, the span of rows {rows}")
+    return Design(v, k, hdr["t"], hdr["lambda"], unique)
 
 
 def write_large_set(path, ls: LargeSet, design_paths: Optional[Sequence[str]] = None) -> None:

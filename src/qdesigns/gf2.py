@@ -21,6 +21,7 @@ __all__ = [
     "rank_raw",
     "rref",
     "rref_raw",
+    "span_table",
     "transpose",
     "vec_mat",
 ]
@@ -64,6 +65,14 @@ def vec_mat(v: int, rows: Sequence[int]) -> int:
     return acc
 
 
+def span_table(rows: Sequence[int]) -> list[int]:
+    """vec_mat(x, rows) for every x in 0 .. 2^len(rows) - 1, indexed by x."""
+    table = [0]
+    for r in rows:
+        table += [x ^ r for x in table]
+    return table
+
+
 def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     if a.ncols != b.nrows:
         raise ValueError(f"shape mismatch: {a.ncols} cols vs {b.nrows} rows")
@@ -103,22 +112,23 @@ def rref_raw(rows: Iterable[int]) -> RrefResult:
     Pivot of a row is its lowest set bit; each pivot column is zero in
     every other row, and rows come back sorted by pivot column.
     """
-    by_pivot: dict[int, int] = {}  # pivot mask -> row
+    basis: list[int] = []  # reduced rows so far, sorted by pivot
+    pivots: list[int] = []
     for r in rows:
-        for mask, basis_row in by_pivot.items():
-            if r & mask:
-                r ^= basis_row
+        for p, b in zip(pivots, basis):
+            if r >> p & 1:
+                r ^= b
         if r:
-            mask = r & -r
-            for other_mask, other_row in by_pivot.items():
-                if other_row & mask:
-                    by_pivot[other_mask] = other_row ^ r
-            by_pivot[mask] = r
-    masks = sorted(by_pivot)
-    return RrefResult(
-        tuple(by_pivot[m] for m in masks),
-        tuple(m.bit_length() - 1 for m in masks),
-    )
+            p = (r & -r).bit_length() - 1
+            at = 0  # insertion point that keeps the pivots sorted
+            for i, b in enumerate(basis):
+                if b >> p & 1:
+                    basis[i] = b ^ r
+                if pivots[i] < p:
+                    at = i + 1
+            basis.insert(at, r)
+            pivots.insert(at, p)
+    return RrefResult._make((tuple(basis), tuple(pivots)))
 
 
 def rank_raw(rows: Iterable[int]) -> int:

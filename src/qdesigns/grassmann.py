@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
-from .gf2 import left_kernel_raw, rref_raw, vec_mat
+from .gf2 import left_kernel_raw, rref_raw, span_table, vec_mat
 
 __all__ = [
     "QuotientFrame",
@@ -42,7 +42,8 @@ def gaussian_binomial(v: int, k: int, q: int = 2) -> int:
     for i in range(k):
         num *= q ** (v - i) - 1
         den *= q ** (k - i) - 1
-    assert num % den == 0
+    if num % den:
+        raise ArithmeticError(f"[{v} {k}]_{q} is not an integer: {num}/{den}")
     return num // den
 
 
@@ -57,11 +58,8 @@ class Subspace(NamedTuple):
         return len(self.rows)
 
     def vectors(self) -> list[int]:
-        """All 2^dim vectors of the subspace."""
-        vecs = [0]
-        for r in self.rows:
-            vecs += [x ^ r for x in vecs]
-        return vecs
+        """All 2^dim vectors of the subspace; bits of the index pick the rows."""
+        return span_table(self.rows)
 
     def __contains__(self, vector: int) -> bool:
         return reduce_vector(vector, self.rows) == 0
@@ -212,7 +210,8 @@ class QuotientFrame:
                 if r & mask:
                     r ^= br
                     combo ^= bc
-            assert r, "sub rows plus transversal must be independent"
+            if not r:
+                raise ArithmeticError("sub rows plus transversal are dependent")
             mask = r & -r
             for om, (orow, ocombo) in by_pivot.items():
                 if orow & mask:

@@ -8,9 +8,11 @@ element order is the discovery order, identity first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property, lru_cache
+from operator import itemgetter
+from typing import Iterable, Optional, Sequence
 
-from .gf2 import BitMatrix, identity, mat_mul, rank_raw, rref_raw
+from .gf2 import BitMatrix, identity, mat_mul, rank_raw, rref_raw, span_table, vec_mat
 from .grassmann import Subspace, enumerate_grassmannian, gaussian_binomial
 
 __all__ = [
@@ -32,6 +34,7 @@ GroupElement = BitMatrix
 
 _CLOSURE_CAP = 10_000_000
 _TABLE_DIM_MAX = 16  # build full vector-image tables up to this dimension
+_ELEMENT_TABLES_MAX = 1 << 22  # total entries of one group's per-element tables
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,18 @@ class Group:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def element_image_tables(self) -> Optional[tuple[list[int], ...]]:
+        """Vector-image table of every element, built on first use.
+
+        Entry x of an element's table is x times that element.  None when
+        v exceeds _TABLE_DIM_MAX or the tables would hold more than
+        _ELEMENT_TABLES_MAX entries in total.
+        """
+        if self.v > _TABLE_DIM_MAX or self.order << self.v > _ELEMENT_TABLES_MAX:
+            return None
+        return tuple(span_table(g.rows) for g in self.elements)
 
 
 def close_group(generators: Sequence[GroupElement], cap: int = _CLOSURE_CAP) -> Group:
@@ -96,40 +111,38 @@ def act(s: Subspace, g: GroupElement) -> Subspace:
     if s.v != g.nrows:
         raise ValueError("subspace and matrix dimensions differ")
     grows = g.rows
-    out = []
-    for r in s.rows:
-        acc = 0
-        while r:
-            low = r & -r
-            acc ^= grows[low.bit_length() - 1]
-            r ^= low
-        out.append(acc)
-    return Subspace(s.v, rref_raw(out).rows)
+    return Subspace(s.v, rref_raw([vec_mat(r, grows) for r in s.rows]).rows)
 
 
-def _vector_image_table(g: GroupElement) -> list[int]:
-    """tab[x] = x*g for every vector x; only for small dimensions."""
-    v = g.ncols
-    rows = g.rows
-    tab = [0] * (1 << v)
-    for x in range(1, 1 << v):
-        low = x & -x
-        tab[x] = tab[x ^ low] ^ rows[low.bit_length() - 1]
-    return tab
+@lru_cache(maxsize=None)
+def _bit_reversal_table(v: int) -> list[int]:
+    """Entry x is x with its v coordinates in reverse order."""
+    return span_table([1 << (v - 1 - i) for i in range(v)])
 
 
 def orbit_of(s: Subspace, group: Group) -> set[Subspace]:
-    """Orbit of s under the group, generated by BFS over the generators."""
-    seen = {s}
-    stack = [s]
-    while stack:
-        cur = stack.pop()
-        for g in group.generators:
-            img = act(cur, g)
-            if img not in seen:
-                seen.add(img)
-                stack.append(img)
-    return seen
+    """Orbit of s: its image under every element of the group.
+
+    With vector-image tables, an image's RREF is read off its members
+    without elimination.  Sorted by bit-reversed value, the members of a
+    k-subspace fall into runs of length 1, 2, 4, ... that share a pivot
+    (lowest set bit), highest pivot first, and each run starts with the
+    reduced row of its pivot: the RREF rows sit at positions 2^(k-1), ...,
+    2, 1.
+    """
+    if s.v != group.v:
+        raise ValueError("subspace and group dimensions differ")
+    v, rows = s.v, s.rows
+    tables = group.element_image_tables
+    if tables is None:
+        images = ([vec_mat(r, g.rows) for r in rows] for g in group.elements)
+        return {Subspace(v, rref_raw(img).rows) for img in images}
+    if len(rows) < 2:  # no row or a single nonzero row is already RREF
+        return {Subspace(v, tuple(tab[r] for r in rows)) for tab in tables}
+    members = itemgetter(*span_table(rows))
+    rref_rows = itemgetter(*(1 << j for j in reversed(range(len(rows)))))
+    reversed_bits = _bit_reversal_table(v).__getitem__
+    return {Subspace(v, rref_rows(sorted(members(tab), key=reversed_bits))) for tab in tables}
 
 
 @dataclass
@@ -170,7 +183,7 @@ def orbit_partition(v: int, k: int, group: Group) -> OrbitPartition:
     if group.v != v:
         raise ValueError("group dimension differs from ambient dimension")
     use_tables = v <= _TABLE_DIM_MAX
-    tables = [_vector_image_table(g) for g in group.generators] if use_tables else None
+    tables = [span_table(g.rows) for g in group.generators] if use_tables else None
     gen_rows = [g.rows for g in group.generators]
 
     index: dict[tuple[int, ...], int] = {}
@@ -194,15 +207,7 @@ def orbit_partition(v: int, k: int, group: Group) -> OrbitPartition:
                     img = rref_raw(tab[r] for r in cur).rows
                 else:
                     rows = gen_rows[gi]
-                    imgs = []
-                    for r in cur:
-                        acc = 0
-                        while r:
-                            low = r & -r
-                            acc ^= rows[low.bit_length() - 1]
-                            r ^= low
-                        imgs.append(acc)
-                    img = rref_raw(imgs).rows
+                    img = rref_raw([vec_mat(r, rows) for r in cur]).rows
                 if img not in index:
                     index[img] = oid
                     orbit_keys.append(img)
@@ -211,7 +216,10 @@ def orbit_partition(v: int, k: int, group: Group) -> OrbitPartition:
         sizes.append(len(orbit_keys))
         members.append(orbit_keys)
 
-    assert sum(sizes) == gaussian_binomial(v, k)
+    if sum(sizes) != gaussian_binomial(v, k):
+        raise ArithmeticError(
+            f"orbit sizes sum to {sum(sizes)}, not [{v} {k}]_2 = {gaussian_binomial(v, k)}"
+        )
     return OrbitPartition(v, k, group, representatives, sizes, index, members)
 
 

@@ -135,9 +135,14 @@ def avoiding_join(k1: Subspace, k2: Subspace, chain: JoinChain) -> frozenset[Sub
             out.add(over_w.lift_preimage(d_bar))
 
     expect = 1 << ((u1.dim - k1.dim) * (k2.dim - u1.dim))
-    assert len(out) == expect, (len(out), expect)
+    if len(out) != expect:
+        raise VerificationError(f"avoiding join has {len(out)} members, expected {expect}")
     want_dim = k1.dim + k2.dim - u1.dim
-    assert all(s.dim == want_dim for s in out)
+    for s in out:
+        if s.dim != want_dim:
+            raise VerificationError(
+                f"avoiding join member has dimension {s.dim}, expected {want_dim}", witness=s
+            )
     return frozenset(out)
 
 
@@ -174,7 +179,8 @@ def join_sets(
         for g2 in globals2:
             out |= avoiding_join(g1, g2, chain)
     expect = len(b1) * len(b2) * (1 << ((u1.dim - k1) * (k2 - u1.dim)))
-    assert len(out) == expect, (len(out), expect)
+    if len(out) != expect:
+        raise VerificationError(f"joined set has {len(out)} members, expected {expect}")
     return frozenset(out)
 
 
@@ -339,7 +345,8 @@ def compose_partitions(
             joined = join_sets(p1.parts[i], p2.parts[j], chain)
             buckets[(i + j) % n] |= joined
             placed += len(joined)
-    assert sum(len(b) for b in buckets) == placed, "join images collided"
+    if sum(len(b) for b in buckets) != placed:
+        raise VerificationError("join images collided")
     t_out = p1.t + p2.t + 1
     try:
         return partitioned_set(

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .designs import Design, LargeSet, verify_design, verify_large_set
+from .gf2 import vec_mat
 from .grassmann import Subspace, enumerate_grassmannian, gaussian_binomial, span
 from .groups import Group, OrbitPartition, orbit_partition
 
@@ -111,15 +112,7 @@ def build_km(v: int, t: int, k: int, group: Group) -> KMSystem:
     for j, krep in enumerate(k_orbits.representatives):
         counts: dict[int, int] = {}
         for loc_rows in local:
-            glob = []
-            for mask in loc_rows:
-                acc = 0
-                m = mask
-                while m:
-                    low = m & -m
-                    acc ^= krep.rows[low.bit_length() - 1]
-                    m ^= low
-                glob.append(acc)
+            glob = [vec_mat(mask, krep.rows) for mask in loc_rows]
             i = t_orbits.orbit_index(span(v, glob))
             counts[i] = counts.get(i, 0) + 1
         ksize = k_orbits.sizes[j]

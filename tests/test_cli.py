@@ -80,6 +80,16 @@ class TestVerify:
     def test_missing_file(self, tmp_path):
         assert main(["verify", str(tmp_path / "absent.txt")]) == 4
 
+    def test_repeated_block_line(self, tmp_path, capsys):
+        # 156 block lines for the 155 blocks of a 1-(5,2,15) design
+        blocks = frozenset(enumerate_grassmannian(5, 2))
+        path = tmp_path / "d.txt"
+        write_design(path, Design(5, 2, 1, 15, blocks))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[1]]) + "\n")
+        assert main(["verify", str(path)]) == 4
+        assert "block 156" in capsys.readouterr().err
+
     def test_garbage_file(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("q=2 v=2 k=1 t=0 lambda=1\nnot numbers\n")

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qdesigns import designs
 from qdesigns.designs import (
     Design,
     LargeSet,
@@ -21,11 +25,52 @@ from qdesigns.designs import (
     write_design,
     write_large_set,
 )
+from qdesigns.gf2 import rref_raw
 from qdesigns.grassmann import (
+    Subspace,
     enumerate_grassmannian,
     gaussian_binomial,
     span,
 )
+
+
+def sort_pack_counts(blocks, v: int, t: int) -> dict[int, int]:
+    """Independent oracle for t_subspace_counts.
+
+    Each t-subspace of a block is listed as its sorted nonzero vectors,
+    packed into one int with v bits per vector, so it never relies on the
+    blocks' rows being canonical.
+    """
+    blocks = list(blocks)
+    if t == 0:
+        return {0: len(blocks)} if blocks else {}
+    counts: dict[int, int] = {}
+    for block in blocks:
+        table = block.vectors()
+        for loc in enumerate_grassmannian(block.dim, t):
+            vs = sorted(table[c] for c in loc.vectors()[1:])
+            key = 0
+            for g in vs:
+                key = (key << v) | g
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def unpack_to_rref(key: int, v: int) -> tuple[int, ...]:
+    """RREF rows of the t-subspace behind an oracle key."""
+    mask = (1 << v) - 1
+    vecs = []
+    while key:
+        vecs.append(key & mask)
+        key >>= v
+    return rref_raw(vecs).rows
+
+
+def oracle_counts(blocks, v: int, t: int) -> dict[tuple[int, ...], int]:
+    packed = sort_pack_counts(blocks, v, t)
+    out = {unpack_to_rref(key, v): c for key, c in packed.items()}
+    assert len(out) == len(packed)
+    return out
 
 
 def trivial_design(v: int, k: int, t: int) -> Design:
@@ -70,15 +115,90 @@ def test_verify_design_rejects_uneven_cover():
         verify_design(broken)
 
 
+def uneven_full_cover(v: int, k: int, t: int, lam: int) -> frozenset:
+    """First k-block set in enumeration order with a design's block count
+    that covers every t-subspace, but not all exactly lam times."""
+    grass = list(enumerate_grassmannian(v, k))
+    n = lam * gaussian_binomial(v, t) // gaussian_binomial(k, t)
+    for blocks in combinations(grass, n):
+        counts = oracle_counts(blocks, v, t)
+        if len(counts) == gaussian_binomial(v, t) and set(counts.values()) != {lam}:
+            return frozenset(blocks)
+    raise LookupError("no such block set")
+
+
 def test_verify_design_witness_is_a_subspace():
+    blocks = uneven_full_cover(4, 2, 1, 2)
+    with pytest.raises(VerificationError) as info:
+        verify_design(Design(4, 2, 1, 2, blocks))
+    w = info.value.witness
+    assert w is not None and w.v == 4 and w.dim == 1
+    assert w == span(4, w.rows)
+    assert oracle_counts(blocks, 4, 1)[w.rows] != 2
+
+
+def test_verify_design_uncovered_witness():
+    # right block count, but the first 5 lines all miss some point
+    blocks = frozenset(list(enumerate_grassmannian(4, 2))[:5])
+    with pytest.raises(VerificationError, match="covered") as info:
+        verify_design(Design(4, 2, 1, 1, blocks))
+    w = info.value.witness
+    assert w is not None and w.dim == 1
+    assert w.rows not in oracle_counts(blocks, 4, 1)
+
+
+def test_verify_design_rejects_non_rref_block():
+    # (3, 2) spans the same plane as the canonical (1, 2); counted by sorted
+    # vectors the design would still pass
     d = trivial_design(4, 2, 1)
-    block = next(iter(d.blocks))
-    try:
-        verify_design(Design(4, 2, 1, d.lam, d.blocks - {block}))
-    except VerificationError as e:
-        assert e.witness is None or e.witness.v == 4
-    else:
-        pytest.fail("expected a verification error")
+    canonical = span(4, [1, 2])
+    twin = Subspace(4, (3, 2))
+    assert set(twin.vectors()) == set(canonical.vectors())
+    assert oracle_counts(d.blocks - {canonical} | {twin}, 4, 1) == oracle_counts(d.blocks, 4, 1)
+    bad = Design(4, 2, 1, d.lam, d.blocks - {canonical} | {twin})
+    with pytest.raises(VerificationError, match="RREF") as info:
+        verify_design(bad)
+    assert info.value.witness == twin
+
+
+@pytest.mark.parametrize("rows", [(3, 2), (2, 1), (1, 1), (0, 1), (1, 0), (5, 4)])
+def test_t_subspace_counts_rejects_non_rref_rows(rows):
+    block = Subspace(4, rows)
+    with pytest.raises(VerificationError) as info:
+        t_subspace_counts([span(4, [1, 2]), block], 4, 1)
+    assert info.value.witness is block
+
+
+@st.composite
+def block_sets(draw):
+    """Canonical blocks of mixed dimension in GF(2)^v, v <= 6, and a strength t."""
+    v = draw(st.integers(1, 6))
+    t = draw(st.integers(0, 3))
+    rows = st.integers(0, (1 << v) - 1)
+    blocks = draw(st.lists(st.lists(rows, max_size=v).map(lambda rs: span(v, rs)), max_size=10))
+    return v, t, blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_sets())
+def test_t_subspace_counts_matches_sort_pack_oracle(case):
+    v, t, blocks = case
+    assert dict(t_subspace_counts(blocks, v, t)) == oracle_counts(blocks, v, t)
+
+
+def test_t_subspace_counts_in_small_batches(monkeypatch):
+    # batches of 8 span-table entries: one 3- or 4-block, two 2-blocks or
+    # four 1-blocks, filled in turn as dimensions interleave
+    monkeypatch.setattr(designs, "_COUNT_BATCH", 8)
+    rng = random.Random(5)
+    v = 6
+    blocks = [span(v, [rng.randrange(1 << v) for _ in range(rng.randrange(5))]) for _ in range(60)]
+    for t in (1, 2, 3):
+        assert dict(t_subspace_counts(blocks, v, t)) == oracle_counts(blocks, v, t)
+    bad = Subspace(v, (3, 2))
+    with pytest.raises(VerificationError) as info:
+        t_subspace_counts(blocks + [bad] + blocks, v, 1)
+    assert info.value.witness is bad
 
 
 def test_verify_design_shape_checks():
@@ -141,8 +261,9 @@ def test_verify_large_set_rejects_overlap():
     ls = chunked_large_set(4, 2, 5)
     designs = list(ls.designs)
     designs[1] = designs[0]
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError, match="designs 0 and 1 overlap") as info:
         verify_large_set(LargeSet(4, 2, 0, 5, tuple(designs)))
+    assert info.value.witness == min(designs[0].blocks)
 
 
 def test_verify_large_set_rejects_wrong_n():
@@ -203,6 +324,49 @@ def test_design_file_rejects_bad_input(tmp_path):
         read_design(path)
     path.write_text("")
     with pytest.raises(ValueError):
+        read_design(path)
+
+
+@pytest.mark.parametrize("line", ["1 16", "1 -2", "-1 2", "0 2", "2 2"])
+def test_design_file_rejects_rows_outside_or_dependent(tmp_path, line):
+    # (1, -2) passes the RREF pivot test, so the reader must range-check
+    path = tmp_path / "bad.txt"
+    path.write_text(f"q=2 v=4 k=2 t=0 lambda=1\n{line}\n")
+    with pytest.raises(ValueError):
+        read_design(path)
+
+
+def test_design_file_canonicalizes_other_bases(tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text("q=2 v=4 k=2 t=0 lambda=2\n3 2\n12 4\n")
+    assert read_design(path).blocks == {span(4, [3, 2]), span(4, [12, 4])}
+    assert {b.rows for b in read_design(path).blocks} == {(1, 2), (4, 8)}
+
+
+def test_write_design_rejects_block_of_wrong_dimension(tmp_path):
+    d = Design(4, 2, 0, 2, frozenset([span(4, [1, 2]), span(4, [4])]))
+    with pytest.raises(ValueError, match="do not span a 2-subspace"):
+        write_design(tmp_path / "d.txt", d)
+
+
+def test_design_file_rejects_repeated_block(tmp_path):
+    # a 1-(5,2,15) design file with 156 block lines for its 155 blocks
+    d = trivial_design(5, 2, 1)
+    assert (d.lam, len(d.blocks)) == (15, 155)
+    path = tmp_path / "dup.txt"
+    write_design(path, d)
+    lines = path.read_text().splitlines()
+    lines.insert(40, lines[7])
+    path.write_text("\n".join(lines) + "\n")
+    assert len(lines) == 1 + 156
+    with pytest.raises(ValueError, match=f"block 40 repeats block 7, the span of rows {lines[7]}$"):
+        read_design(path)
+
+
+def test_design_file_rejects_repeated_block_in_another_basis(tmp_path):
+    path = tmp_path / "dup.txt"
+    path.write_text("q=2 v=3 k=2 t=0 lambda=2\n1 2\n3 2\n")
+    with pytest.raises(ValueError, match="repeats block 1"):
         read_design(path)
 
 

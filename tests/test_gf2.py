@@ -3,9 +3,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdesigns.gf2 import (
     BitMatrix,
+    RrefResult,
     dot,
     identity,
     kernel,
@@ -15,6 +18,7 @@ from qdesigns.gf2 import (
     rank_raw,
     rref,
     rref_raw,
+    span_table,
     transpose,
     vec_mat,
 )
@@ -46,6 +50,15 @@ def test_vec_mat_selects_rows():
     assert vec_mat(0b101, rows) == 0b101
     assert vec_mat(0b011, (3, 5, 9)) == 3 ^ 5
     assert vec_mat(0, rows) == 0
+
+
+def test_span_table_is_vec_mat_of_every_index():
+    rng = random.Random(8)
+    for n in range(6):
+        rows = tuple(rng.randrange(1 << 7) for _ in range(n))
+        table = span_table(rows)
+        assert len(table) == 1 << n
+        assert table == [vec_mat(x, rows) for x in range(1 << n)]
 
 
 def test_vec_mat_is_linear():
@@ -148,6 +161,40 @@ def test_left_kernel_exhaustive_small():
             members |= {x ^ b for x in members}
         brute = {c for c in range(1 << nrows) if vec_mat(c, rows) == 0}
         assert members == brute
+
+
+def gauss_jordan(rows, ncols):
+    """Reference RREF: column by column, pivot rows swapped into place."""
+    m = list(rows)
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(m)) if m[i] >> col & 1), None)
+        if hit is None:
+            continue
+        m[r], m[hit] = m[hit], m[r]
+        for i in range(len(m)):
+            if i != r and m[i] >> col & 1:
+                m[i] ^= m[r]
+        pivots.append(col)
+    return tuple(m[: len(pivots)]), tuple(pivots)
+
+
+@st.composite
+def row_lists(draw):
+    ncols = draw(st.integers(1, 12))
+    return ncols, draw(st.lists(st.integers(0, (1 << ncols) - 1), max_size=10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_lists())
+def test_rref_raw_matches_gauss_jordan(case):
+    ncols, rows = case
+    res = rref_raw(rows)
+    assert type(res) is RrefResult
+    assert (res.rows, res.pivots) == gauss_jordan(rows, ncols)
+    assert rref_raw(res.rows) == res
+    assert rref_raw(iter(rows)) == res
 
 
 def test_rref_wrapper_matches_raw():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qdesigns import groups
 from qdesigns.catalog import builtin_group
 from qdesigns.gf2 import BitMatrix, identity, mat_mul
 from qdesigns.grassmann import gaussian_binomial, span
@@ -20,6 +21,22 @@ from qdesigns.groups import (
 
 # small cyclic test group: companion-style shift on GF(2)^3 of order 7
 SHIFT3 = BitMatrix(3, (0b010, 0b100, 0b011))
+# Singer cycle of x^7 + x + 1: e_i -> e_{i+1}, e_6 -> 1 + x
+SINGER7 = BitMatrix(7, tuple(1 << (i + 1) for i in range(6)) + (0b11,))
+
+
+def generator_bfs_orbit(s, group):
+    """Oracle for orbit_of: closure of {s} under act by the generators."""
+    seen = {s}
+    stack = [s]
+    while stack:
+        cur = stack.pop()
+        for g in group.generators:
+            img = act(cur, g)
+            if img not in seen:
+                seen.add(img)
+                stack.append(img)
+    return seen
 
 
 def test_close_group_cyclic():
@@ -64,6 +81,45 @@ def test_orbit_of_line_under_shift():
     orbit = orbit_of(span(3, [1]), g)
     # the order-7 cycle is transitive on the 7 nonzero vectors
     assert len(orbit) == 7
+
+
+@pytest.mark.parametrize("name", ["builtin204", "singer127"])
+def test_orbit_of_matches_generator_bfs(name):
+    group = builtin_group() if name == "builtin204" else close_group([SINGER7])
+    assert group.order == (204 if name == "builtin204" else 127)
+    rng = random.Random(name)
+    for _ in range(25):
+        k = rng.randrange(group.v + 1)
+        s = span(group.v, [rng.randrange(1 << group.v) for _ in range(k)])
+        orbit = orbit_of(s, group)
+        assert orbit == generator_bfs_orbit(s, group)
+        assert group.order % len(orbit) == 0
+
+
+def test_orbit_of_without_tables_matches_generator_bfs(monkeypatch):
+    # a fresh group, as the tables are cached on the instance
+    monkeypatch.setattr(groups, "_ELEMENT_TABLES_MAX", 0)
+    group = close_group([SINGER7])
+    assert group.element_image_tables is None
+    rng = random.Random(7)
+    for k in range(8):
+        s = span(7, [rng.randrange(128) for _ in range(k)])
+        assert orbit_of(s, group) == generator_bfs_orbit(s, group)
+
+
+def test_element_image_tables_are_lazy():
+    group = close_group([SHIFT3])
+    assert "element_image_tables" not in vars(group)
+    orbit_of(span(3, [1]), group)
+    tables = vars(group)["element_image_tables"]
+    assert len(tables) == group.order
+    orbit_of(span(3, [2]), group)
+    assert group.element_image_tables is tables
+
+
+def test_orbit_of_dimension_mismatch():
+    with pytest.raises(ValueError):
+        orbit_of(span(4, [1]), close_group([SHIFT3]))
 
 
 def test_orbit_partition_small():
