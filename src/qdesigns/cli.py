@@ -72,6 +72,10 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # options must be spelled out: "--seed" must not pass for "--seed-columns"
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # usage problems are I/O-class failures, not crashes
     def error(self, message):
         raise CliError(EXIT_IO, f"{self.prog}: {message}")
@@ -113,10 +117,6 @@ class _Run:
             "wall_time_s": None,
         }
         self.deterministic = bool(getattr(args, "deterministic", False))
-        for name in ("seed", "threads"):
-            value = getattr(args, name, None)
-            if value is not None:
-                self.record["parameters"][name] = value
         if self.deterministic:
             self.record["parameters"]["deterministic"] = True
         self.t0 = time.monotonic()
@@ -481,10 +481,6 @@ def _cmd_plan(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--deterministic", action="store_true",
                    help="byte-identical reruns: manifests omit wall time")
-    p.add_argument("--seed", type=int, default=None,
-                   help="recorded in the manifest; searches are deterministic")
-    p.add_argument("--threads", type=int, default=None,
-                   help="recorded in the manifest; execution is single threaded")
     p.add_argument("--force", action="store_true",
                    help="write into a non-empty output directory")
 

@@ -8,9 +8,11 @@ binary with the (row-major) first free cell as the least significant bit.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .gf2 import left_kernel_raw, rref_raw, span_table, vec_mat
 
@@ -21,6 +23,8 @@ __all__ = [
     "enumerate_grassmannian",
     "full_space",
     "gaussian_binomial",
+    "grassmannian_rank",
+    "grassmannian_unrank",
     "intersect",
     "orthogonal_complement",
     "quotient_frame",
@@ -143,27 +147,41 @@ def orthogonal_complement(s: Subspace) -> Subspace:
     return Subspace(s.v, rref_raw(out).rows)
 
 
-def enumerate_grassmannian(v: int, k: int) -> Iterator[Subspace]:
-    """All k-subspaces of GF(2)^v in a fixed documented order."""
-    if k < 0 or k > v:
-        return
-    if k == 0:
-        yield Subspace(v, ())
-        return
+class _PivotSet(NamedTuple):
+    """One pivot-column set of the enumeration and the ranks it covers."""
+
+    offset: int  # rank of its first subspace
+    base: tuple[int, ...]  # unit rows at the pivots
+    cells: tuple[tuple[int, int], ...]  # free cells (row, column bit), row-major
+
+
+@lru_cache(maxsize=None)
+def _pivot_sets(v: int, k: int) -> tuple[_PivotSet, ...]:
+    out = []
+    offset = 0
     for pivots in combinations(range(v), k):
         pivot_mask = 0
         for p in pivots:
             pivot_mask |= 1 << p
-        base = tuple(1 << p for p in pivots)
         # free cells in row-major order: (row i, column j) with j > pivots[i],
         # j not itself a pivot column
-        cells = []
-        for i, p in enumerate(pivots):
-            for j in range(p + 1, v):
-                if not (pivot_mask >> j) & 1:
-                    cells.append((i, 1 << j))
-        nfree = len(cells)
-        for assignment in range(1 << nfree):
+        cells = tuple(
+            (i, 1 << j)
+            for i, p in enumerate(pivots)
+            for j in range(p + 1, v)
+            if not (pivot_mask >> j) & 1
+        )
+        out.append(_PivotSet(offset, tuple(1 << p for p in pivots), cells))
+        offset += 1 << len(cells)
+    return tuple(out)
+
+
+def enumerate_grassmannian(v: int, k: int) -> Iterator[Subspace]:
+    """All k-subspaces of GF(2)^v in a fixed documented order."""
+    if k < 0 or k > v:
+        return
+    for _, base, cells in _pivot_sets(v, k):
+        for assignment in range(1 << len(cells)):
             rows = list(base)
             bits = assignment
             while bits:
@@ -172,6 +190,76 @@ def enumerate_grassmannian(v: int, k: int) -> Iterator[Subspace]:
                 rows[i] |= mask
                 bits ^= low
             yield Subspace(v, tuple(rows))
+
+
+@lru_cache(maxsize=None)
+def _ranker(v: int, k: int) -> Callable[[Sequence[int]], int]:
+    """grassmannian_rank for one (v, k), with its tables bound.
+
+    For each pivot set and row i with pivot p, a table indexed by the row's
+    bits above p gives the row's free bits placed at their cell positions,
+    or -1 when the row has a bit in a later pivot column (not reduced).
+    """
+    tables: dict[int, tuple[int, tuple[tuple[int, list[int]], ...]]] = {}
+    for offset, base, cells in _pivot_sets(v, k):
+        pivot_mask = sum(base)
+        parts = []
+        for i, b in enumerate(base):
+            shift = b.bit_length()
+            weight = {mask: 1 << pos for pos, (ci, mask) in enumerate(cells) if ci == i}
+            table = [0]
+            for j in range(shift, v):
+                # -1 | x is -1, so an entry with a later pivot bit stays -1
+                add = -1 if (pivot_mask >> j) & 1 else weight[1 << j]
+                table += [x | add for x in table]
+            parts.append((shift, table))
+        tables[pivot_mask] = (offset, tuple(parts))
+
+    def rank(rows: Sequence[int]) -> int:
+        if len(rows) != k:
+            raise ValueError(f"{len(rows)} rows given for a {k}-subspace")
+        pivots = 0
+        for r in rows:
+            low = r & -r
+            # pivots must rise (the new lowest bit above all earlier ones);
+            # zero, negative and too-wide rows fail here too
+            if low <= pivots or r >> v:
+                raise ValueError(f"rows {list(rows)} are not an RREF basis in GF(2)^{v}")
+            pivots |= low
+        offset, parts = tables[pivots]
+        for r, (shift, table) in zip(rows, parts):
+            free = table[r >> shift]
+            if free < 0:
+                raise ValueError(f"rows {list(rows)} are not reduced")
+            offset += free
+        return offset
+
+    return rank
+
+
+def grassmannian_rank(v: int, k: int, rows: Sequence[int]) -> int:
+    """Position of the k-subspace with RREF basis rows in enumerate_grassmannian(v, k).
+
+    The rank is its pivot set's offset plus its free-cell bits.  Rows that
+    are not the canonical basis of a k-subspace of GF(2)^v raise ValueError.
+    """
+    return _ranker(v, k)(rows)
+
+
+def grassmannian_unrank(v: int, k: int, rank: int) -> Subspace:
+    """The k-subspace at position rank of enumerate_grassmannian(v, k)."""
+    if not 0 <= rank < gaussian_binomial(v, k):
+        raise ValueError(f"rank {rank} outside [0, [{v} {k}]_2)")
+    sets = _pivot_sets(v, k)
+    offset, base, cells = sets[bisect_right(sets, rank, key=itemgetter(0)) - 1]
+    rows = list(base)
+    bits = rank - offset
+    while bits:
+        low = bits & -bits
+        i, mask = cells[low.bit_length() - 1]
+        rows[i] |= mask
+        bits ^= low
+    return Subspace(v, tuple(rows))
 
 
 class QuotientFrame:
@@ -239,7 +327,7 @@ class QuotientFrame:
         rows = [self.project_vector(r) for r in s.rows]
         out = Subspace(self.dim, rref_raw(rows).rows)
         if out.dim != s.dim - self.sub.dim:
-            raise AssertionError("projection lost rank unexpectedly")
+            raise ArithmeticError("projection lost rank unexpectedly")
         return out
 
     def lift_vector(self, y: int) -> int:

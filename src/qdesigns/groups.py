@@ -7,13 +7,19 @@ element order is the discovery order, identity first.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .gf2 import BitMatrix, identity, mat_mul, rank_raw, rref_raw, span_table, vec_mat
-from .grassmann import Subspace, enumerate_grassmannian, gaussian_binomial
+from .grassmann import (
+    Subspace,
+    gaussian_binomial,
+    grassmannian_rank,
+    grassmannian_unrank,
+)
 
 __all__ = [
     "Group",
@@ -151,7 +157,10 @@ class OrbitPartition:
 
     Orbits are numbered in first-encounter order of the subspace
     enumeration; each representative is the orbit's lexicographically
-    smallest basis-row tuple.
+    smallest basis-row tuple.  Subspaces are held by Grassmannian rank
+    (their position in the enumeration): one array maps each rank to its
+    orbit, and one flat array lists the member ranks, orbit by orbit,
+    ascending within an orbit.
     """
 
     v: int
@@ -159,8 +168,9 @@ class OrbitPartition:
     group: Group
     representatives: list[Subspace]
     sizes: list[int]
-    _index: dict[tuple[int, ...], int] = field(repr=False)
-    _members: list[list[tuple[int, ...]]] = field(repr=False)
+    _orbit_of_rank: array = field(repr=False)
+    _member_ranks: array = field(repr=False)
+    _starts: list[int] = field(repr=False)  # orbit i's members: _starts[i] .. _starts[i+1]
 
     @property
     def n_orbits(self) -> int:
@@ -168,59 +178,47 @@ class OrbitPartition:
 
     def orbit_index(self, s: Subspace) -> int:
         try:
-            return self._index[s.rows]
-        except KeyError:
-            raise KeyError(f"subspace not in the partitioned Grassmannian: {s}")
-
-    def orbit_index_of_rows(self, rows: tuple[int, ...]) -> int:
-        return self._index[rows]
+            if s.v != self.v:
+                raise ValueError(f"ambient dimension {s.v}, not {self.v}")
+            return self._orbit_of_rank[grassmannian_rank(self.v, self.k, s.rows)]
+        except ValueError as e:
+            raise KeyError(f"subspace not in the partitioned Grassmannian: {s}") from e
 
     def members(self, i: int) -> list[Subspace]:
-        return [Subspace(self.v, rows) for rows in self._members[i]]
+        v, k = self.v, self.k
+        ranks = self._member_ranks[self._starts[i] : self._starts[i + 1]]
+        return [grassmannian_unrank(v, k, r) for r in ranks]
 
 
 def orbit_partition(v: int, k: int, group: Group) -> OrbitPartition:
+    """Partition by orbit_of, started at the lowest rank no orbit holds yet."""
     if group.v != v:
         raise ValueError("group dimension differs from ambient dimension")
-    use_tables = v <= _TABLE_DIM_MAX
-    tables = [span_table(g.rows) for g in group.generators] if use_tables else None
-    gen_rows = [g.rows for g in group.generators]
-
-    index: dict[tuple[int, ...], int] = {}
+    n = gaussian_binomial(v, k)
+    orbit_of_rank = array("i", [-1]) * n
+    member_ranks = array("I")
     representatives: list[Subspace] = []
     sizes: list[int] = []
-    members: list[list[tuple[int, ...]]] = []
-
-    for s in enumerate_grassmannian(v, k):
-        key = s.rows
-        if key in index:
-            continue
-        oid = len(representatives)
-        index[key] = oid
-        orbit_keys = [key]
-        stack = [key]
-        while stack:
-            cur = stack.pop()
-            for gi in range(len(gen_rows)):
-                if use_tables:
-                    tab = tables[gi]
-                    img = rref_raw(tab[r] for r in cur).rows
-                else:
-                    rows = gen_rows[gi]
-                    img = rref_raw([vec_mat(r, rows) for r in cur]).rows
-                if img not in index:
-                    index[img] = oid
-                    orbit_keys.append(img)
-                    stack.append(img)
-        representatives.append(Subspace(v, min(orbit_keys)))
-        sizes.append(len(orbit_keys))
-        members.append(orbit_keys)
-
-    if sum(sizes) != gaussian_binomial(v, k):
-        raise ArithmeticError(
-            f"orbit sizes sum to {sum(sizes)}, not [{v} {k}]_2 = {gaussian_binomial(v, k)}"
-        )
-    return OrbitPartition(v, k, group, representatives, sizes, index, members)
+    starts = [0]
+    r = -1
+    while True:
+        try:
+            r = orbit_of_rank.index(-1, r + 1)
+        except ValueError:
+            break
+        orbit = orbit_of(grassmannian_unrank(v, k, r), group)
+        oid = len(sizes)
+        ranks = sorted(grassmannian_rank(v, k, s.rows) for s in orbit)
+        for x in ranks:
+            orbit_of_rank[x] = oid
+        member_ranks.extend(ranks)
+        representatives.append(min(orbit))
+        sizes.append(len(ranks))
+        starts.append(len(member_ranks))
+    # overlapping orbits, or one that missed its start, break the sum
+    if sum(sizes) != n:
+        raise ArithmeticError(f"orbit sizes sum to {sum(sizes)}, not [{v} {k}]_2 = {n}")
+    return OrbitPartition(v, k, group, representatives, sizes, orbit_of_rank, member_ranks, starts)
 
 
 def parse_generator_text(text: str) -> list[GroupElement]:

@@ -550,7 +550,7 @@ def _eval_node(
         return PartitionedSet(
             tuple(frozenset(b) for b in buckets), p.t, p.v, p.k
         )
-    raise AssertionError(f"unhandled plan node kind {node.kind!r}")
+    raise ValueError(f"unhandled plan node kind {node.kind!r}")
 
 
 def _to_large_set(pset: PartitionedSet, params: LSParams) -> LargeSet:

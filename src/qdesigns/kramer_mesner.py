@@ -9,13 +9,19 @@ previously used columns forbidden partitions the Grassmannian into a
 large set.
 
 The solver is a deterministic depth-first search with unit propagation
-on the row counts.  Search effort is metered by an explicit node
-budget; running out of budget is reported as "unknown", which is never
+on the row counts, held in packed integers: every row count is a field
+of one int, so one addition updates all rows a column touches and one
+subtraction compares all rows with lambda.  Before the first node, a
+row with no subset of entries summing to lambda proves the system
+infeasible.  Search effort is metered by an explicit node budget;
+running out of budget is reported as "unknown", which is never
 conflated with a proven "infeasible".
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -32,6 +38,7 @@ __all__ = [
     "LargeSetSearchResult",
     "Selection",
     "SolveResult",
+    "SolverInvariantError",
     "build_km",
     "design_from_selection",
     "iterated_large_set_search",
@@ -43,6 +50,10 @@ __all__ = [
 
 DEFAULT_NODE_BUDGET = 2_000_000
 DEFAULT_RETRY_BUDGET = 64
+
+
+class SolverInvariantError(RuntimeError):
+    """Raised when the search reaches a state its own rules rule out."""
 
 
 class BudgetExceeded(Exception):
@@ -134,11 +145,12 @@ def build_km(v: int, t: int, k: int, group: Group) -> KMSystem:
     )
 
 
-_UNDECIDED, _IN, _OUT = 0, 1, 2
+# array typecodes by item width in bits, for reading packed row fields
+_FIELD_TYPES = {array(tc).itemsize * 8: tc for tc in "QLIH"}
 
 
 class _Search:
-    """DFS over columns with row-count propagation.
+    """DFS over columns with row-count propagation, on packed integers.
 
     Columns are ordered largest orbit first, ties by index.  Each node
     branches on the tightest unsatisfied row (least slack between its
@@ -146,7 +158,21 @@ class _Search:
     first undecided column in the column order, include before exclude.
     A row whose count hits lam excludes every undecided column through
     it; a row whose count plus undecided mass exactly meets lam includes
-    them all; a row that can no longer reach lam fails the branch.
+    them all; a row that can no longer reach lam fails the branch.  When
+    no row fails, these rules reach one fixpoint in any order of
+    application, so they are applied to all rows at once.
+
+    Row i's count is the field at bits [i*w, (i+1)*w) of the int cnt, and
+    its reachable total (count plus undecided mass) the same field of
+    tot; the top bit of each field is a guard that stays clear, so one
+    subtraction compares every row with lam.  Columns are positions in
+    the column order: including one adds its packed column to cnt,
+    excluding it subtracts that from tot.  The undecided and included
+    columns are bitmasks over positions, and so is each row's column set.
+    A node is the four ints (cnt, tot, undecided, included); a
+    backtracking frame holds them, so undoing a decision is one restore.
+    Before the first node, a row whose entries have no subset summing to
+    lam proves the system infeasible.
     """
 
     def __init__(
@@ -166,124 +192,139 @@ class _Search:
             (j for j in range(system.n_cols) if j not in forbidden),
             key=lambda j: (-sizes[j], j),
         )
+        fits = [w for w in _FIELD_TYPES if system.lambda_max + 1 < 1 << (w - 1)]
+        if not fits:
+            raise ValueError(f"lambda_max {system.lambda_max} does not fit a packed row field")
+        w = self.width = min(fits)
         tau = system.n_rows
-        self.col_rows: dict[int, tuple[tuple[int, int], ...]] = {}
-        row_cols: list[list[tuple[int, int]]] = [[] for _ in range(tau)]
-        for j in self.order:
-            entries = []
+        one = sum(1 << (i * w) for i in range(tau))
+        self.guards = one << (w - 1)
+        self.lam_rows = lam * one
+        self.lam1_rows = (lam + 1) * one
+        # column vectors and row column sets, each indexed by the bit length
+        # of the column's bit or the row's guard bit
+        self.vec_at = [0]
+        self.row_cols = [0] * tau
+        self.row_entries: list[list[int]] = [[] for _ in range(tau)]
+        for p, j in enumerate(self.order):
+            vec = 0
             for i in range(tau):
                 a = system.matrix[i][j]
                 if a:
-                    entries.append((i, a))
-                    row_cols[i].append((j, a))
-            self.col_rows[j] = tuple(entries)
-        self.row_cols = [tuple(e) for e in row_cols]
-        self.cnt = [0] * tau
-        self.avail = [sum(a for _, a in cols) for cols in self.row_cols]
-        self.state = {j: _UNDECIDED for j in self.order}
-        self.n_undecided = len(self.order)
-        self.trail: list[tuple[int, int]] = []
+                    vec |= a << (i * w)
+                    self.row_cols[i] |= 1 << p
+                    self.row_entries[i].append(a)
+            self.vec_at.append(vec)
+        self.row_cols_at = {(i + 1) * w: cols for i, cols in enumerate(self.row_cols)}
 
-    def _apply(self, j: int, kind: int, touched: list[int]) -> None:
-        self.state[j] = kind
-        self.n_undecided -= 1
-        self.trail.append((j, kind))
-        if kind == _IN:
-            for i, a in self.col_rows[j]:
-                self.cnt[i] += a
-                self.avail[i] -= a
-                touched.append(i)
-        else:
-            for i, a in self.col_rows[j]:
-                self.avail[i] -= a
-                touched.append(i)
+    def _propagate(
+        self, cnt: int, tot: int, undecided: int, included: int, full_done: int, tight_done: int
+    ) -> Optional[tuple[int, int, int, int]]:
+        """Fixpoint of the row rules, or None if a row fails.
 
-    def _undo_to(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            j, kind = self.trail.pop()
-            self.state[j] = _UNDECIDED
-            self.n_undecided += 1
-            if kind == _IN:
-                for i, a in self.col_rows[j]:
-                    self.cnt[i] -= a
-                    self.avail[i] += a
-            else:
-                for i, a in self.col_rows[j]:
-                    self.avail[i] += a
+        Rows in full_done (count lam) and tight_done (total lam) have had
+        their rule applied already and keep no undecided column.
+        """
+        g = self.guards
+        lam_rows, lam1_rows = self.lam_rows, self.lam1_rows
+        cols_at, vec_at = self.row_cols_at, self.vec_at
+        while True:
+            c, t = cnt | g, tot | g
+            if (c - lam1_rows) & g or (t - lam_rows) & g != g:
+                return None  # a count above lam, or a total below it
+            full = (c - lam_rows) & g
+            tight = g ^ ((t - lam1_rows) & g)
+            new_full, new_tight = full & ~full_done, tight & ~tight_done
+            if not new_full | new_tight:
+                return cnt, tot, undecided, included
+            full_done, tight_done = full, tight
+            out = inn = 0
+            while new_full:
+                low = new_full & -new_full
+                out |= cols_at[low.bit_length()]
+                new_full ^= low
+            while new_tight:
+                low = new_tight & -new_tight
+                inn |= cols_at[low.bit_length()]
+                new_tight ^= low
+            out &= undecided
+            inn &= undecided
+            if out & inn:
+                return None
+            undecided ^= out | inn
+            included |= inn
+            while out:
+                low = out & -out
+                tot -= vec_at[low.bit_length()]
+                out ^= low
+            while inn:
+                low = inn & -inn
+                cnt += vec_at[low.bit_length()]
+                inn ^= low
 
-    def _propagate(self, touched: list[int]) -> bool:
+    def _branch(self, full: int, tot: int, undecided: int) -> int:
+        """Bit of the first undecided column of the unsatisfied row with least slack."""
+        w = self.width
+        low = full >> (w - 1)
+        # slack of every row, all ones in the field of a satisfied row
+        slack = (tot - self.lam_rows) | ((low << w) - low)
+        fields = array(_FIELD_TYPES[w], slack.to_bytes(len(self.row_cols) * w // 8, sys.byteorder))
+        least = min(fields)
+        if least == (1 << w) - 1:
+            raise SolverInvariantError("undecided column with all-zero entries")
+        cols = self.row_cols[fields.index(least)] & undecided
+        if not cols:
+            raise SolverInvariantError("unsatisfied row with no undecided column")
+        return cols & -cols
+
+    def unreachable_row(self) -> Optional[int]:
+        """First row none of whose entry subsets sums to lam, or None."""
         lam = self.lam
-        while touched:
-            i = touched.pop()
-            c = self.cnt[i]
-            if c > lam or c + self.avail[i] < lam:
-                return False
-            if c == lam:
-                for j, _ in self.row_cols[i]:
-                    if self.state[j] == _UNDECIDED:
-                        self._apply(j, _OUT, touched)
-            elif c + self.avail[i] == lam:
-                for j, _ in self.row_cols[i]:
-                    if self.state[j] == _UNDECIDED:
-                        self._apply(j, _IN, touched)
-        return True
+        keep = (2 << lam) - 1
+        for i, entries in enumerate(self.row_entries):
+            reach = 1  # bit s: some subset sums to s
+            for a in entries:
+                reach = (reach | reach << a) & keep
+            if not reach >> lam:
+                return i
+        return None
 
     def solutions(self) -> Iterator[frozenset[int]]:
         """Yield solutions in deterministic DFS order; raises BudgetExceeded."""
-        if not self._propagate(list(range(len(self.cnt)))):
+        if self.unreachable_row() is not None:
             return
-        # frames: (column branched on, phase, trail mark before the decision)
-        frames: list[tuple[int, int, int]] = []
+        g, lam_rows, lam1_rows = self.guards, self.lam_rows, self.lam1_rows
+        vec_at = self.vec_at
+        state = self._propagate(0, sum(vec_at), (1 << (len(vec_at) - 1)) - 1, 0, 0, 0)
+        # frames: (column bit branched on, node state, its full and tight rows)
+        frames: list[tuple[int, tuple[int, int, int, int], int, int]] = []
 
-        def backtrack() -> bool:
+        def backtrack() -> Optional[tuple[int, int, int, int]]:
             while frames:
-                j, phase, mark = frames.pop()
-                self._undo_to(mark)
-                if phase == 0:
-                    frames.append((j, 1, mark))
-                    touched: list[int] = []
-                    self._apply(j, _OUT, touched)
-                    if self._propagate(touched):
-                        return True
-            return False
+                bit, (cnt, tot, undecided, included), full, tight = frames.pop()
+                tot -= vec_at[bit.bit_length()]
+                nxt = self._propagate(cnt, tot, undecided ^ bit, included, full, tight)
+                if nxt is not None:
+                    return nxt
+            return None
 
-        while True:
-            if self.n_undecided == 0:
-                yield frozenset(
-                    c for c, st in self.state.items() if st == _IN
-                )
-                if not backtrack():
-                    return
+        while state is not None:
+            cnt, tot, undecided, included = state
+            if not undecided:
+                yield frozenset(self.order[p] for p in range(len(self.order)) if included >> p & 1)
+                state = backtrack()
                 continue
-            j = self._branch_column()
+            full = ((cnt | g) - lam_rows) & g
+            tight = g ^ (((tot | g) - lam1_rows) & g)
+            bit = self._branch(full, tot, undecided)
             self.nodes += 1
             if self.nodes > self.budget:
                 raise BudgetExceeded(self.nodes)
-            mark = len(self.trail)
-            frames.append((j, 0, mark))
-            touched: list[int] = []
-            self._apply(j, _IN, touched)
-            if not self._propagate(touched):
-                if not backtrack():
-                    return
-
-    def _branch_column(self) -> int:
-        """First undecided column of the unsatisfied row with least slack."""
-        lam = self.lam
-        best_i = -1
-        best_slack = None
-        for i in range(len(self.cnt)):
-            if self.cnt[i] < lam:
-                slack = self.cnt[i] + self.avail[i] - lam
-                if best_slack is None or slack < best_slack:
-                    best_i, best_slack = i, slack
-        if best_i < 0:
-            raise AssertionError("undecided column with all-zero entries")
-        state = self.state
-        for j, _ in self.row_cols[best_i]:
-            if state[j] == _UNDECIDED:
-                return j
-        raise AssertionError("unsatisfied row with no undecided column")
+            frames.append((bit, state, full, tight))
+            cnt += vec_at[bit.bit_length()]
+            state = self._propagate(cnt, tot, undecided ^ bit, included | bit, full, tight)
+            if state is None:
+                state = backtrack()
 
 
 def solve_exact(
@@ -417,7 +458,7 @@ def iterated_large_set_search(
     covered = set().union(*all_rounds) if all_rounds else set()
     if covered != set(range(system.n_cols)):
         missing = sorted(set(range(system.n_cols)) - covered)
-        raise AssertionError(f"rounds leave columns uncovered: {missing[:10]}")
+        raise SolverInvariantError(f"rounds leave columns uncovered: {missing[:10]}")
     designs = tuple(
         design_from_selection(system, Selection(c), lam, verify=False)
         for c in all_rounds

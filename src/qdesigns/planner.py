@@ -196,7 +196,7 @@ def _plan(k: int, v: int, memo: dict) -> PlanNode:
     if (k, v) in memo:
         return memo[(k, v)]
     if not realizable_by_series(k, v):
-        raise AssertionError(f"series recursion reached uncovered parameters ({k},{v})")
+        raise ArithmeticError(f"series recursion reached uncovered parameters ({k},{v})")
     if v == 8:
         if k in (3, 4):
             node = _leaf(_params(2, k, 8))

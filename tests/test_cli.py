@@ -299,3 +299,13 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert main(["table"]) == 4
+
+    @pytest.mark.parametrize("flag", ["--seed", "--threads"])
+    def test_removed_flags_are_rejected(self, flag, tmp_path):
+        # neither flag ever changed a result; --seed must not pass for --seed-columns
+        code = main(
+            ["km", "ls-search", "--v", "4", "--k", "2", "--t", "1",
+             "--N", "7", "--group", "trivial", flag, "3", "--out", str(tmp_path / "r")]
+        )
+        assert code == 4
+        assert not (tmp_path / "r").exists()

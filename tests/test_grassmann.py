@@ -12,6 +12,8 @@ from qdesigns.grassmann import (
     enumerate_grassmannian,
     full_space,
     gaussian_binomial,
+    grassmannian_rank,
+    grassmannian_unrank,
     intersect,
     orthogonal_complement,
     quotient_frame,
@@ -110,6 +112,41 @@ def test_enumerate_order_is_stable():
     assert first == again
     # first pivot set is (0, 1); with no free entries set, rows are e0, e1
     assert first[0] == span(5, [1, 2])
+
+
+def test_rank_is_the_enumeration_position():
+    for v in range(7):
+        for k in range(v + 1):
+            for position, s in enumerate(enumerate_grassmannian(v, k)):
+                assert grassmannian_rank(v, k, s.rows) == position
+                assert grassmannian_unrank(v, k, position) == s
+            assert position == gaussian_binomial(v, k) - 1
+
+
+@pytest.mark.parametrize(
+    "v, k, rows",
+    [
+        (4, 2, (0b0010, 0b0001)),  # swapped: pivots fall
+        (4, 2, (0b0011, 0b0010)),  # unreduced: row 0 has row 1's pivot
+        (4, 2, (0b0101, 0b0100)),  # unreduced, later pivot not adjacent
+        (4, 2, (0b0001, 0b0001)),  # repeated pivot
+        (4, 2, (0b0001, 0b10000)),  # out of range
+        (4, 2, (0b0001, -0b0010)),  # negative
+        (4, 2, (0b0000, 0b0010)),  # zero row
+        (4, 2, (0b0001,)),  # wrong dimension
+        (4, 2, (0b0001, 0b0010, 0b0100)),  # wrong dimension
+        (4, 0, (0b0001,)),  # wrong dimension
+    ],
+)
+def test_rank_rejects_non_canonical_rows(v, k, rows):
+    with pytest.raises(ValueError):
+        grassmannian_rank(v, k, rows)
+
+
+def test_unrank_rejects_out_of_range_positions():
+    for bad in (-1, gaussian_binomial(4, 2)):
+        with pytest.raises(ValueError):
+            grassmannian_unrank(4, 2, bad)
 
 
 def test_contains_sum_intersect_dimension_formula():

@@ -6,8 +6,14 @@ import pytest
 
 from qdesigns import groups
 from qdesigns.catalog import builtin_group
-from qdesigns.gf2 import BitMatrix, identity, mat_mul
-from qdesigns.grassmann import gaussian_binomial, span
+from qdesigns.gf2 import BitMatrix, identity, mat_mul, mat_pow, rank_raw, rref_raw, span_table
+from qdesigns.grassmann import (
+    Subspace,
+    enumerate_grassmannian,
+    gaussian_binomial,
+    grassmannian_rank,
+    span,
+)
 from qdesigns.groups import (
     act,
     close_group,
@@ -37,6 +43,91 @@ def generator_bfs_orbit(s, group):
                 seen.add(img)
                 stack.append(img)
     return seen
+
+
+def bfs_orbit_partition(v, k, group):
+    """Oracle for orbit_partition: a generator BFS from each unseen subspace.
+
+    Returns (representatives, sizes, orbit number by basis rows, members).
+    """
+    tables = [span_table(g.rows) for g in group.generators]
+    index = {}
+    representatives, sizes, members = [], [], []
+    for s in enumerate_grassmannian(v, k):
+        if s.rows in index:
+            continue
+        oid = len(representatives)
+        index[s.rows] = oid
+        orbit_keys = [s.rows]
+        stack = [s.rows]
+        while stack:
+            cur = stack.pop()
+            for tab in tables:
+                img = rref_raw(tab[r] for r in cur).rows
+                if img not in index:
+                    index[img] = oid
+                    orbit_keys.append(img)
+                    stack.append(img)
+        representatives.append(Subspace(v, min(orbit_keys)))
+        sizes.append(len(orbit_keys))
+        members.append(orbit_keys)
+    return representatives, sizes, index, members
+
+
+def conjugated_builtin_group(seed):
+    """M^-1 g M for the order-204 generators g and a seeded invertible M."""
+    rng = random.Random(seed)
+    while True:
+        m = BitMatrix(8, tuple(rng.randrange(1, 256) for _ in range(8)))
+        if rank_raw(m.rows) == 8:
+            break
+    m_inv = mat_pow(m, element_order(m) - 1)
+    return close_group([mat_mul(mat_mul(m_inv, g), m) for g in builtin_group().generators])
+
+
+def assert_partition_matches_bfs(part, group):
+    v, k = part.v, part.k
+    representatives, sizes, index, members = bfs_orbit_partition(v, k, group)
+    assert part.representatives == representatives
+    assert part.sizes == sizes
+    for i, keys in enumerate(members):
+        want = sorted(keys, key=lambda rows: grassmannian_rank(v, k, rows))
+        assert [m.rows for m in part.members(i)] == want
+    for s in enumerate_grassmannian(v, k):
+        assert part.orbit_index(s) == index[s.rows]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_orbit_partition_matches_bfs_on_conjugates_of_builtin(seed):
+    group = conjugated_builtin_group(seed)
+    assert group.order == 204
+    assert_partition_matches_bfs(orbit_partition(8, 3, group), group)
+
+
+def test_orbit_partition_matches_bfs_on_singer_cycle():
+    group = close_group([SINGER7])
+    for k in range(8):
+        assert_partition_matches_bfs(orbit_partition(7, k, group), group)
+
+
+def test_orbit_partition_without_tables_matches_bfs(monkeypatch):
+    monkeypatch.setattr(groups, "_ELEMENT_TABLES_MAX", 0)
+    group = close_group([SINGER7])
+    assert group.element_image_tables is None
+    for k in (1, 3):
+        assert_partition_matches_bfs(orbit_partition(7, k, group), group)
+
+
+def test_orbit_index_rejects_subspaces_outside_the_partition():
+    part = orbit_partition(4, 2, close_group([BitMatrix(4, (0b0010, 0b0100, 0b1000, 0b0011))]))
+    for s in (
+        span(4, [0b0001]),  # wrong dimension
+        span(5, [0b0001, 0b0010]),  # wrong ambient dimension
+        Subspace(4, (0b0011, 0b0010)),  # not reduced
+        Subspace(4, (0b0010, 0b0001)),  # rows swapped
+    ):
+        with pytest.raises(KeyError):
+            part.orbit_index(s)
 
 
 def test_close_group_cyclic():

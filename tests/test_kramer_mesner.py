@@ -1,12 +1,20 @@
 """Incidence system construction and exact search."""
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdesigns.designs import verify_design, verify_large_set
-from qdesigns.gf2 import BitMatrix
+from qdesigns.gf2 import BitMatrix, rank_raw
 from qdesigns.grassmann import gaussian_binomial, intersect, span
 from qdesigns.groups import close_group, trivial_group
 from qdesigns.kramer_mesner import (
+    BudgetExceeded,
+    SolveResult,
+    Selection,
+    _Search,
     build_km,
     design_from_selection,
     iterated_large_set_search,
@@ -18,6 +26,245 @@ from qdesigns.kramer_mesner import (
 
 # order-7 companion matrix of x^3 + x + 1, transitive on nonzero vectors
 SHIFT3 = BitMatrix(3, (0b010, 0b100, 0b011))
+# Singer cycle of x^7 + x + 1: e_i -> e_{i+1}, e_6 -> 1 + x
+SINGER7 = BitMatrix(7, tuple(1 << (i + 1) for i in range(6)) + (0b11,))
+
+
+_UNDECIDED, _IN, _OUT = 0, 1, 2
+
+
+class DictSearch:
+    """Oracle for _Search: the same tree, with its state in dicts and lists.
+
+    DFS over columns with row-count propagation.  Columns are ordered
+    largest orbit first, ties by index.  Each node branches on the
+    tightest unsatisfied row (least slack between its reachable mass and
+    lam, ties by row index) and decides that row's first undecided column
+    in the column order, include before exclude.  Decisions are undone
+    from a trail.  It has no subset-sum check before the first node.
+    """
+
+    def __init__(self, system, lam, forbidden, node_budget):
+        self.lam = lam
+        self.budget = node_budget
+        self.nodes = 0
+        sizes = system.k_orbits.sizes
+        self.order = sorted(
+            (j for j in range(system.n_cols) if j not in forbidden),
+            key=lambda j: (-sizes[j], j),
+        )
+        tau = system.n_rows
+        self.col_rows = {}
+        row_cols = [[] for _ in range(tau)]
+        for j in self.order:
+            entries = []
+            for i in range(tau):
+                a = system.matrix[i][j]
+                if a:
+                    entries.append((i, a))
+                    row_cols[i].append((j, a))
+            self.col_rows[j] = tuple(entries)
+        self.row_cols = [tuple(e) for e in row_cols]
+        self.cnt = [0] * tau
+        self.avail = [sum(a for _, a in cols) for cols in self.row_cols]
+        self.state = {j: _UNDECIDED for j in self.order}
+        self.n_undecided = len(self.order)
+        self.trail = []
+
+    def _apply(self, j, kind, touched):
+        self.state[j] = kind
+        self.n_undecided -= 1
+        self.trail.append((j, kind))
+        for i, a in self.col_rows[j]:
+            if kind == _IN:
+                self.cnt[i] += a
+            self.avail[i] -= a
+            touched.append(i)
+
+    def _undo_to(self, mark):
+        while len(self.trail) > mark:
+            j, kind = self.trail.pop()
+            self.state[j] = _UNDECIDED
+            self.n_undecided += 1
+            for i, a in self.col_rows[j]:
+                if kind == _IN:
+                    self.cnt[i] -= a
+                self.avail[i] += a
+
+    def _propagate(self, touched):
+        lam = self.lam
+        while touched:
+            i = touched.pop()
+            c = self.cnt[i]
+            if c > lam or c + self.avail[i] < lam:
+                return False
+            if c == lam or c + self.avail[i] == lam:
+                kind = _OUT if c == lam else _IN
+                for j, _ in self.row_cols[i]:
+                    if self.state[j] == _UNDECIDED:
+                        self._apply(j, kind, touched)
+        return True
+
+    def solutions(self):
+        if not self._propagate(list(range(len(self.cnt)))):
+            return
+        frames = []  # (column, phase, trail mark before the decision)
+
+        def backtrack():
+            while frames:
+                j, phase, mark = frames.pop()
+                self._undo_to(mark)
+                if phase == 0:
+                    frames.append((j, 1, mark))
+                    touched = []
+                    self._apply(j, _OUT, touched)
+                    if self._propagate(touched):
+                        return True
+            return False
+
+        while True:
+            if self.n_undecided == 0:
+                yield frozenset(c for c, st in self.state.items() if st == _IN)
+                if not backtrack():
+                    return
+                continue
+            j = self._branch_column()
+            self.nodes += 1
+            if self.nodes > self.budget:
+                raise BudgetExceeded(self.nodes)
+            frames.append((j, 0, len(self.trail)))
+            touched = []
+            self._apply(j, _IN, touched)
+            if not self._propagate(touched) and not backtrack():
+                return
+
+    def _branch_column(self):
+        lam = self.lam
+        slack, best_i = min(
+            (self.cnt[i] + self.avail[i] - lam, i)
+            for i in range(len(self.cnt))
+            if self.cnt[i] < lam
+        )
+        return next(j for j, _ in self.row_cols[best_i] if self.state[j] == _UNDECIDED)
+
+
+def oracle_solve_exact(system, lam, forbidden=(), node_budget=2_000_000):
+    search = DictSearch(system, lam, frozenset(forbidden), node_budget)
+    try:
+        sel = next(search.solutions(), None)
+    except BudgetExceeded as e:
+        return SolveResult("unknown", None, e.nodes)
+    if sel is None:
+        return SolveResult("infeasible", None, search.nodes)
+    return SolveResult("solved", Selection(sel), search.nodes)
+
+
+def all_solutions(search):
+    """Every solution the search yields, then how it ended and its node count."""
+    found = []
+    try:
+        for sel in search.solutions():
+            found.append(sel)
+    except BudgetExceeded as e:
+        return found, e.nodes, search.nodes
+    return found, None, search.nodes
+
+
+@lru_cache(maxsize=None)
+def small_system(v, t, k, generator_rows):
+    group = close_group([BitMatrix(v, generator_rows)]) if generator_rows else trivial_group(v)
+    return build_km(v, t, k, group)
+
+
+@st.composite
+def small_searches(draw):
+    """A real system for v <= 5 under a trivial or random cyclic group, and search arguments."""
+    v = draw(st.integers(2, 5))
+    k = draw(st.integers(1, v))
+    t = draw(st.integers(0, k))
+    gen = ()
+    if draw(st.booleans()):
+        rows = tuple(draw(st.lists(st.integers(1, (1 << v) - 1), min_size=v, max_size=v)))
+        if rank_raw(rows) == v:
+            gen = rows
+    system = small_system(v, t, k, gen)
+    lam = draw(st.integers(0, system.lambda_max))
+    forbidden = frozenset(draw(st.sets(st.integers(0, system.n_cols - 1), max_size=system.n_cols // 3)))
+    budget = draw(st.integers(0, 400))
+    return system, lam, forbidden, budget
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_searches())
+def test_search_matches_dict_oracle(case):
+    system, lam, forbidden, budget = case
+    got = _Search(system, lam, forbidden, budget)
+    want = DictSearch(system, lam, forbidden, budget)
+    if got.unreachable_row() is None:
+        assert all_solutions(got) == all_solutions(want)
+        assert solve_exact(system, lam, forbidden, budget) == oracle_solve_exact(
+            system, lam, forbidden, budget
+        )
+    else:
+        # proved infeasible before the first node; the oracle finds nothing either
+        assert all_solutions(got) == ([], None, 0)
+        assert all_solutions(want)[0] == []
+
+
+def test_singer_first_solution_node_counts():
+    system = build_km(7, 2, 3, close_group([SINGER7]))
+    assert (system.n_rows, system.n_cols) == (21, 93)
+    for lam, nodes in ((3, 1442), (4, 2050)):
+        res = solve_exact(system, lam)
+        assert res.status == "solved"
+        assert res.nodes == nodes
+        assert res == oracle_solve_exact(system, lam)
+        design = design_from_selection(system, res.selection, lam, verify=False)
+        assert verify_design(design) == lam
+
+
+def gf256_normalizer():
+    """The Singer normalizer GammaL(1, 2^8) of order 2040 on GF(2)^8.
+
+    GF(2^8) = GF(2)[x]/(x^8 + x^4 + x^3 + x^2 + 1) in the basis 1, x, ..., x^7;
+    the generators are multiplication by x and the Frobenius map a -> a^2.
+    """
+    poly = 0b100011101
+
+    def times_x(a):
+        a <<= 1
+        return a ^ poly if a >> 8 else a
+
+    def square_of_basis(i):
+        a = 1
+        for _ in range(2 * i):
+            a = times_x(a)
+        return a
+
+    singer = BitMatrix(8, tuple(times_x(1 << i) for i in range(8)))
+    frobenius = BitMatrix(8, tuple(square_of_basis(i) for i in range(8)))
+    return close_group([singer, frobenius])
+
+
+def test_unreachable_row_proves_infeasible_at_the_root():
+    group = gf256_normalizer()
+    assert group.order == 2040
+    system = build_km(8, 2, 3, group)
+    lam = 21
+    rows = [i for i, row in enumerate(system.matrix) if sorted(a for a in row if a) == [3, 12, 24, 24]]
+    assert rows
+    assert _Search(system, lam, frozenset(), 0).unreachable_row() == rows[0]
+    assert solve_exact(system, lam) == SolveResult("infeasible", None, 0)
+    # without the check the same tree runs out of a budget that large
+    assert oracle_solve_exact(system, lam, node_budget=2000).status == "unknown"
+    res = iterated_large_set_search(system, system.lambda_max // lam)
+    assert res.status == "exhausted" and res.nodes == 0
+
+
+def test_reachable_rows_keep_the_tree():
+    system = build_km(7, 2, 3, close_group([SINGER7]))
+    for lam in range(2, 7):
+        assert _Search(system, lam, frozenset(), 0).unreachable_row() is None
 
 
 def test_build_trivial_group_4_1_2():
@@ -216,3 +463,17 @@ def test_selection_blocks_expands_orbits():
     blocks = selection_blocks(sys, solve_exact(sys, 3).selection)
     assert blocks == frozenset(span(3, [r for r in (p.rows)]) for p in blocks)
     assert len(blocks) == 7
+
+
+def test_wide_row_fields_match_dict_oracle():
+    # t = 0: one row holding every orbit size, lambda_max = [8 3]_2 = 97155,
+    # too large for 16-bit row fields
+    from qdesigns.catalog import builtin_group
+
+    system = build_km(8, 0, 3, builtin_group())
+    assert system.lambda_max == 97155
+    row = system.matrix[0]
+    for lam in (0, sum(row[:3]), sum(row[: system.n_cols // 2]), system.lambda_max):
+        got = _Search(system, lam, frozenset(), 300)
+        assert got.width > 16 and got.unreachable_row() is None
+        assert all_solutions(got) == all_solutions(DictSearch(system, lam, frozenset(), 300))
