@@ -14,14 +14,15 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterable, NamedTuple, Sequence
 
-from .designs import Design, LargeSet, VerificationError, verify_design, verify_large_set
+from .designs import Design, LargeSet, VerificationError, large_set, verify_design, verify_large_set
 from .gf2 import BitMatrix, rank_raw
-from .grassmann import Subspace, gaussian_binomial, span
+from .grassmann import Subspace, span
 from .groups import Group, close_group, orbit_of, parse_generator_text
 
 __all__ = [
     "QuadrupleRecord",
     "build_design_from_reps",
+    "builtin_data_digests",
     "builtin_group",
     "builtin_large_set",
     "builtin_design",
@@ -70,11 +71,17 @@ def _data_bytes(name: str) -> bytes:
 
 
 @lru_cache(maxsize=None)
-def _verified_data_text(name: str) -> str:
+def _recorded_digests() -> dict[str, str]:
     expected = {}
     for line in _data_bytes("checksums.sha256").decode("ascii").splitlines():
         digest, _, fname = line.strip().partition("  ")
         expected[fname] = digest
+    return expected
+
+
+@lru_cache(maxsize=None)
+def _verified_data_text(name: str) -> str:
+    expected = _recorded_digests()
     raw = _data_bytes(name)
     actual = hashlib.sha256(raw).hexdigest()
     if name not in expected:
@@ -84,6 +91,13 @@ def _verified_data_text(name: str) -> str:
             f"data file {name} fails its checksum: {actual} != {expected[name]}"
         )
     return raw.decode("ascii")
+
+
+def builtin_data_digests() -> dict[str, str]:
+    """SHA-256 of every shipped data file, keyed builtin:<name>, each checked on load."""
+    for name in _recorded_digests():
+        _verified_data_text(name)
+    return {f"builtin:{name}": digest for name, digest in _recorded_digests().items()}
 
 
 @lru_cache(maxsize=None)
@@ -165,12 +179,8 @@ def builtin_design(index: int, verify: bool = True) -> Design:
 
 def builtin_large_set(verify: bool = True) -> LargeSet:
     """The shipped large set: three disjoint 2-(8, 4, 217) designs."""
-    designs = tuple(builtin_design(i, verify=False) for i in (1, 2, 3))
-    ls = LargeSet(AMBIENT_DIM, BLOCK_DIM, STRENGTH, DESIGN_COUNT, designs)
+    parts = (builtin_design(i, verify=False).blocks for i in (1, 2, 3))
+    ls = large_set(AMBIENT_DIM, BLOCK_DIM, STRENGTH, parts)
     if verify:
         verify_large_set(ls)
     return ls
-
-
-def grassmannian_size() -> int:
-    return gaussian_binomial(AMBIENT_DIM, BLOCK_DIM)

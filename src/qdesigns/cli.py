@@ -23,14 +23,11 @@ from typing import Optional
 
 from . import catalog
 from .designs import (
-    Design,
+    TRANSFORMS,
     LargeSet,
     VerificationError,
-    derived_large_set,
-    dual_large_set,
     read_design,
     read_large_set,
-    residual_large_set,
     verify_design,
     verify_large_set,
     write_design,
@@ -89,21 +86,6 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _builtin_data_digests() -> dict[str, str]:
-    from importlib import resources
-
-    out = {}
-    root = resources.files("qdesigns").joinpath("data")
-    for name in sorted(
-        ("group_generators.txt", "design1_orbit_reps.txt",
-         "design2_orbit_reps.txt", "design3_orbit_reps.txt")
-    ):
-        out[f"builtin:{name}"] = hashlib.sha256(
-            root.joinpath(name).read_bytes()
-        ).hexdigest()
-    return out
-
-
 class _Run:
     """Accumulates one run's manifest record."""
 
@@ -152,7 +134,7 @@ def _load_group(spec: str, v: int) -> tuple[Group, dict[str, str]]:
     if spec == "builtin":
         if v != 8:
             raise CliError(EXIT_IO, "the builtin group acts on GF(2)^8; need --v 8")
-        return catalog.builtin_group(), _builtin_data_digests()
+        return catalog.builtin_group(), catalog.builtin_data_digests()
     if spec == "trivial":
         return trivial_group(v), {}
     if not os.path.exists(spec):
@@ -173,6 +155,14 @@ def _ensure_out_dir(path: str, force: bool) -> None:
         os.makedirs(path)
 
 
+def _write_large_set_dir(run: _Run, directory: str, ls: LargeSet) -> None:
+    """large_set.ls plus design1.txt .. designN.txt, all recorded as outputs."""
+    rels = [f"design{i + 1}.txt" for i in range(ls.n)]
+    write_large_set(os.path.join(directory, "large_set.ls"), ls, rels)
+    for rel in rels + ["large_set.ls"]:
+        run.output(rel)
+
+
 # ---------------------------------------------------------------- decode
 
 
@@ -180,7 +170,7 @@ def _cmd_decode(args) -> int:
     _ensure_out_dir(args.out, args.force)
     run = _Run(args, "decode")
     run.param(design=args.design, verify=not args.no_verify)
-    run.input_digests(_builtin_data_digests())
+    run.input_digests(catalog.builtin_data_digests())
 
     if args.design is not None:
         d = catalog.builtin_design(args.design, verify=False)
@@ -192,12 +182,7 @@ def _cmd_decode(args) -> int:
             run.verdict(rel, True, check=f"{d.t}-({d.v},{d.k},{d.lam}) design")
     else:
         ls = catalog.builtin_large_set(verify=False)
-        rels = [f"design{i + 1}.txt" for i in range(ls.n)]
-        write_large_set(os.path.join(args.out, "large_set.ls"), ls, rels)
-        for rel, d in zip(rels, ls.designs):
-            write_design(os.path.join(args.out, rel), d)
-            run.output(rel)
-        run.output("large_set.ls")
+        _write_large_set_dir(run, args.out, ls)
         if not args.no_verify:
             report = verify_large_set(ls)
             run.verdict(
@@ -242,13 +227,6 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------- transform
 
 
-_TRANSFORMS = {
-    "derived": derived_large_set,
-    "residual": residual_large_set,
-    "dual": dual_large_set,
-}
-
-
 def _cmd_transform(args) -> int:
     if not os.path.exists(args.input):
         raise CliError(EXIT_IO, f"no such file: {args.input}")
@@ -258,7 +236,7 @@ def _cmd_transform(args) -> int:
     run.param(op=args.op, input=args.input, out=args.out)
     run.input_file(args.input)
     ls = read_large_set(args.input)
-    out = _TRANSFORMS[args.op](ls, verify=True)
+    out = TRANSFORMS[args.op](ls, verify=True)
     write_large_set(args.out, out)
     run.output(os.path.basename(args.out))
     run.verdict(
@@ -381,12 +359,7 @@ def _cmd_km_ls_search(args) -> int:
         print(f"gave up after {result.nodes} nodes, {result.retries} retries")
         return EXIT_UNKNOWN
     ls = result.large_set
-    rels = [f"design{i + 1}.txt" for i in range(ls.n)]
-    write_large_set(os.path.join(args.out, "large_set.ls"), ls, rels)
-    for rel, d in zip(rels, ls.designs):
-        write_design(os.path.join(args.out, rel), d)
-        run.output(rel)
-    run.output("large_set.ls")
+    _write_large_set_dir(run, args.out, ls)
     report = verify_large_set(ls)
     run.verdict(
         "large_set.ls", True,
@@ -406,7 +379,7 @@ def _load_registry(directory: Optional[str], use_builtin: bool, run: _Run) -> di
     if use_builtin:
         ls = catalog.builtin_large_set(verify=False)
         registry[(2, ls.n, ls.t, ls.k, ls.v)] = ls
-        run.input_digests(_builtin_data_digests())
+        run.input_digests(catalog.builtin_data_digests())
     if directory:
         if not os.path.isdir(directory):
             raise CliError(EXIT_IO, f"registry is not a directory: {directory}")
@@ -438,12 +411,7 @@ def _cmd_construct(args) -> int:
         ])
         run.write(args.out)
         raise CliError(EXIT_IO, str(e))
-    rels = [f"design{i + 1}.txt" for i in range(ls.n)]
-    write_large_set(os.path.join(args.out, "large_set.ls"), ls, rels)
-    for rel, d in zip(rels, ls.designs):
-        write_design(os.path.join(args.out, rel), d)
-        run.output(rel)
-    run.output("large_set.ls")
+    _write_large_set_dir(run, args.out, ls)
     run.verdict(
         "large_set.ls", True,
         check=f"large set LS({ls.t},{ls.k},{ls.v}) N={ls.n}",
@@ -503,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("transform", help="derived, residual, or dual of a large set")
-    p.add_argument("--op", required=True, choices=sorted(_TRANSFORMS))
+    p.add_argument("--op", required=True, choices=sorted(TRANSFORMS))
     p.add_argument("--in", dest="input", required=True, metavar="PATH")
     p.add_argument("--out", required=True, metavar="PATH")
     _add_common(p)

@@ -17,13 +17,13 @@ from operator import and_, attrgetter, eq, lt, neg, or_, xor
 from typing import Iterable, Optional, Sequence
 
 from .grassmann import (
+    QuotientFrame,
     Subspace,
     contains,
     enumerate_grassmannian,
     full_space,
     gaussian_binomial,
     orthogonal_complement,
-    quotient_frame,
     reduce_vector,
     span,
     standard_flag_subspace,
@@ -34,9 +34,12 @@ __all__ = [
     "Design",
     "LargeSet",
     "LargeSetReport",
+    "TRANSFORMS",
     "VerificationError",
+    "check_disjoint",
     "derived_large_set",
     "dual_large_set",
+    "large_set",
     "large_set_lambda",
     "read_design",
     "read_large_set",
@@ -233,12 +236,40 @@ def t_equivalent(b1: Iterable[Subspace], b2: Iterable[Subspace], t: int) -> bool
 
 def large_set_lambda(v: int, k: int, t: int, n: int) -> int:
     """Per-design lambda of a large set with N members; errors if N does not divide."""
+    if n < 1:
+        raise VerificationError(f"a large set needs N >= 1 members, got N={n}")
     lam_max = gaussian_binomial(v - t, k - t)
     if lam_max % n:
         raise VerificationError(
             f"N={n} does not divide the maximal lambda {lam_max} for t={t} k={k} v={v}"
         )
     return lam_max // n
+
+
+def large_set(v: int, k: int, t: int, parts: Iterable[Iterable[Subspace]]) -> LargeSet:
+    """The parts as a large set of t-(v, k, lambda) designs, lambda from large_set_lambda.
+
+    A part that is already a frozenset becomes its design's blocks without
+    a copy.  Nothing is verified; see verify_large_set.
+    """
+    if t < 0:
+        raise ValueError(f"a large set needs strength t >= 0, got t={t}")
+    blocks = tuple(map(frozenset, parts))  # frozenset(p) is p for a frozenset p
+    lam = large_set_lambda(v, k, t, len(blocks))
+    return LargeSet(v, k, t, len(blocks), tuple(Design(v, k, t, lam, b) for b in blocks))
+
+
+def check_disjoint(parts: Sequence[frozenset[Subspace]], name: str = "parts") -> None:
+    """Raise VerificationError if two parts share a member.
+
+    Parts are compared pairwise, so no union of all members is ever held.
+    """
+    for i, part in enumerate(parts):
+        for j, earlier in enumerate(parts[:i]):
+            if not part.isdisjoint(earlier):
+                raise VerificationError(
+                    f"{name} {j} and {i} overlap", witness=min(part & earlier)
+                )
 
 
 def verify_large_set(ls: LargeSet) -> LargeSetReport:
@@ -252,13 +283,7 @@ def verify_large_set(ls: LargeSet) -> LargeSetReport:
         if d.lam != lam:
             raise VerificationError(f"design {i} declares lambda={d.lam}, expected {lam}")
         verify_design(d)
-    # pairwise, so no union of all blocks is ever held in memory
-    for i, d in enumerate(ls.designs):
-        for j, earlier in enumerate(ls.designs[:i]):
-            if not d.blocks.isdisjoint(earlier.blocks):
-                raise VerificationError(
-                    f"designs {j} and {i} overlap", witness=min(d.blocks & earlier.blocks)
-                )
+    check_disjoint([d.blocks for d in ls.designs], "designs")
     total = sum(len(d.blocks) for d in ls.designs)
     size = gaussian_binomial(ls.v, ls.k)
     if total != size:
@@ -290,16 +315,12 @@ def derived_large_set(
         point = span(ls.v, [1])
     if point.v != ls.v or point.dim != 1:
         raise ValueError("point must be a 1-subspace of the ambient space")
-    frame = quotient_frame(full_space(ls.v), point)
+    frame = QuotientFrame(full_space(ls.v), point)
     p = point.rows[0]
-    lam = large_set_lambda(ls.v - 1, ls.k - 1, ls.t - 1, ls.n)
-    designs = []
-    for d in ls.designs:
-        blocks = frozenset(
-            frame.project(b) for b in d.blocks if reduce_vector(p, b.rows) == 0
-        )
-        designs.append(Design(ls.v - 1, ls.k - 1, ls.t - 1, lam, blocks))
-    out = LargeSet(ls.v - 1, ls.k - 1, ls.t - 1, ls.n, tuple(designs))
+    out = large_set(ls.v - 1, ls.k - 1, ls.t - 1, (
+        (frame.project(b) for b in d.blocks if reduce_vector(p, b.rows) == 0)
+        for d in ls.designs
+    ))
     if verify:
         verify_large_set(out)
     return out
@@ -315,15 +336,11 @@ def residual_large_set(
         hyperplane = standard_flag_subspace(ls.v, ls.v - 1)
     if hyperplane.v != ls.v or hyperplane.dim != ls.v - 1:
         raise ValueError("hyperplane must have codimension 1")
-    frame = quotient_frame(hyperplane, zero_subspace(ls.v))
-    lam = large_set_lambda(ls.v - 1, ls.k, ls.t - 1, ls.n)
-    designs = []
-    for d in ls.designs:
-        blocks = frozenset(
-            frame.project(b) for b in d.blocks if contains(hyperplane, b)
-        )
-        designs.append(Design(ls.v - 1, ls.k, ls.t - 1, lam, blocks))
-    out = LargeSet(ls.v - 1, ls.k, ls.t - 1, ls.n, tuple(designs))
+    frame = QuotientFrame(hyperplane, zero_subspace(ls.v))
+    out = large_set(ls.v - 1, ls.k, ls.t - 1, (
+        (frame.project(b) for b in d.blocks if contains(hyperplane, b))
+        for d in ls.designs
+    ))
     if verify:
         verify_large_set(out)
     return out
@@ -331,17 +348,22 @@ def residual_large_set(
 
 def dual_large_set(ls: LargeSet, verify: bool = True) -> LargeSet:
     """Orthogonal complements of all blocks: (t, v-k, v)."""
-    lam = large_set_lambda(ls.v, ls.v - ls.k, ls.t, ls.n)
-    designs = []
-    for d in ls.designs:
-        blocks = frozenset(orthogonal_complement(b) for b in d.blocks)
-        if len(blocks) != len(d.blocks):
+    out = large_set(ls.v, ls.v - ls.k, ls.t, (
+        map(orthogonal_complement, d.blocks) for d in ls.designs
+    ))
+    for d, image in zip(ls.designs, out.designs):
+        if len(image.blocks) != len(d.blocks):
             raise VerificationError("complement map collapsed two blocks")
-        designs.append(Design(ls.v, ls.v - ls.k, ls.t, lam, blocks))
-    out = LargeSet(ls.v, ls.v - ls.k, ls.t, ls.n, tuple(designs))
     if verify:
         verify_large_set(out)
     return out
+
+
+TRANSFORMS = {
+    "derived": derived_large_set,
+    "residual": residual_large_set,
+    "dual": dual_large_set,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -412,18 +434,20 @@ def read_design(path) -> Design:
 
 
 def write_large_set(path, ls: LargeSet, design_paths: Optional[Sequence[str]] = None) -> None:
-    """Manifest header plus one design-file path per line (relative allowed).
+    """Member design files, then a manifest: header plus one member path per line.
 
-    Writes the member design files next to the manifest unless explicit
-    paths are given.
+    design_paths names the N member files relative to the manifest's
+    directory; by default they are <stem>_design<i>.txt.
     """
     path = os.fspath(path)
     base = os.path.dirname(path) or "."
     if design_paths is None:
         stem = os.path.splitext(os.path.basename(path))[0]
         design_paths = [f"{stem}_design{i + 1}.txt" for i in range(ls.n)]
-        for rel, d in zip(design_paths, ls.designs):
-            write_design(os.path.join(base, rel), d)
+    if len(design_paths) != ls.n:
+        raise ValueError(f"{len(design_paths)} design paths given, N={ls.n}")
+    for rel, d in zip(design_paths, ls.designs):
+        write_design(os.path.join(base, rel), d)
     lam = large_set_lambda(ls.v, ls.k, ls.t, ls.n)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"q=2 v={ls.v} k={ls.k} t={ls.t} N={ls.n} lambda={lam}\n")

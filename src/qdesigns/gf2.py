@@ -13,6 +13,7 @@ __all__ = [
     "BitMatrix",
     "RrefResult",
     "dot",
+    "eliminate_tracked",
     "identity",
     "kernel",
     "left_kernel_raw",
@@ -139,10 +140,16 @@ def rref(m: BitMatrix) -> RrefResult:
     return rref_raw(m.rows)
 
 
-def left_kernel_raw(rows: Sequence[int]) -> tuple[int, ...]:
-    """RREF basis of {c : XOR of rows[i] over bits i of c == 0}."""
-    by_pivot: dict[int, tuple[int, int]] = {}  # pivot mask -> (row, combo)
-    found: list[int] = []
+def eliminate_tracked(rows: Iterable[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """Gauss-Jordan elimination that tracks which input rows make up each row.
+
+    A combination is an int whose bit i selects input row i.  Returns a dict
+    from each pivot mask (a row's lowest set bit, zero in every other row)
+    to its reduced row and the combination summing to it, plus, for each
+    input row that depends on earlier ones, a combination summing to zero.
+    """
+    by_pivot: dict[int, tuple[int, int]] = {}
+    dependent: list[int] = []
     for i, r in enumerate(rows):
         combo = 1 << i
         for mask, (basis_row, basis_combo) in by_pivot.items():
@@ -156,8 +163,13 @@ def left_kernel_raw(rows: Sequence[int]) -> tuple[int, ...]:
                     by_pivot[other_mask] = (other_row ^ r, other_combo ^ combo)
             by_pivot[mask] = (r, combo)
         else:
-            found.append(combo)
-    return rref_raw(found).rows
+            dependent.append(combo)
+    return by_pivot, dependent
+
+
+def left_kernel_raw(rows: Sequence[int]) -> tuple[int, ...]:
+    """RREF basis of {c : XOR of rows[i] over bits i of c == 0}."""
+    return rref_raw(eliminate_tracked(rows)[1]).rows
 
 
 def kernel(m: BitMatrix) -> BitMatrix:

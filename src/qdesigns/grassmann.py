@@ -14,7 +14,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .gf2 import left_kernel_raw, rref_raw, span_table, vec_mat
+from .gf2 import eliminate_tracked, left_kernel_raw, rref_raw, span_table, vec_mat
 
 __all__ = [
     "QuotientFrame",
@@ -27,7 +27,6 @@ __all__ = [
     "grassmannian_unrank",
     "intersect",
     "orthogonal_complement",
-    "quotient_frame",
     "reduce_vector",
     "span",
     "standard_flag_subspace",
@@ -291,20 +290,9 @@ class QuotientFrame:
         # elimination steps for coefficient extraction: (pivot mask, row, combo);
         # combo bits 0..ns-1 select sub rows, ns.. select transversal rows
         ns = len(sub.rows)
-        by_pivot: dict[int, tuple[int, int]] = {}
-        for i, r in enumerate(sub.rows + self.transversal):
-            combo = 1 << i
-            for mask, (br, bc) in by_pivot.items():
-                if r & mask:
-                    r ^= br
-                    combo ^= bc
-            if not r:
-                raise ArithmeticError("sub rows plus transversal are dependent")
-            mask = r & -r
-            for om, (orow, ocombo) in by_pivot.items():
-                if orow & mask:
-                    by_pivot[om] = (orow ^ r, ocombo ^ combo)
-            by_pivot[mask] = (r, combo)
+        by_pivot, dependent = eliminate_tracked(sub.rows + self.transversal)
+        if dependent:
+            raise ArithmeticError("sub rows plus transversal are dependent")
         self._steps = tuple(
             (mask, row, combo >> ns) for mask, (row, combo) in sorted(by_pivot.items())
         )
@@ -342,7 +330,3 @@ class QuotientFrame:
             raise ValueError("quotient subspace has the wrong ambient dimension")
         rows = [self.lift_vector(r) for r in sbar.rows] + list(self.sub.rows)
         return Subspace(self.sup.v, rref_raw(rows).rows)
-
-
-def quotient_frame(sup: Subspace, sub: Subspace) -> QuotientFrame:
-    return QuotientFrame(sup, sub)

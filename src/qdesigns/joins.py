@@ -23,13 +23,11 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .designs import (
-    Design,
+    TRANSFORMS,
     LargeSet,
     VerificationError,
-    derived_large_set,
-    dual_large_set,
-    large_set_lambda,
-    residual_large_set,
+    check_disjoint,
+    large_set,
     t_equivalent,
     verify_large_set,
 )
@@ -41,7 +39,6 @@ from .grassmann import (
     enumerate_grassmannian,
     full_space,
     gaussian_binomial,
-    quotient_frame,
     span,
     standard_flag_subspace,
 )
@@ -88,7 +85,7 @@ def join_chain(u1: Subspace, u2: Subspace) -> JoinChain:
         raise ValueError("flag members must share an ambient space")
     if not contains(u2, u1):
         raise ValueError("need u1 <= u2")
-    return JoinChain(u1, u2, quotient_frame(u2, u1), quotient_frame(full_space(u1.v), u2))
+    return JoinChain(u1, u2, QuotientFrame(u2, u1), QuotientFrame(full_space(u1.v), u2))
 
 
 def _complements(ambient_dim: int, sub: Subspace) -> Iterator[Subspace]:
@@ -97,7 +94,7 @@ def _complements(ambient_dim: int, sub: Subspace) -> Iterator[Subspace]:
     There are 2^(dim * codim) of them; each is produced once, as the
     graph of a linear map from a fixed complement into ``sub``.
     """
-    frame = quotient_frame(full_space(ambient_dim), sub)
+    frame = QuotientFrame(full_space(ambient_dim), sub)
     base = frame.transversal
     if not base:
         yield Subspace(ambient_dim, ())
@@ -124,12 +121,12 @@ def avoiding_join(k1: Subspace, k2: Subspace, chain: JoinChain) -> frozenset[Sub
     u1, u2 = chain.u1, chain.u2
     out = set()
     # Stage one: subspaces W with K1 <= W <= U2, W complementary to U1 over K1.
-    over_k1 = quotient_frame(u2, k1)
+    over_k1 = QuotientFrame(u2, k1)
     u1_bar = over_k1.project(u1)
     for c_bar in _complements(over_k1.dim, u1_bar):
         w = over_k1.lift_preimage(c_bar)
         # Stage two: inside K2, complements of U2 over W give the joins.
-        over_w = quotient_frame(k2, w)
+        over_w = QuotientFrame(k2, w)
         u2_bar = over_w.project(u2)
         for d_bar in _complements(over_w.dim, u2_bar):
             out.add(over_w.lift_preimage(d_bar))
@@ -212,37 +209,25 @@ def partitioned_set(
     t: int,
     ambient_dim: int,
     k: int,
-    check: bool = True,
 ) -> PartitionedSet:
-    """Build a PartitionedSet, verifying disjointness and t-equivalence."""
-    pts = tuple(frozenset(p) for p in parts)
+    """Build a PartitionedSet, verifying member shapes, disjointness and t-equivalence."""
+    pts = tuple(map(frozenset, parts))
     if not pts:
         raise ValueError("need at least one part")
-    ps = PartitionedSet(pts, t, ambient_dim, k)
-    if check:
-        _check_partition(ps)
-    return ps
-
-
-def _check_partition(ps: PartitionedSet) -> None:
-    total = 0
-    seen: set[Subspace] = set()
-    for p in ps.parts:
+    for p in pts:
         for s in p:
-            if s.v != ps.ambient_dim or s.dim != ps.k:
+            if s.v != ambient_dim or s.dim != k:
                 raise VerificationError(
-                    f"member {s} is not a {ps.k}-subspace of GF(2)^{ps.ambient_dim}"
+                    f"member {s} is not a {k}-subspace of GF(2)^{ambient_dim}"
                 )
-        total += len(p)
-        seen |= p
-    if len(seen) != total:
-        raise VerificationError("parts are not pairwise disjoint")
-    if ps.t >= 0:
-        for i in range(1, ps.n):
-            if not t_equivalent(ps.parts[0], ps.parts[i], ps.t):
+    check_disjoint(pts)
+    if t >= 0:
+        for i in range(1, len(pts)):
+            if not t_equivalent(pts[0], pts[i], t):
                 raise VerificationError(
-                    f"parts 0 and {i} are not {ps.t}-equivalent"
+                    f"parts 0 and {i} are not {t}-equivalent"
                 )
+    return PartitionedSet(pts, t, ambient_dim, k)
 
 
 def partition_from_large_set(ls: LargeSet) -> PartitionedSet:
@@ -349,9 +334,7 @@ def compose_partitions(
         raise VerificationError("join images collided")
     t_out = p1.t + p2.t + 1
     try:
-        return partitioned_set(
-            (frozenset(b) for b in buckets), t_out, chain.v, k_out, check=True
-        )
+        return partitioned_set(buckets, t_out, chain.v, k_out)
     except VerificationError as e:
         raise VerificationError(
             f"composition failed the {t_out}-equivalence check "
@@ -378,22 +361,18 @@ def extend_by_hyperplane(ls_small_k: LargeSet, ls_same_k: LargeSet) -> LargeSet:
         raise ValueError("first operand's block dimension must be one less")
 
     v_out = ls_small_k.v + 1
-    k = ls_same_k.k
-    t = ls_same_k.t
-    n = ls_same_k.n
     h = standard_flag_subspace(v_out, v_out - 1)
     outside = 1 << (v_out - 1)
-    lam = large_set_lambda(v_out, k, t, n)
-    designs = []
+    parts = []
     for small_d, same_d in zip(ls_small_k.designs, ls_same_k.designs):
         blocks = {Subspace(v_out, b.rows) for b in same_d.blocks}
         for b in small_d.blocks:
             inside = Subspace(v_out, b.rows)
-            frame = quotient_frame(h, inside)
+            frame = QuotientFrame(h, inside)
             for shift in span(v_out, frame.transversal).vectors():
                 blocks.add(span(v_out, inside.rows + (shift | outside,)))
-        designs.append(Design(v_out, k, t, lam, frozenset(blocks)))
-    out = LargeSet(v_out, k, t, n, tuple(designs))
+        parts.append(frozenset(blocks))
+    out = large_set(v_out, ls_same_k.k, ls_same_k.t, parts)
     try:
         verify_large_set(out)
     except VerificationError as e:
@@ -455,29 +434,23 @@ def execute_plan(
     registry: Optional[Registry] = None,
     size_guard: int = DEFAULT_SIZE_GUARD,
     force: bool = False,
-    verify: bool = True,
 ) -> LargeSet:
     """Materialize the large set a plan tree describes.
 
     ``registry`` supplies the external leaves, keyed by their parameter
     tuples.  Nodes that would enumerate a Grassmannian larger than
     ``size_guard`` raise unless ``force`` is set.  The root is verified
-    as a large set before it is returned unless ``verify`` is false.
+    as a large set before it is returned.
     """
     known = _normalize_registry(registry or {})
     missing = _missing_leaves(plan, known)
     if missing:
         raise MissingLeafError(missing)
-    if plan.params.t < 0:
-        raise ValueError("plan root must declare a strength t >= 0")
 
     pset = _eval_node(plan, known, size_guard, force)
     p = plan.params
-    lam = large_set_lambda(p.v, p.k, p.t, p.n)
-    designs = tuple(Design(p.v, p.k, p.t, lam, part) for part in pset.parts)
-    out = LargeSet(p.v, p.k, p.t, p.n, designs)
-    if verify:
-        verify_large_set(out)
+    out = large_set(p.v, p.k, p.t, pset.parts)
+    verify_large_set(out)
     return out
 
 
@@ -490,50 +463,32 @@ def _eval_node(
     p = node.params
     if node.kind == "leaf_table":
         return known[p]
-    if node.kind == "leaf_trivial":
+    if node.kind in ("leaf_trivial", "decompose"):
         total = gaussian_binomial(p.v, p.k)
         if total > size_guard and not force:
             raise ValueError(
-                f"trivial leaf for {p} would enumerate {total} subspaces; "
+                f"{node.kind} node for {p} would materialize {total} subspaces; "
                 f"raise the size guard or pass force to proceed"
             )
+    children = [_eval_node(c, known, size_guard, force) for c in node.children]
+    if node.kind == "leaf_trivial":
         full = frozenset(enumerate_grassmannian(p.v, p.k))
         empty = frozenset()
         parts = (full,) + (empty,) * (p.n - 1)
         return PartitionedSet(parts, -1, p.v, p.k)
-    if node.kind in ("derived", "residual", "dual"):
-        child = _eval_node(node.children[0], known, size_guard, force)
-        ls = _to_large_set(child, node.children[0].params)
+    if node.kind in TRANSFORMS or node.kind == "hyperplane_extend":
+        operands = [
+            large_set(c.params.v, c.params.k, c.params.t, child.parts)
+            for c, child in zip(node.children, children)
+        ]
+        if node.kind == "hyperplane_extend":
+            return partition_from_large_set(extend_by_hyperplane(*operands))
         # verification happens once, at the plan root
-        if node.kind == "derived":
-            out = derived_large_set(ls, verify=False)
-        elif node.kind == "residual":
-            out = residual_large_set(ls, verify=False)
-        else:
-            out = dual_large_set(ls, verify=False)
-        return partition_from_large_set(out)
-    if node.kind == "hyperplane_extend":
-        left = _to_large_set(
-            _eval_node(node.children[0], known, size_guard, force),
-            node.children[0].params,
-        )
-        right = _to_large_set(
-            _eval_node(node.children[1], known, size_guard, force),
-            node.children[1].params,
-        )
-        return partition_from_large_set(extend_by_hyperplane(left, right))
+        return partition_from_large_set(TRANSFORMS[node.kind](*operands, verify=False))
     if node.kind == "decompose":
-        total = gaussian_binomial(p.v, p.k)
-        if total > size_guard and not force:
-            raise ValueError(
-                f"decomposing {p} would materialize {total} subspaces; "
-                f"raise the size guard or pass force to proceed"
-            )
         cells = grassmann_decomposition(p.v, p.k, node.s)
         buckets: list[set[Subspace]] = [set() for _ in range(p.n)]
-        for i, cell in enumerate(cells):
-            first = _eval_node(node.children[2 * i], known, size_guard, force)
-            second = _eval_node(node.children[2 * i + 1], known, size_guard, force)
+        for cell, first, second in zip(cells, children[::2], children[1::2]):
             a1 = cell.first_grassmannian[0]
             lifted = PartitionedSet(
                 tuple(
@@ -551,13 +506,3 @@ def _eval_node(
             tuple(frozenset(b) for b in buckets), p.t, p.v, p.k
         )
     raise ValueError(f"unhandled plan node kind {node.kind!r}")
-
-
-def _to_large_set(pset: PartitionedSet, params: LSParams) -> LargeSet:
-    if params.t < 0:
-        raise ValueError("cannot treat a strength -1 partition as a large set")
-    lam = large_set_lambda(params.v, params.k, params.t, params.n)
-    designs = tuple(
-        Design(params.v, params.k, params.t, lam, part) for part in pset.parts
-    )
-    return LargeSet(params.v, params.k, params.t, params.n, designs)

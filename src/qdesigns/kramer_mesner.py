@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .designs import Design, LargeSet, verify_design, verify_large_set
+from .designs import Design, LargeSet, large_set, verify_design, verify_large_set
 from .gf2 import vec_mat
 from .grassmann import Subspace, enumerate_grassmannian, gaussian_binomial, span
 from .groups import Group, OrbitPartition, orbit_partition
@@ -459,11 +459,8 @@ def iterated_large_set_search(
     if covered != set(range(system.n_cols)):
         missing = sorted(set(range(system.n_cols)) - covered)
         raise SolverInvariantError(f"rounds leave columns uncovered: {missing[:10]}")
-    designs = tuple(
-        design_from_selection(system, Selection(c), lam, verify=False)
-        for c in all_rounds
-    )
-    ls = LargeSet(system.v, system.k, system.t, n, designs)
+    parts = (selection_blocks(system, Selection(c)) for c in all_rounds)
+    ls = large_set(system.v, system.k, system.t, parts)
     if verify:
         verify_large_set(ls)
     sels = tuple(Selection(c) for c in all_rounds)
@@ -500,6 +497,8 @@ def _read_reps(path: Path) -> tuple[int, int, tuple[Subspace, ...]]:
     lines = path.read_text().splitlines()
     fields = dict(part.split("=") for part in lines[0].split())
     v, d, count = int(fields["v"]), int(fields["dim"]), int(fields["count"])
+    if len(lines) <= count:
+        raise ValueError(f"{path} lists {len(lines) - 1} representatives, count={count}")
     reps = []
     for line in lines[1 : count + 1]:
         rows = [int(x) for x in line.split()]
@@ -533,4 +532,9 @@ def read_km_dump(path) -> KMDump:
         raise ValueError(f"matrix block in {p} does not match header {tau}x{kappa}")
     _, _, t_reps = _read_reps(p.with_name(p.name + ".treps"))
     _, _, k_reps = _read_reps(p.with_name(p.name + ".kreps"))
+    if (len(t_reps), len(k_reps)) != (tau, kappa):
+        raise ValueError(
+            f"sidecars of {p} list {len(t_reps)} and {len(k_reps)} representatives"
+            f" for a {tau}x{kappa} matrix"
+        )
     return KMDump(tau, kappa, lam_max, matrix, t_reps, k_reps)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+from importlib import resources
+
 import pytest
 
 from qdesigns.catalog import (
@@ -9,6 +12,7 @@ from qdesigns.catalog import (
     DESIGN_LAMBDA,
     QuadrupleRecord,
     build_design_from_reps,
+    builtin_data_digests,
     builtin_group,
     builtin_orbit_representatives,
     decode_quadruple,
@@ -19,6 +23,16 @@ from qdesigns.gf2 import BitMatrix
 from qdesigns.groups import close_group, element_order
 
 EXPECTED_REP_COUNTS = {1: 346, 2: 357, 3: 358}
+
+
+def test_builtin_data_digests_are_the_files_digests():
+    digests = builtin_data_digests()
+    names = ["group_generators.txt"] + [f"design{i}_orbit_reps.txt" for i in (1, 2, 3)]
+    assert sorted(digests) == sorted(f"builtin:{name}" for name in names)
+    root = resources.files("qdesigns").joinpath("data")
+    for name in names:
+        raw = root.joinpath(name).read_bytes()
+        assert digests[f"builtin:{name}"] == hashlib.sha256(raw).hexdigest()
 
 
 def test_decode_quadruple_valid():

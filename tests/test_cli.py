@@ -66,6 +66,11 @@ class TestVerify:
         write_large_set(path, lines_ls())
         assert main(["verify", str(path)]) == 0
 
+    def test_manifest_with_no_members(self, tmp_path):
+        path = tmp_path / "empty.ls"
+        path.write_text("q=2 v=2 k=1 t=0 N=0 lambda=1\n")
+        assert main(["verify", str(path)]) == 2
+
     def test_broken_large_set(self, tmp_path, capsys):
         good = lines_ls()
         # two parts repeat a line, so the union misses one: must fail

@@ -14,6 +14,7 @@ from qdesigns.designs import (
     VerificationError,
     derived_large_set,
     dual_large_set,
+    large_set,
     large_set_lambda,
     read_design,
     read_large_set,
@@ -247,6 +248,8 @@ def test_large_set_lambda_divisibility():
     assert large_set_lambda(8, 4, 1, 3) == 3937
     with pytest.raises(VerificationError):
         large_set_lambda(7, 3, 2, 3)  # 3 does not divide 31
+    with pytest.raises(VerificationError, match="N >= 1"):
+        large_set_lambda(4, 2, 0, 0)  # a manifest may declare N=0
 
 
 def test_chunked_large_set_verifies_at_t0():
@@ -264,6 +267,22 @@ def test_verify_large_set_rejects_overlap():
     with pytest.raises(VerificationError, match="designs 0 and 1 overlap") as info:
         verify_large_set(LargeSet(4, 2, 0, 5, tuple(designs)))
     assert info.value.witness == min(designs[0].blocks)
+
+
+def test_large_set_wraps_parts_with_lambda():
+    blocks = list(enumerate_grassmannian(4, 2))
+    parts = [frozenset(blocks[i * 7 : (i + 1) * 7]) for i in range(5)]
+    ls = large_set(4, 2, 0, parts)
+    assert ls == chunked_large_set(4, 2, 5)
+    assert all(d.blocks is p for d, p in zip(ls.designs, parts))  # not copied
+    assert large_set(4, 2, 0, (iter(p) for p in parts)) == ls
+
+
+def test_large_set_rejects_bad_parameters():
+    with pytest.raises(ValueError, match="t >= 0"):
+        large_set(2, 1, -1, [frozenset()])
+    with pytest.raises(VerificationError, match="N=4 does not divide"):
+        large_set(4, 2, 0, [frozenset()] * 4)
 
 
 def test_verify_large_set_rejects_wrong_n():
@@ -377,6 +396,23 @@ def test_large_set_file_roundtrip(tmp_path):
     back = read_large_set(manifest)
     assert back == ls
     assert manifest.read_text().splitlines()[0] == "q=2 v=4 k=2 t=0 N=5 lambda=7"
+
+
+def test_write_large_set_writes_named_members(tmp_path):
+    ls = chunked_large_set(4, 2, 5)
+    names = [f"member{i}.txt" for i in range(5)]
+    write_large_set(tmp_path / "ls.txt", ls, names)
+    assert (tmp_path / "ls.txt").read_text().splitlines()[1:] == names
+    for name, d in zip(names, ls.designs):
+        assert read_design(tmp_path / name) == d
+    assert read_large_set(tmp_path / "ls.txt") == ls
+
+
+def test_write_large_set_rejects_wrong_name_count(tmp_path):
+    ls = chunked_large_set(4, 2, 5)
+    with pytest.raises(ValueError, match="4 design paths given, N=5"):
+        write_large_set(tmp_path / "ls.txt", ls, [f"member{i}.txt" for i in range(4)])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_large_set_file_header_mismatch(tmp_path):

@@ -4,9 +4,12 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdesigns.gf2 import dot, rref_raw
 from qdesigns.grassmann import (
+    QuotientFrame,
     Subspace,
     contains,
     enumerate_grassmannian,
@@ -16,7 +19,6 @@ from qdesigns.grassmann import (
     grassmannian_unrank,
     intersect,
     orthogonal_complement,
-    quotient_frame,
     reduce_vector,
     span,
     standard_flag_subspace,
@@ -194,7 +196,7 @@ def test_quotient_frame_roundtrip():
         # choose sub inside sup by spanning random sup vectors
         supv = sup.vectors()
         sub = span(v, [rng.choice(supv) for _ in range(rng.randrange(sup.dim + 1))])
-        frame = quotient_frame(sup, sub)
+        frame = QuotientFrame(sup, sub)
         assert frame.dim == sup.dim - sub.dim
         # project then lift recovers any intermediate subspace
         mid = span(v, list(sub.rows) + [rng.choice(supv) for _ in range(2)])
@@ -204,7 +206,7 @@ def test_quotient_frame_roundtrip():
 
 
 def test_quotient_frame_projection_kernel_is_sub():
-    frame = quotient_frame(full_space(4), span(4, [0b0011]))
+    frame = QuotientFrame(full_space(4), span(4, [0b0011]))
     assert frame.project_vector(0b0011) == 0
     assert frame.project_vector(0) == 0
     va = frame.project_vector(0b0100)
@@ -213,11 +215,55 @@ def test_quotient_frame_projection_kernel_is_sub():
 
 
 def test_quotient_frame_rejects_outsiders():
-    frame = quotient_frame(span(4, [1, 2]), span(4, [1]))
+    frame = QuotientFrame(span(4, [1, 2]), span(4, [1]))
     with pytest.raises(ValueError):
         frame.project_vector(0b1000)
     with pytest.raises(ValueError):
-        quotient_frame(span(4, [1]), span(4, [2]))
+        QuotientFrame(span(4, [1]), span(4, [2]))
+
+
+@st.composite
+def subspace_lists(draw, count: int):
+    """count subspaces of one GF(2)^v, v <= 7, each spanned by random vectors."""
+    v = draw(st.integers(1, 7))
+    vectors = st.lists(st.integers(0, (1 << v) - 1), max_size=v)
+    return [span(v, draw(vectors)) for _ in range(count)]
+
+
+@st.composite
+def flags(draw):
+    """sub <= mid <= sup in one GF(2)^v, v <= 7."""
+    (sup,) = draw(subspace_lists(1))
+    members = st.lists(st.sampled_from(sup.vectors()), max_size=sup.v)
+    sub = span(sup.v, draw(members))
+    mid = span(sup.v, sub.rows + tuple(draw(members)))
+    return sub, mid, sup
+
+
+@settings(max_examples=300, deadline=None)
+@given(subspace_lists(2))
+def test_sum_and_intersection_dimensions(pair):
+    a, b = pair
+    assert subspace_sum(a, b).dim + intersect(a, b).dim == a.dim + b.dim
+
+
+@settings(max_examples=300, deadline=None)
+@given(subspace_lists(1))
+def test_orthogonal_complement_is_an_involution(single):
+    (s,) = single
+    perp = orthogonal_complement(s)
+    assert s.dim + perp.dim == s.v
+    assert orthogonal_complement(perp) == s
+
+
+@settings(max_examples=300, deadline=None)
+@given(flags())
+def test_quotient_frame_lifts_projections_back(flag):
+    sub, mid, sup = flag
+    frame = QuotientFrame(sup, sub)
+    image = frame.project(mid)
+    assert frame.dim == sup.dim - sub.dim and image.dim == mid.dim - sub.dim
+    assert frame.lift_preimage(image) == mid
 
 
 def test_reduce_vector():

@@ -382,6 +382,16 @@ class TestExecutePlan:
         with pytest.raises(ValueError, match="size guard"):
             execute_plan(plan, {}, size_guard=10)
 
+    def test_size_guard_on_decompose(self):
+        registry = {params(0, 1, 2): line_large_set()}
+        with pytest.raises(ValueError, match="decompose node .* would materialize 15"):
+            execute_plan(small_plan(), registry, size_guard=10)
+        assert execute_plan(small_plan(), registry, size_guard=10, force=True).n == 3
+
+    def test_root_needs_a_strength(self):
+        with pytest.raises(ValueError, match="t >= 0"):
+            execute_plan(PlanNode("leaf_trivial", LSParams(2, 1, -1, 1, 2)), {})
+
     def test_registry_shape_checked(self):
         plan = PlanNode("leaf_table", params(0, 1, 2))
         with pytest.raises(ValueError):

@@ -458,6 +458,22 @@ def test_dump_round_trip(tmp_path):
     assert dump.k_reps == tuple(sys.k_orbits.representatives)
 
 
+def test_dump_rejects_truncated_sidecar(tmp_path):
+    sys = build_km(4, 1, 2, trivial_group(4))
+    path = tmp_path / "system.km"
+    write_km_system(sys, path)
+    kreps = tmp_path / "system.km.kreps"
+    lines = kreps.read_text().splitlines()
+    assert lines[0] == "v=4 dim=2 count=35"
+    kreps.write_text("\n".join(lines[:10]) + "\n")  # 9 of 35 representatives
+    with pytest.raises(ValueError, match="lists 9 representatives, count=35"):
+        read_km_dump(path)
+    # a count that matches its lines but not the matrix
+    kreps.write_text("\n".join(["v=4 dim=2 count=9"] + lines[1:10]) + "\n")
+    with pytest.raises(ValueError, match="15x35 matrix"):
+        read_km_dump(path)
+
+
 def test_selection_blocks_expands_orbits():
     sys = build_km(3, 1, 2, close_group([SHIFT3]))
     blocks = selection_blocks(sys, solve_exact(sys, 3).selection)
