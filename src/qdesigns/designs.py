@@ -19,7 +19,6 @@ from typing import Iterable, Optional, Sequence
 from .grassmann import (
     QuotientFrame,
     Subspace,
-    contains,
     enumerate_grassmannian,
     full_space,
     gaussian_binomial,
@@ -337,8 +336,11 @@ def residual_large_set(
     if hyperplane.v != ls.v or hyperplane.dim != ls.v - 1:
         raise ValueError("hyperplane must have codimension 1")
     frame = QuotientFrame(hyperplane, zero_subspace(ls.v))
+    # a block lies in the hyperplane iff each row is orthogonal to its normal
+    normal = orthogonal_complement(hyperplane).rows[0]
     out = large_set(ls.v - 1, ls.k, ls.t - 1, (
-        (frame.project(b) for b in d.blocks if contains(hyperplane, b))
+        (frame.project(b) for b in d.blocks
+         if not any((r & normal).bit_count() & 1 for r in b.rows))
         for d in ls.designs
     ))
     if verify:
@@ -465,7 +467,13 @@ def read_large_set(path) -> LargeSet:
     for key in ("q", "v", "k", "t", "N"):
         if key not in hdr:
             raise ValueError(f"{path}: header is missing {key}=")
-    n = hdr["N"]
+    if hdr["q"] != 2:
+        raise ValueError(f"{path}: only q=2 is supported, got q={hdr['q']}")
+    v, k, t, n = hdr["v"], hdr["k"], hdr["t"], hdr["N"]
+    if "lambda" in hdr:
+        lam = large_set_lambda(v, k, t, n)
+        if hdr["lambda"] != lam:
+            raise ValueError(f"{path}: header declares lambda={hdr['lambda']}, N={n} needs {lam}")
     rels = lines[1:]
     if len(rels) != n:
         raise ValueError(f"{path}: {len(rels)} design paths listed, N={n}")
@@ -473,7 +481,7 @@ def read_large_set(path) -> LargeSet:
     designs = []
     for rel in rels:
         d = read_design(os.path.join(base, rel))
-        if (d.v, d.k, d.t) != (hdr["v"], hdr["k"], hdr["t"]):
+        if (d.v, d.k, d.t) != (v, k, t):
             raise ValueError(f"{path}: design {rel} disagrees with manifest header")
         designs.append(d)
-    return LargeSet(hdr["v"], hdr["k"], hdr["t"], n, tuple(designs))
+    return LargeSet(v, k, t, n, tuple(designs))

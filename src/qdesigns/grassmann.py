@@ -128,22 +128,45 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(a.v, rref_raw(vecs).rows)
 
 
+@lru_cache(maxsize=None)
+def _byte_spread(v: int) -> list[int]:
+    """Entry x has bit f*v set for each bit f of the byte x."""
+    return span_table([1 << (f * v) for f in range(8)])
+
+
 def orthogonal_complement(s: Subspace) -> Subspace:
-    """All vectors orthogonal to s under the standard bilinear form."""
-    piv = [(r & -r).bit_length() - 1 for r in s.rows]
-    pivot_mask = 0
-    for p in piv:
-        pivot_mask |= 1 << p
+    """All vectors orthogonal to s under the standard bilinear form.
+
+    The RREF is read off without elimination.  Sorted by value, the span
+    of s falls into runs of length 1, 2, 4, ... that share a highest set
+    bit, lowest first, and each run starts with the basis row reduced on
+    highest bits (each row's highest bit is zero in the others): those
+    rows sit at positions 1, 2, 4, ....  For every column f that is not
+    such a highest bit, the complement's RREF has the row e_f plus e_h
+    for each reduced row with highest bit h and bit f set.  Field f (v
+    bits wide) of one packed int collects those e_h.
+    """
+    v, rows = s.v, s.rows
+    if len(rows) > 1:
+        members = sorted(span_table(rows))
+        rows = [members[1 << i] for i in range(len(rows))]
+    spread = _byte_spread(v)
+    fields = pivots = 0
+    for r in rows:
+        h = 1 << (r.bit_length() - 1)
+        pivots |= h
+        while r:  # put h into field f for each bit f of r, a byte of r at a time
+            fields |= spread[r & 255] * h
+            r >>= 8
+            h <<= 8 * v
+    mask = (1 << v) - 1
+    free = mask ^ pivots
     out = []
-    for f in range(s.v):
-        if (pivot_mask >> f) & 1:
-            continue
-        x = 1 << f
-        for i, r in enumerate(s.rows):
-            if (r >> f) & 1:
-                x |= 1 << piv[i]
-        out.append(x)
-    return Subspace(s.v, rref_raw(out).rows)
+    while free:
+        low = free & -free
+        out.append(fields >> (v * (low.bit_length() - 1)) & mask | low)
+        free ^= low
+    return Subspace(v, tuple(out))
 
 
 class _PivotSet(NamedTuple):

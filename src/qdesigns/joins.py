@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .designs import (
@@ -31,7 +32,7 @@ from .designs import (
     t_equivalent,
     verify_large_set,
 )
-from .gf2 import vec_mat
+from .gf2 import span_table, vec_mat
 from .grassmann import (
     QuotientFrame,
     Subspace,
@@ -342,14 +343,36 @@ def compose_partitions(
         ) from e
 
 
+@lru_cache(maxsize=None)
+def _hyperplane_lifts(v: int, pivots: int) -> tuple[tuple[int, int, int], ...]:
+    """How to lift a block inside the hyperplane x_{v-1} = 0 with these pivot columns.
+
+    One triple (w, lowest bit of w, number of pivots below it) per lift:
+    w is e_{v-1} plus a vector of the span of the unit vectors at the
+    block's non-pivot columns below v - 1, which is a complement of the
+    block inside the hyperplane.  w has no bit in a pivot column, so the
+    lifted block's RREF is the block's rows, with w added to each row
+    that has w's lowest bit, and w inserted among them by that bit.
+    """
+    outside = 1 << (v - 1)
+    units = [1 << f for f in range(v - 1) if not pivots >> f & 1]
+    out = []
+    for shift in span_table(units):
+        w = outside | shift
+        low = w & -w
+        out.append((w, low, (pivots & (low - 1)).bit_count()))
+    return tuple(out)
+
+
 def extend_by_hyperplane(ls_small_k: LargeSet, ls_same_k: LargeSet) -> LargeSet:
     """Merge LS(t, k-1, v-1) with LS(t, k, v-1) into LS(t, k, v).
 
     The second operand's blocks are reread inside the hyperplane of the
     first v - 1 coordinates; each block B of the first operand lifts to
-    the blocks generated by B together with one vector outside the
-    hyperplane, modulo B's complement choices.  Pairing is part i with
-    part i.  The result is verified before it is returned.
+    the k-subspaces that meet the hyperplane exactly in B, each spanned
+    by B and one vector outside the hyperplane (see _hyperplane_lifts).
+    Pairing is part i with part i.  The result is verified before it is
+    returned.
     """
     if ls_small_k.n != ls_same_k.n:
         raise ValueError("operands must have the same number of parts")
@@ -361,16 +384,15 @@ def extend_by_hyperplane(ls_small_k: LargeSet, ls_same_k: LargeSet) -> LargeSet:
         raise ValueError("first operand's block dimension must be one less")
 
     v_out = ls_small_k.v + 1
-    h = standard_flag_subspace(v_out, v_out - 1)
-    outside = 1 << (v_out - 1)
     parts = []
     for small_d, same_d in zip(ls_small_k.designs, ls_same_k.designs):
         blocks = {Subspace(v_out, b.rows) for b in same_d.blocks}
         for b in small_d.blocks:
-            inside = Subspace(v_out, b.rows)
-            frame = QuotientFrame(h, inside)
-            for shift in span(v_out, frame.transversal).vectors():
-                blocks.add(span(v_out, inside.rows + (shift | outside,)))
+            rows = b.rows
+            for w, low, at in _hyperplane_lifts(v_out, sum(r & -r for r in rows)):
+                lifted = [r ^ w if r & low else r for r in rows]
+                lifted.insert(at, w)
+                blocks.add(Subspace(v_out, tuple(lifted)))
         parts.append(frozenset(blocks))
     out = large_set(v_out, ls_same_k.k, ls_same_k.t, parts)
     try:

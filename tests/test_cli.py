@@ -71,6 +71,13 @@ class TestVerify:
         path.write_text("q=2 v=2 k=1 t=0 N=0 lambda=1\n")
         assert main(["verify", str(path)]) == 2
 
+    def test_manifest_with_wrong_lambda(self, tmp_path, capsys):
+        path = tmp_path / "ls.ls"
+        write_large_set(path, lines_ls())
+        path.write_text(path.read_text().replace("lambda=1", "lambda=997"))
+        assert main(["verify", str(path)]) == 4
+        assert "lambda=997" in capsys.readouterr().err
+
     def test_broken_large_set(self, tmp_path, capsys):
         good = lines_ls()
         # two parts repeat a line, so the union misses one: must fail

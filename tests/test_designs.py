@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -28,10 +29,14 @@ from qdesigns.designs import (
 )
 from qdesigns.gf2 import rref_raw
 from qdesigns.grassmann import (
+    QuotientFrame,
     Subspace,
+    contains,
     enumerate_grassmannian,
     gaussian_binomial,
+    orthogonal_complement,
     span,
+    zero_subspace,
 )
 
 
@@ -314,6 +319,22 @@ def test_derived_requires_point():
         derived_large_set(chunked_large_set(4, 2, 5))  # t=0 cannot drop
 
 
+def test_residual_in_the_even_weight_hyperplane_matches_contains_filter():
+    # the hyperplane's normal 1+2+4+8+16 has five bits, so the parity test
+    # sees every row bit; five chunks of Gr(5, 2), t = 1 declared, unverified
+    v, k, n = 5, 2, 5
+    blocks = sorted(enumerate_grassmannian(v, k))
+    size = len(blocks) // n
+    parts = [frozenset(blocks[i * size : (i + 1) * size]) for i in range(n)]
+    ls = LargeSet(v, k, 1, n, tuple(Design(v, k, 1, 0, p) for p in parts))
+    hyperplane = orthogonal_complement(span(v, [0b11111]))
+    res = residual_large_set(ls, hyperplane=hyperplane, verify=False)
+    frame = QuotientFrame(hyperplane, zero_subspace(v))
+    expect = [{frame.project(b) for b in p if contains(hyperplane, b)} for p in parts]
+    assert [d.blocks for d in res.designs] == expect
+    assert sum(map(len, expect)) == gaussian_binomial(v - 1, k)
+
+
 def test_residual_requires_hyperplane():
     ls = LargeSet(4, 2, 1, 1, (trivial_design(4, 2, 1),))
     with pytest.raises(ValueError):
@@ -413,6 +434,26 @@ def test_write_large_set_rejects_wrong_name_count(tmp_path):
     with pytest.raises(ValueError, match="4 design paths given, N=5"):
         write_large_set(tmp_path / "ls.txt", ls, [f"member{i}.txt" for i in range(4)])
     assert list(tmp_path.iterdir()) == []
+
+
+def test_large_set_manifest_rejects_wrong_lambda(tmp_path):
+    ls = LargeSet(4, 2, 1, 1, (trivial_design(4, 2, 1),))
+    manifest = tmp_path / "ls.txt"
+    write_large_set(manifest, ls)
+    text = manifest.read_text()
+    assert text.startswith("q=2 v=4 k=2 t=1 N=1 lambda=7\n")
+    manifest.write_text(text.replace("lambda=7", "lambda=997"))
+    message = f"{manifest}: header declares lambda=997, N=1 needs 7"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_large_set(manifest)
+
+
+def test_large_set_manifest_rejects_q_other_than_2(tmp_path):
+    manifest = tmp_path / "ls.txt"
+    write_large_set(manifest, chunked_large_set(4, 2, 5))
+    manifest.write_text(manifest.read_text().replace("q=2", "q=3"))
+    with pytest.raises(ValueError, match=re.escape(f"{manifest}: only q=2")):
+        read_large_set(manifest)
 
 
 def test_large_set_file_header_mismatch(tmp_path):

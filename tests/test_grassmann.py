@@ -256,6 +256,45 @@ def test_orthogonal_complement_is_an_involution(single):
     assert orthogonal_complement(perp) == s
 
 
+def elimination_complement(s: Subspace) -> Subspace:
+    """Oracle for orthogonal_complement: one row per non-pivot column f, then RREF.
+
+    The row is e_f plus e_p for each basis row with pivot p and bit f set,
+    which is orthogonal to every basis row; the rows are then eliminated.
+    """
+    piv = [(r & -r).bit_length() - 1 for r in s.rows]
+    out = []
+    for f in range(s.v):
+        if f in piv:
+            continue
+        x = 1 << f
+        for p, r in zip(piv, s.rows):
+            if (r >> f) & 1:
+                x |= 1 << p
+        out.append(x)
+    return Subspace(s.v, rref_raw(out).rows)
+
+
+def test_orthogonal_complement_matches_elimination_for_v_up_to_6():
+    for v in range(7):
+        for k in range(v + 1):
+            for s in enumerate_grassmannian(v, k):
+                assert orthogonal_complement(s) == elimination_complement(s)
+
+
+@st.composite
+def wide_subspaces(draw):
+    """One subspace of GF(2)^v, v <= 9, spanned by random vectors."""
+    v = draw(st.integers(0, 9))
+    return span(v, draw(st.lists(st.integers(0, (1 << v) - 1), max_size=v)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(wide_subspaces())
+def test_orthogonal_complement_matches_elimination(s):
+    assert orthogonal_complement(s) == elimination_complement(s)
+
+
 @settings(max_examples=300, deadline=None)
 @given(flags())
 def test_quotient_frame_lifts_projections_back(flag):

@@ -7,9 +7,11 @@ from qdesigns.designs import (
     LargeSet,
     VerificationError,
     dual_large_set,
+    large_set,
     verify_large_set,
 )
 from qdesigns.grassmann import (
+    QuotientFrame,
     Subspace,
     contains,
     enumerate_grassmannian,
@@ -300,11 +302,55 @@ class TestCompose:
             compose_partitions(p, p, wide)  # second operand needs dim 3 quotient coords
 
 
+def chunked_large_set(v: int, k: int, n: int) -> LargeSet:
+    """Equal chunks of Gr(v, k) in enumeration order: a large set at t = 0."""
+    blocks = list(enumerate_grassmannian(v, k))
+    size = len(blocks) // n
+    return large_set(v, k, 0, [blocks[i * size : (i + 1) * size] for i in range(n)])
+
+
+def quotient_frame_lifts(small: LargeSet, same: LargeSet) -> list[frozenset[Subspace]]:
+    """Oracle for the parts of extend_by_hyperplane.
+
+    Each block B of the first operand is lifted by B plus e_(v-1) plus
+    each vector in the span of a transversal of H/B, where H is the
+    hyperplane of the first v - 1 coordinates; every lift is eliminated.
+    """
+    v_out = small.v + 1
+    h = standard_flag_subspace(v_out, v_out - 1)
+    outside = 1 << (v_out - 1)
+    parts = []
+    for small_d, same_d in zip(small.designs, same.designs):
+        blocks = {Subspace(v_out, b.rows) for b in same_d.blocks}
+        for b in small_d.blocks:
+            inside = Subspace(v_out, b.rows)
+            frame = QuotientFrame(h, inside)
+            for shift in span(v_out, frame.transversal).vectors():
+                blocks.add(span(v_out, inside.rows + (shift | outside,)))
+        parts.append(frozenset(blocks))
+    return parts
+
+
 class TestExtendByHyperplane:
     def test_single_part_trivial(self):
         out = extend_by_hyperplane(trivial_large_set(3, 1), trivial_large_set(3, 2))
         assert (out.v, out.k, out.t, out.n) == (4, 2, 0, 1)
         assert len(out.designs[0].blocks) == gaussian_binomial(4, 2)
+
+    @pytest.mark.parametrize(
+        "v,k", [(v, k) for v in range(1, 6) for k in range(1, v + 1)]
+    )
+    def test_trivial_operands_match_quotient_frame_lifts(self, v, k):
+        # k = 1 lifts 0-dimensional blocks: the points outside the hyperplane
+        small, same = trivial_large_set(v, k - 1), trivial_large_set(v, k)
+        out = extend_by_hyperplane(small, same)
+        assert [d.blocks for d in out.designs] == quotient_frame_lifts(small, same)
+
+    @pytest.mark.parametrize("v,k,n", [(3, 2, 7), (4, 2, 5)])
+    def test_chunked_operands_match_quotient_frame_lifts(self, v, k, n):
+        small, same = chunked_large_set(v, k - 1, n), chunked_large_set(v, k, n)
+        out = extend_by_hyperplane(small, same)
+        assert [d.blocks for d in out.designs] == quotient_frame_lifts(small, same)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
