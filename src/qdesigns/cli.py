@@ -24,6 +24,7 @@ from typing import Optional
 from . import catalog
 from .designs import (
     TRANSFORMS,
+    Design,
     LargeSet,
     VerificationError,
     read_design,
@@ -38,6 +39,7 @@ from .joins import MissingLeafError, execute_plan
 from .kramer_mesner import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_RETRY_BUDGET,
+    KMSystem,
     build_km,
     design_from_selection,
     iterated_large_set_search,
@@ -87,20 +89,39 @@ def _sha256(path: str) -> str:
 
 
 class _Run:
-    """Accumulates one run's manifest record."""
+    """One run that writes artifacts under --out, and its manifest record.
 
-    def __init__(self, args: argparse.Namespace, subcommand: str):
+    The constructor checks the output location: a directory output must
+    be empty, and a file output may replace neither that file nor a
+    manifest.json in its directory.  --force allows both.  finish() ends
+    every run: it writes the manifest and reports the outcome.
+    """
+
+    def __init__(self, args: argparse.Namespace, subcommand: str,
+                 out_file: bool = False, **params):
+        if out_file:
+            self.dir = os.path.dirname(os.path.abspath(args.out))
+            taken = [p for p in (args.out, os.path.join(self.dir, "manifest.json"))
+                     if os.path.exists(p)]
+            clash = taken and f"{taken[0]} exists"
+        else:
+            self.dir = args.out
+            clash = os.path.isdir(self.dir) and os.listdir(self.dir) and (
+                f"output directory {self.dir} is not empty")
+        if clash and not args.force:
+            raise CliError(EXIT_IO, f"{clash} (use --force)")
+        os.makedirs(self.dir, exist_ok=True)
         self.record = {
             "subcommand": subcommand,
-            "parameters": {},
+            "parameters": params,
             "inputs": {},
             "outputs": [],
             "verdicts": [],
             "wall_time_s": None,
         }
-        self.deterministic = bool(getattr(args, "deterministic", False))
+        self.deterministic = args.deterministic
         if self.deterministic:
-            self.record["parameters"]["deterministic"] = True
+            params["deterministic"] = True
         self.t0 = time.monotonic()
 
     def param(self, **kwargs) -> None:
@@ -112,21 +133,37 @@ class _Run:
     def input_digests(self, digests: dict[str, str]) -> None:
         self.record["inputs"].update(digests)
 
-    def output(self, path: str) -> None:
-        self.record["outputs"].append(path)
+    def output(self, *paths: str) -> None:
+        self.record["outputs"].extend(paths)
 
     def verdict(self, target: str, ok: bool, **details) -> None:
         self.record["verdicts"].append({"target": target, "ok": ok, **details})
 
-    def write(self, directory: str) -> str:
+    def design_verdict(self, target: str, d: Design) -> None:
+        self.verdict(target, True, check=f"{d.t}-({d.v},{d.k},{d.lam}) design")
+
+    def large_set_verdict(self, target: str, ls: LargeSet, **details) -> None:
+        self.verdict(target, True, check=f"large set LS({ls.t},{ls.k},{ls.v}) N={ls.n}",
+                     **details)
+
+    def write_large_set_dir(self, ls: LargeSet) -> None:
+        """large_set.ls plus design1.txt .. designN.txt, all recorded as outputs."""
+        rels = [f"design{i + 1}.txt" for i in range(ls.n)]
+        write_large_set(os.path.join(self.dir, "large_set.ls"), ls, rels)
+        self.output(*rels, "large_set.ls")
+
+    def finish(self, code: int, message: str) -> int:
+        """Write the manifest and report the outcome; exit 4 goes out as a CliError."""
         if not self.deterministic:
             self.record["wall_time_s"] = round(time.monotonic() - self.t0, 3)
         self.record["outputs"].sort()
-        path = os.path.join(directory, "manifest.json")
-        with open(path, "w", encoding="ascii") as fh:
+        with open(os.path.join(self.dir, "manifest.json"), "w", encoding="ascii") as fh:
             json.dump(self.record, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        return path
+        if code == EXIT_IO:
+            raise CliError(code, message)
+        print(message)
+        return code
 
 
 def _load_group(spec: str, v: int) -> tuple[Group, dict[str, str]]:
@@ -145,31 +182,20 @@ def _load_group(spec: str, v: int) -> tuple[Group, dict[str, str]]:
     return close_group(generators), {spec: _sha256(spec)}
 
 
-def _ensure_out_dir(path: str, force: bool) -> None:
-    if os.path.isdir(path):
-        if os.listdir(path) and not force:
-            raise CliError(
-                EXIT_IO, f"output directory {path} is not empty (use --force)"
-            )
-    else:
-        os.makedirs(path)
-
-
-def _write_large_set_dir(run: _Run, directory: str, ls: LargeSet) -> None:
-    """large_set.ls plus design1.txt .. designN.txt, all recorded as outputs."""
-    rels = [f"design{i + 1}.txt" for i in range(ls.n)]
-    write_large_set(os.path.join(directory, "large_set.ls"), ls, rels)
-    for rel in rels + ["large_set.ls"]:
-        run.output(rel)
+def _km_run(args, subcommand: str, out_file: bool = False, **params) -> tuple[_Run, KMSystem]:
+    """The run of a km subcommand and the system its --v --t --k --group name."""
+    group, digests = _load_group(args.group, args.v)
+    run = _Run(args, subcommand, out_file, v=args.v, t=args.t, k=args.k, group=args.group,
+               **params)
+    run.input_digests(digests)
+    return run, build_km(args.v, args.t, args.k, group)
 
 
 # ---------------------------------------------------------------- decode
 
 
 def _cmd_decode(args) -> int:
-    _ensure_out_dir(args.out, args.force)
-    run = _Run(args, "decode")
-    run.param(design=args.design, verify=not args.no_verify)
+    run = _Run(args, "decode", design=args.design, verify=not args.no_verify)
     run.input_digests(catalog.builtin_data_digests())
 
     if args.design is not None:
@@ -179,22 +205,15 @@ def _cmd_decode(args) -> int:
         run.output(rel)
         if not args.no_verify:
             verify_design(d)
-            run.verdict(rel, True, check=f"{d.t}-({d.v},{d.k},{d.lam}) design")
+            run.design_verdict(rel, d)
     else:
         ls = catalog.builtin_large_set(verify=False)
-        _write_large_set_dir(run, args.out, ls)
+        run.write_large_set_dir(ls)
         if not args.no_verify:
             report = verify_large_set(ls)
-            run.verdict(
-                "large_set.ls",
-                True,
-                check=f"large set LS({ls.t},{ls.k},{ls.v}) N={ls.n}",
-                lam=report.lam,
-                blocks_per_design=report.blocks_per_design,
-            )
-    run.write(args.out)
-    print(f"wrote {args.out}")
-    return EXIT_OK
+            run.large_set_verdict("large_set.ls", ls, lam=report.lam,
+                                  blocks_per_design=report.blocks_per_design)
+    return run.finish(EXIT_OK, f"wrote {args.out}")
 
 
 # ---------------------------------------------------------------- verify
@@ -230,86 +249,49 @@ def _cmd_verify(args) -> int:
 def _cmd_transform(args) -> int:
     if not os.path.exists(args.input):
         raise CliError(EXIT_IO, f"no such file: {args.input}")
-    out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    run = _Run(args, "transform")
-    run.param(op=args.op, input=args.input, out=args.out)
+    run = _Run(args, "transform", True, op=args.op, input=args.input, out=args.out)
     run.input_file(args.input)
-    ls = read_large_set(args.input)
-    out = TRANSFORMS[args.op](ls, verify=True)
+    out = TRANSFORMS[args.op](read_large_set(args.input), verify=True)
     write_large_set(args.out, out)
-    run.output(os.path.basename(args.out))
-    run.verdict(
-        os.path.basename(args.out),
-        True,
-        check=f"large set LS({out.t},{out.k},{out.v}) N={out.n}",
-    )
-    run.write(out_dir)
-    print(f"wrote {args.out}")
-    return EXIT_OK
+    rel = os.path.basename(args.out)
+    run.output(rel)
+    run.large_set_verdict(rel, out)
+    return run.finish(EXIT_OK, f"wrote {args.out}")
 
 
 # ---------------------------------------------------------------- km
 
 
 def _cmd_km_build(args) -> int:
-    group, digests = _load_group(args.group, args.v)
-    out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    run = _Run(args, "km build")
-    run.param(v=args.v, t=args.t, k=args.k, group=args.group, group_order=group.order)
-    run.input_digests(digests)
-    system = build_km(args.v, args.t, args.k, group)
+    run, system = _km_run(args, "km build", True)
     write_km_system(system, args.out)
-    for suffix in ("", ".treps", ".kreps"):
-        run.output(os.path.basename(args.out) + suffix)
-    run.param(rows=system.n_rows, cols=system.n_cols, lambda_max=system.lambda_max)
-    run.verdict(
-        os.path.basename(args.out), True, check="row sums equal lambda_max"
-    )
-    run.write(out_dir)
-    print(
-        f"wrote {args.out}: {system.n_rows} x {system.n_cols} system,"
-        f" lambda_max={system.lambda_max}"
-    )
-    return EXIT_OK
+    rel = os.path.basename(args.out)
+    run.output(rel, rel + ".treps", rel + ".kreps")
+    run.param(group_order=system.group.order, rows=system.n_rows, cols=system.n_cols,
+              lambda_max=system.lambda_max)
+    run.verdict(rel, True, check="row sums equal lambda_max")
+    return run.finish(EXIT_OK, f"wrote {args.out}: {system.n_rows} x {system.n_cols} system,"
+                               f" lambda_max={system.lambda_max}")
 
 
 def _cmd_km_solve(args) -> int:
-    group, digests = _load_group(args.group, args.v)
-    _ensure_out_dir(args.out, args.force)
-    run = _Run(args, "km solve")
-    run.param(
-        v=args.v, t=args.t, k=args.k, group=args.group,
-        lam=args.lam, node_budget=args.node_budget,
-    )
-    run.input_digests(digests)
-    system = build_km(args.v, args.t, args.k, group)
+    run, system = _km_run(args, "km solve", lam=args.lam, node_budget=args.node_budget)
     result = solve_exact(system, args.lam, node_budget=args.node_budget)
     run.param(nodes=result.nodes, status=result.status)
-    if result.status == "unknown":
-        run.verdict("search", False, check="exact cover search", status="unknown")
-        run.write(args.out)
-        print(f"budget exhausted after {result.nodes} nodes; answer unknown")
-        return EXIT_UNKNOWN
-    if result.status == "infeasible":
-        run.verdict("search", False, check="exact cover search", status="infeasible")
-        run.write(args.out)
-        print(f"no design with lambda={args.lam} admits this group (proved)")
-        return EXIT_VERIFIED_FAIL
+    if result.status != "solved":
+        run.verdict("search", False, check="exact cover search", status=result.status)
+        if result.status == "unknown":
+            return run.finish(EXIT_UNKNOWN,
+                              f"budget exhausted after {result.nodes} nodes; answer unknown")
+        return run.finish(EXIT_VERIFIED_FAIL,
+                          f"no design with lambda={args.lam} admits this group (proved)")
     design = design_from_selection(system, result.selection, args.lam, verify=True)
     write_design(os.path.join(args.out, "design.txt"), design)
     with open(os.path.join(args.out, "selection.txt"), "w", encoding="ascii") as fh:
         fh.write(" ".join(str(j) for j in sorted(result.selection.chosen)) + "\n")
-    run.output("design.txt")
-    run.output("selection.txt")
-    run.verdict(
-        "design.txt", True,
-        check=f"{design.t}-({design.v},{design.k},{design.lam}) design",
-    )
-    run.write(args.out)
-    print(f"solved: {len(design.blocks)} blocks, wrote {args.out}")
-    return EXIT_OK
+    run.output("design.txt", "selection.txt")
+    run.design_verdict("design.txt", design)
+    return run.finish(EXIT_OK, f"solved: {len(design.blocks)} blocks, wrote {args.out}")
 
 
 def _read_seed_columns(spec: str) -> list[frozenset[int]]:
@@ -325,21 +307,13 @@ def _read_seed_columns(spec: str) -> list[frozenset[int]]:
 
 
 def _cmd_km_ls_search(args) -> int:
-    group, digests = _load_group(args.group, args.v)
-    _ensure_out_dir(args.out, args.force)
-    run = _Run(args, "km ls-search")
-    run.param(
-        v=args.v, t=args.t, k=args.k, N=args.N, group=args.group,
-        node_budget=args.node_budget, retry_budget=args.retry_budget,
-    )
-    run.input_digests(digests)
-    seeds = None
-    if args.seed_columns:
-        seeds = _read_seed_columns(args.seed_columns)
+    seeds = _read_seed_columns(args.seed_columns) if args.seed_columns else None
+    run, system = _km_run(args, "km ls-search", N=args.N, node_budget=args.node_budget,
+                          retry_budget=args.retry_budget)
+    if seeds is not None:
         if os.path.exists(args.seed_columns):
             run.input_file(args.seed_columns)
         run.param(seed_rounds=len(seeds))
-    system = build_km(args.v, args.t, args.k, group)
     result = iterated_large_set_search(
         system, args.N,
         node_budget=args.node_budget,
@@ -352,23 +326,16 @@ def _cmd_km_ls_search(args) -> int:
             print(line)
         run.verdict("search", False, check="iterated large set search",
                     status=result.status)
-        run.write(args.out)
         if result.status == "exhausted":
-            print("search space exhausted: no such large set with this group (proved)")
-            return EXIT_VERIFIED_FAIL
-        print(f"gave up after {result.nodes} nodes, {result.retries} retries")
-        return EXIT_UNKNOWN
+            return run.finish(EXIT_VERIFIED_FAIL,
+                              "search space exhausted: no such large set with this group (proved)")
+        return run.finish(EXIT_UNKNOWN,
+                          f"gave up after {result.nodes} nodes, {result.retries} retries")
     ls = result.large_set
-    _write_large_set_dir(run, args.out, ls)
-    report = verify_large_set(ls)
-    run.verdict(
-        "large_set.ls", True,
-        check=f"large set LS({ls.t},{ls.k},{ls.v}) N={ls.n}",
-        lam=report.lam,
-    )
-    run.write(args.out)
-    print(f"solved in {result.nodes} nodes: wrote {ls.n} designs to {args.out}")
-    return EXIT_OK
+    run.write_large_set_dir(ls)
+    run.large_set_verdict("large_set.ls", ls, lam=verify_large_set(ls).lam)
+    return run.finish(EXIT_OK,
+                      f"solved in {result.nodes} nodes: wrote {ls.n} designs to {args.out}")
 
 
 # ---------------------------------------------------------------- construct
@@ -394,9 +361,7 @@ def _load_registry(directory: Optional[str], use_builtin: bool, run: _Run) -> di
 
 
 def _cmd_construct(args) -> int:
-    _ensure_out_dir(args.out, args.force)
-    run = _Run(args, "construct")
-    run.param(k=args.k, v=args.v, size_guard=args.size_guard)
+    run = _Run(args, "construct", k=args.k, v=args.v, size_guard=args.size_guard)
     plan = plan_series(args.k, args.v)
     registry = _load_registry(args.registry, args.builtin, run)
     write_plan_file(os.path.join(args.out, "plan.txt"), plan)
@@ -409,16 +374,10 @@ def _cmd_construct(args) -> int:
         run.verdict("plan", False, check="leaf availability", missing=[
             str(p) for p in e.missing
         ])
-        run.write(args.out)
-        raise CliError(EXIT_IO, str(e))
-    _write_large_set_dir(run, args.out, ls)
-    run.verdict(
-        "large_set.ls", True,
-        check=f"large set LS({ls.t},{ls.k},{ls.v}) N={ls.n}",
-    )
-    run.write(args.out)
-    print(f"built LS_2[{ls.n}]({ls.t},{ls.k},{ls.v}), wrote {args.out}")
-    return EXIT_OK
+        return run.finish(EXIT_IO, str(e))
+    run.write_large_set_dir(ls)
+    run.large_set_verdict("large_set.ls", ls)
+    return run.finish(EXIT_OK, f"built LS_2[{ls.n}]({ls.t},{ls.k},{ls.v}), wrote {args.out}")
 
 
 # ---------------------------------------------------------------- table, plan
@@ -446,11 +405,20 @@ def _cmd_plan(args) -> int:
 # ---------------------------------------------------------------- wiring
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_outputs(p: argparse.ArgumentParser, out_help: str) -> None:
+    p.add_argument("--out", required=True, metavar="PATH", help=out_help)
     p.add_argument("--deterministic", action="store_true",
                    help="byte-identical reruns: manifests omit wall time")
     p.add_argument("--force", action="store_true",
-                   help="write into a non-empty output directory")
+                   help="write into a non-empty output directory, or over an existing"
+                        " output file and the manifest.json beside it")
+
+
+def _add_km_system(p: argparse.ArgumentParser) -> None:
+    for name in ("--v", "--t", "--k"):
+        p.add_argument(name, type=int, required=True)
+    p.add_argument("--group", required=True,
+                   help="'builtin', 'trivial', or a generator file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -459,11 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("decode", help="materialize the shipped large set")
-    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--design", type=int, choices=(1, 2, 3), default=None,
                    help="decode a single member design instead of all three")
     p.add_argument("--no-verify", action="store_true")
-    _add_common(p)
+    _add_outputs(p, "output directory")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("verify", help="verify design or large-set files")
@@ -473,46 +440,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="derived, residual, or dual of a large set")
     p.add_argument("--op", required=True, choices=sorted(TRANSFORMS))
     p.add_argument("--in", dest="input", required=True, metavar="PATH")
-    p.add_argument("--out", required=True, metavar="PATH")
-    _add_common(p)
+    _add_outputs(p, "large-set file; its member designs and manifest go beside it")
     p.set_defaults(func=_cmd_transform)
 
     km = sub.add_parser("km", help="orbit incidence systems and searches")
     kmsub = km.add_subparsers(dest="km_command", required=True, parser_class=_Parser)
 
     p = kmsub.add_parser("build", help="build and export an orbit incidence system")
-    p.add_argument("--v", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--group", required=True,
-                   help="'builtin', 'trivial', or a generator file")
-    p.add_argument("--out", required=True, metavar="PATH")
-    _add_common(p)
+    _add_km_system(p)
+    _add_outputs(p, "system file; its sidecars and manifest go beside it")
     p.set_defaults(func=_cmd_km_build)
 
     p = kmsub.add_parser("solve", help="find one design with a given lambda")
-    p.add_argument("--v", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--group", required=True)
+    _add_km_system(p)
     p.add_argument("--lam", type=int, required=True)
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--out", required=True, help="output directory")
-    _add_common(p)
+    _add_outputs(p, "output directory")
     p.set_defaults(func=_cmd_km_solve)
 
     p = kmsub.add_parser("ls-search", help="iterated search for a large set")
-    p.add_argument("--v", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
+    _add_km_system(p)
     p.add_argument("--N", type=int, required=True, help="number of member designs")
-    p.add_argument("--group", required=True)
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--retry-budget", type=int, default=DEFAULT_RETRY_BUDGET)
     p.add_argument("--seed-columns", default=None,
                    help="file of one column list per seeded round, or one inline list")
-    p.add_argument("--out", required=True, help="output directory")
-    _add_common(p)
+    _add_outputs(p, "output directory")
     p.set_defaults(func=_cmd_km_ls_search)
 
     p = sub.add_parser("construct", help="build a large set by recursion plan")
@@ -525,8 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size-guard", type=int, default=10_000_000)
     p.add_argument("--force-size", action="store_true",
                    help="materialize past the size guard")
-    p.add_argument("--out", required=True, help="output directory")
-    _add_common(p)
+    _add_outputs(p, "output directory")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("table", help="print the realizability grid")

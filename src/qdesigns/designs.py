@@ -17,16 +17,11 @@ from operator import and_, attrgetter, eq, lt, neg, or_, xor
 from typing import Iterable, Optional, Sequence
 
 from .grassmann import (
-    QuotientFrame,
     Subspace,
     enumerate_grassmannian,
-    full_space,
     gaussian_binomial,
     orthogonal_complement,
-    reduce_vector,
     span,
-    standard_flag_subspace,
-    zero_subspace,
 )
 
 __all__ = [
@@ -304,20 +299,18 @@ def verify_large_set(ls: LargeSet) -> LargeSetReport:
 # transforms
 
 
-def derived_large_set(
-    ls: LargeSet, point: Optional[Subspace] = None, verify: bool = True
-) -> LargeSet:
-    """Blocks through a fixed point, reduced modulo it: (t-1, k-1, v-1)."""
+def derived_large_set(ls: LargeSet, verify: bool = True) -> LargeSet:
+    """Blocks through the point e_0, reduced modulo it: (t-1, k-1, v-1).
+
+    A block holds e_0 iff its first RREF row is 1.  Its other rows are
+    then zero at bit 0, and shifted right by one bit they are the RREF
+    of its image.
+    """
     if ls.t < 1:
         raise ValueError("derived transform needs t >= 1")
-    if point is None:
-        point = span(ls.v, [1])
-    if point.v != ls.v or point.dim != 1:
-        raise ValueError("point must be a 1-subspace of the ambient space")
-    frame = QuotientFrame(full_space(ls.v), point)
-    p = point.rows[0]
-    out = large_set(ls.v - 1, ls.k - 1, ls.t - 1, (
-        (frame.project(b) for b in d.blocks if reduce_vector(p, b.rows) == 0)
+    v = ls.v - 1
+    out = large_set(v, ls.k - 1, ls.t - 1, (
+        (Subspace(v, tuple(r >> 1 for r in b.rows[1:])) for b in d.blocks if b.rows[0] == 1)
         for d in ls.designs
     ))
     if verify:
@@ -325,23 +318,17 @@ def derived_large_set(
     return out
 
 
-def residual_large_set(
-    ls: LargeSet, hyperplane: Optional[Subspace] = None, verify: bool = True
-) -> LargeSet:
-    """Blocks inside a fixed hyperplane, re-coordinatized: (t-1, k, v-1)."""
+def residual_large_set(ls: LargeSet, verify: bool = True) -> LargeSet:
+    """Blocks inside the hyperplane x_{v-1} = 0, in its coordinates: (t-1, k, v-1).
+
+    A block lies in it iff no RREF row has bit v-1, and then its rows
+    are already the RREF of its image in GF(2)^(v-1).
+    """
     if ls.t < 1:
         raise ValueError("residual transform needs t >= 1")
-    if hyperplane is None:
-        hyperplane = standard_flag_subspace(ls.v, ls.v - 1)
-    if hyperplane.v != ls.v or hyperplane.dim != ls.v - 1:
-        raise ValueError("hyperplane must have codimension 1")
-    frame = QuotientFrame(hyperplane, zero_subspace(ls.v))
-    # a block lies in the hyperplane iff each row is orthogonal to its normal
-    normal = orthogonal_complement(hyperplane).rows[0]
-    out = large_set(ls.v - 1, ls.k, ls.t - 1, (
-        (frame.project(b) for b in d.blocks
-         if not any((r & normal).bit_count() & 1 for r in b.rows))
-        for d in ls.designs
+    v = ls.v - 1
+    out = large_set(v, ls.k, ls.t - 1, (
+        (Subspace(v, b.rows) for b in d.blocks if not max(b.rows) >> v) for d in ls.designs
     ))
     if verify:
         verify_large_set(out)
@@ -383,12 +370,15 @@ def _parse_header(line: str, path) -> dict[str, int]:
 
 
 def write_design(path, d: Design) -> None:
-    """One header line, then one block per line as its RREF basis rows."""
+    """One header line, then one block per line as its RREF basis rows.
+
+    The zero subspace, the one block of a k = 0 design, is written as 0.
+    """
     rows = sorted(map(attrgetter("rows"), d.blocks))
     for r in rows:
         if len(r) != d.k:
             raise ValueError(f"block rows {list(r)} do not span a {d.k}-subspace")
-    line = " ".join(["%d"] * d.k) + "\n"
+    line = " ".join(["%d"] * d.k) + "\n" if d.k else "0\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"q=2 v={d.v} k={d.k} t={d.t} lambda={d.lam}\n")
         fh.writelines(map(line.__mod__, rows))
@@ -415,6 +405,9 @@ def read_design(path) -> Design:
         for ln in lines:
             rows = tuple(map(int, ln.split()))
             if len(rows) != k:
+                if k == 0 and rows == (0,):  # the zero subspace, as write_design writes it
+                    blocks.append(Subspace(v, ()))
+                    continue
                 raise ValueError(f"{path}: block line has {len(rows)} rows, expected {k}")
             # write_design leaves every block in RREF, which needs no elimination
             if min(rows) > 0 and not max(rows) >> v and _is_rref(rows):

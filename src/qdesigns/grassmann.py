@@ -137,19 +137,21 @@ def _byte_spread(v: int) -> list[int]:
 def orthogonal_complement(s: Subspace) -> Subspace:
     """All vectors orthogonal to s under the standard bilinear form.
 
-    The RREF is read off without elimination.  Sorted by value, the span
-    of s falls into runs of length 1, 2, 4, ... that share a highest set
-    bit, lowest first, and each run starts with the basis row reduced on
-    highest bits (each row's highest bit is zero in the others): those
-    rows sit at positions 1, 2, 4, ....  For every column f that is not
-    such a highest bit, the complement's RREF has the row e_f plus e_h
-    for each reduced row with highest bit h and bit f set.  Field f (v
-    bits wide) of one packed int collects those e_h.
+    The RREF is read off without elimination of the complement.  First
+    the k rows of s are reduced on their highest bits (each row's highest
+    bit is zero in the others) in O(k^2) steps.  For every column f that
+    is not such a highest bit, the complement's RREF has the row e_f plus
+    e_h for each reduced row with highest bit h and bit f set.  Field f
+    (v bits wide) of one packed int collects those e_h.
     """
-    v, rows = s.v, s.rows
-    if len(rows) > 1:
-        members = sorted(span_table(rows))
-        rows = [members[1 << i] for i in range(len(rows))]
+    v, rows = s.v, []
+    for r in s.rows:
+        for x in rows:  # x's highest bit is in no other reduced row
+            if r >> (x.bit_length() - 1) & 1:
+                r ^= x
+        h = r.bit_length() - 1  # a new highest bit: clear it from the others
+        rows = [x ^ r if x >> h & 1 else x for x in rows]
+        rows.append(r)
     spread = _byte_spread(v)
     fields = pivots = 0
     for r in rows:

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -9,12 +11,13 @@ from qdesigns.cli import main
 from qdesigns.designs import (
     Design,
     LargeSet,
+    large_set,
     read_design,
     read_large_set,
     write_design,
     write_large_set,
 )
-from qdesigns.grassmann import enumerate_grassmannian
+from qdesigns.grassmann import Subspace, enumerate_grassmannian
 
 
 def lines_ls() -> LargeSet:
@@ -140,6 +143,31 @@ class TestTransform:
         )
         assert code == 4
 
+    def test_derived_of_points_gives_k0_files_that_verify(self, tmp_path):
+        # LS(1,1,3) with N = 1: its derived set has one design of one block, {0}
+        src = tmp_path / "in.ls"
+        write_large_set(src, large_set(3, 1, 1, [enumerate_grassmannian(3, 1)]))
+        dst = tmp_path / "out" / "der.ls"
+        assert main(
+            ["transform", "--op", "derived", "--in", str(src), "--out", str(dst)]
+        ) == 0
+        assert main(["verify", str(dst)]) == 0
+        assert read_large_set(dst).designs[0].blocks == {Subspace(2, ())}
+
+    @pytest.mark.parametrize("taken", ["dual.ls", "manifest.json"])
+    def test_refuses_to_replace_outputs_without_force(self, tmp_path, taken, capsys):
+        src = tmp_path / "in.ls"
+        write_large_set(src, lines_ls())
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / taken).write_text("earlier run\n")
+        argv = ["transform", "--op", "dual", "--in", str(src), "--out", str(out / "dual.ls")]
+        assert main(argv) == 4
+        assert "--force" in capsys.readouterr().err
+        assert (out / taken).read_text() == "earlier run\n"
+        assert main(argv + ["--force"]) == 0
+        assert manifest(out)["subcommand"] == "transform"
+
 
 class TestKmBuild:
     def test_build_spread_system(self, tmp_path):
@@ -171,6 +199,17 @@ class TestKmBuild:
         blob_b = (tmp_path / "b" / "manifest.json").read_bytes()
         # paths inside differ only by the directory we chose; normalize
         assert blob_a.replace(b"/a/", b"/b/") == blob_b
+
+    @pytest.mark.parametrize("taken", ["s.km", "manifest.json"])
+    def test_refuses_to_replace_outputs_without_force(self, tmp_path, taken):
+        (tmp_path / taken).write_text("earlier run\n")
+        argv = ["km", "build", "--v", "3", "--t", "1", "--k", "2",
+                "--group", "trivial", "--out", str(tmp_path / "s.km")]
+        assert main(argv) == 4
+        assert (tmp_path / taken).read_text() == "earlier run\n"
+        assert main(argv + ["--force"]) == 0
+        assert (tmp_path / "s.km").read_text().startswith("7 7 3\n")
+        assert manifest(tmp_path)["subcommand"] == "km build"
 
     def test_builtin_group_needs_dim8(self, tmp_path):
         code = main(
@@ -321,3 +360,17 @@ class TestUsage:
         )
         assert code == 4
         assert not (tmp_path / "r").exists()
+
+
+class TestEntrypoint:
+    @pytest.mark.parametrize("vmax, code", [(8, 0), (5, 4)])
+    def test_exit_code_of_the_module(self, vmax, code):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qdesigns.cli", "table", "--vmax", str(vmax)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == code
+        assert ("v |" in proc.stdout) == (code == 0)

@@ -33,9 +33,10 @@ from qdesigns.grassmann import (
     Subspace,
     contains,
     enumerate_grassmannian,
+    full_space,
     gaussian_binomial,
-    orthogonal_complement,
     span,
+    standard_flag_subspace,
     zero_subspace,
 )
 
@@ -311,34 +312,44 @@ def test_transforms_on_trivial_large_set():
     assert len(dua.designs[0].blocks) == gaussian_binomial(6, 3)
 
 
-def test_derived_requires_point():
-    ls = LargeSet(4, 2, 1, 1, (trivial_design(4, 2, 1),))
+def test_transforms_require_strength():
+    ls = chunked_large_set(4, 2, 5)  # t=0 cannot drop
     with pytest.raises(ValueError):
-        derived_large_set(ls, point=span(4, [1, 2]))
+        derived_large_set(ls)
     with pytest.raises(ValueError):
-        derived_large_set(chunked_large_set(4, 2, 5))  # t=0 cannot drop
+        residual_large_set(ls)
 
 
-def test_residual_in_the_even_weight_hyperplane_matches_contains_filter():
-    # the hyperplane's normal 1+2+4+8+16 has five bits, so the parity test
-    # sees every row bit; five chunks of Gr(5, 2), t = 1 declared, unverified
+def five_chunks_of_gr52() -> LargeSet:
+    # t = 1 declared and left unverified: the transforms only filter and map blocks
     v, k, n = 5, 2, 5
     blocks = sorted(enumerate_grassmannian(v, k))
     size = len(blocks) // n
     parts = [frozenset(blocks[i * size : (i + 1) * size]) for i in range(n)]
-    ls = LargeSet(v, k, 1, n, tuple(Design(v, k, 1, 0, p) for p in parts))
-    hyperplane = orthogonal_complement(span(v, [0b11111]))
-    res = residual_large_set(ls, hyperplane=hyperplane, verify=False)
-    frame = QuotientFrame(hyperplane, zero_subspace(v))
-    expect = [{frame.project(b) for b in p if contains(hyperplane, b)} for p in parts]
-    assert [d.blocks for d in res.designs] == expect
-    assert sum(map(len, expect)) == gaussian_binomial(v - 1, k)
+    return LargeSet(v, k, 1, n, tuple(Design(v, k, 1, 0, p) for p in parts))
 
 
-def test_residual_requires_hyperplane():
-    ls = LargeSet(4, 2, 1, 1, (trivial_design(4, 2, 1),))
-    with pytest.raises(ValueError):
-        residual_large_set(ls, hyperplane=span(4, [1]))
+@pytest.mark.parametrize("ls", [
+    five_chunks_of_gr52(),
+    LargeSet(6, 3, 2, 1, (trivial_design(6, 3, 2),)),
+], ids=["five_chunks", "n1"])
+def test_derived_and_residual_match_quotient_frame_oracle(ls):
+    # oracle: a contains filter, then elimination into QuotientFrame coordinates
+    v = ls.v
+    point, hyperplane = span(v, [1]), standard_flag_subspace(v, v - 1)
+    through = QuotientFrame(full_space(v), point)
+    inside = QuotientFrame(hyperplane, zero_subspace(v))
+    parts = [d.blocks for d in ls.designs]
+    der = derived_large_set(ls, verify=False)
+    assert [d.blocks for d in der.designs] == [
+        {through.project(b) for b in p if contains(b, point)} for p in parts
+    ]
+    res = residual_large_set(ls, verify=False)
+    assert [d.blocks for d in res.designs] == [
+        {inside.project(b) for b in p if contains(hyperplane, b)} for p in parts
+    ]
+    assert sum(len(d.blocks) for d in der.designs) == gaussian_binomial(v - 1, ls.k - 1)
+    assert sum(len(d.blocks) for d in res.designs) == gaussian_binomial(v - 1, ls.k)
 
 
 def test_design_file_roundtrip(tmp_path):
@@ -349,6 +360,21 @@ def test_design_file_roundtrip(tmp_path):
     assert back == d
     first = path.read_text().splitlines()[0]
     assert first == "q=2 v=4 k=2 t=1 lambda=7"
+
+
+def test_k0_design_file_roundtrip(tmp_path):
+    # the one block of a k = 0 design is the zero subspace, written as 0
+    d = Design(3, 0, 0, 1, frozenset([zero_subspace(3)]))
+    path = tmp_path / "d.txt"
+    write_design(path, d)
+    assert path.read_text().splitlines()[1:] == ["0"]
+    assert read_design(path) == d
+    path.write_text("q=2 v=3 k=0 t=0 lambda=1\n0\n0\n")
+    with pytest.raises(ValueError, match="repeats"):
+        read_design(path)
+    path.write_text("q=2 v=3 k=0 t=0 lambda=1\n1\n")
+    with pytest.raises(ValueError, match="1 rows"):
+        read_design(path)
 
 
 def test_design_file_rejects_bad_input(tmp_path):

@@ -295,6 +295,25 @@ def test_orthogonal_complement_matches_elimination(s):
     assert orthogonal_complement(s) == elimination_complement(s)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(20, 40).flatmap(
+    lambda v: st.tuples(st.just(v), st.lists(st.integers(0, (1 << v) - 1), max_size=v))))
+def test_orthogonal_complement_matches_elimination_for_large_v(case):
+    v, rows = case
+    s = span(v, rows)
+    assert orthogonal_complement(s) == elimination_complement(s)
+
+
+@pytest.mark.parametrize("v", [20, 32])
+def test_orthogonal_complement_of_hyperplanes(v):
+    # in the second hyperplane every basis row shares the highest bit, v - 1
+    for hyperplane in (standard_flag_subspace(v, v - 1),
+                       span(v, [(1 << i) | (1 << (v - 1)) for i in range(v - 1)])):
+        perp = orthogonal_complement(hyperplane)
+        assert perp == elimination_complement(hyperplane) and perp.dim == 1
+        assert orthogonal_complement(perp) == hyperplane
+
+
 @settings(max_examples=300, deadline=None)
 @given(flags())
 def test_quotient_frame_lifts_projections_back(flag):
