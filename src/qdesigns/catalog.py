@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .designs import Design, LargeSet, VerificationError, large_set, verify_design, verify_large_set
 from .gf2 import BitMatrix, rank_raw
-from .grassmann import Subspace, span
+from .grassmann import Subspace, _nogc, span
 from .groups import Group, close_group, orbit_of, parse_generator_text
 
 __all__ = [
@@ -127,6 +127,7 @@ def builtin_orbit_representatives(index: int) -> tuple[QuadrupleRecord, ...]:
     return tuple(out)
 
 
+@_nogc
 def build_design_from_reps(
     reps: Iterable[BitMatrix | QuadrupleRecord | Sequence[int]],
     group: Group,

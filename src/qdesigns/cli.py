@@ -1,8 +1,9 @@
 """Command line interface.
 
 Every run that writes artifacts also writes a ``manifest.json`` next to
-them recording the subcommand, its parameters, digests of the inputs it
-read, the paths it wrote, wall time, and the verification verdicts.
+them recording the subcommand, its parameters, SHA-256 digests of the
+inputs it read and of the files it wrote, wall time, and the
+verification verdicts.
 
 Exit codes: 0 means the run completed and every verification passed;
 2 means a verification or a definite mathematical negative (an
@@ -115,7 +116,7 @@ class _Run:
             "subcommand": subcommand,
             "parameters": params,
             "inputs": {},
-            "outputs": [],
+            "outputs": {},
             "verdicts": [],
             "wall_time_s": None,
         }
@@ -133,8 +134,10 @@ class _Run:
     def input_digests(self, digests: dict[str, str]) -> None:
         self.record["inputs"].update(digests)
 
-    def output(self, *paths: str) -> None:
-        self.record["outputs"].extend(paths)
+    def output(self, *names: str) -> None:
+        """Record written files, named relative to the output directory, with their digests."""
+        for name in names:
+            self.record["outputs"][name] = _sha256(os.path.join(self.dir, name))
 
     def verdict(self, target: str, ok: bool, **details) -> None:
         self.record["verdicts"].append({"target": target, "ok": ok, **details})
@@ -146,17 +149,17 @@ class _Run:
         self.verdict(target, True, check=f"large set LS({ls.t},{ls.k},{ls.v}) N={ls.n}",
                      **details)
 
-    def write_large_set_dir(self, ls: LargeSet) -> None:
-        """large_set.ls plus design1.txt .. designN.txt, all recorded as outputs."""
-        rels = [f"design{i + 1}.txt" for i in range(ls.n)]
-        write_large_set(os.path.join(self.dir, "large_set.ls"), ls, rels)
-        self.output(*rels, "large_set.ls")
+    def write_large_set_files(self, ls: LargeSet, name: str = "large_set.ls",
+                              prefix: str = "") -> None:
+        """name plus <prefix>design1.txt .. <prefix>designN.txt, all recorded as outputs."""
+        rels = [f"{prefix}design{i + 1}.txt" for i in range(ls.n)]
+        write_large_set(os.path.join(self.dir, name), ls, rels)
+        self.output(*rels, name)
 
     def finish(self, code: int, message: str) -> int:
         """Write the manifest and report the outcome; exit 4 goes out as a CliError."""
         if not self.deterministic:
             self.record["wall_time_s"] = round(time.monotonic() - self.t0, 3)
-        self.record["outputs"].sort()
         with open(os.path.join(self.dir, "manifest.json"), "w", encoding="ascii") as fh:
             json.dump(self.record, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -208,7 +211,7 @@ def _cmd_decode(args) -> int:
             run.design_verdict(rel, d)
     else:
         ls = catalog.builtin_large_set(verify=False)
-        run.write_large_set_dir(ls)
+        run.write_large_set_files(ls)
         if not args.no_verify:
             report = verify_large_set(ls)
             run.large_set_verdict("large_set.ls", ls, lam=report.lam,
@@ -252,9 +255,9 @@ def _cmd_transform(args) -> int:
     run = _Run(args, "transform", True, op=args.op, input=args.input, out=args.out)
     run.input_file(args.input)
     out = TRANSFORMS[args.op](read_large_set(args.input), verify=True)
-    write_large_set(args.out, out)
     rel = os.path.basename(args.out)
-    run.output(rel)
+    # the member names write_large_set gives by default: <stem>_design<i>.txt
+    run.write_large_set_files(out, rel, os.path.splitext(rel)[0] + "_")
     run.large_set_verdict(rel, out)
     return run.finish(EXIT_OK, f"wrote {args.out}")
 
@@ -332,7 +335,7 @@ def _cmd_km_ls_search(args) -> int:
         return run.finish(EXIT_UNKNOWN,
                           f"gave up after {result.nodes} nodes, {result.retries} retries")
     ls = result.large_set
-    run.write_large_set_dir(ls)
+    run.write_large_set_files(ls)
     run.large_set_verdict("large_set.ls", ls, lam=verify_large_set(ls).lam)
     return run.finish(EXIT_OK,
                       f"solved in {result.nodes} nodes: wrote {ls.n} designs to {args.out}")
@@ -375,7 +378,7 @@ def _cmd_construct(args) -> int:
             str(p) for p in e.missing
         ])
         return run.finish(EXIT_IO, str(e))
-    run.write_large_set_dir(ls)
+    run.write_large_set_files(ls)
     run.large_set_verdict("large_set.ls", ls)
     return run.finish(EXIT_OK, f"built LS_2[{ls.n}]({ls.t},{ls.k},{ls.v}), wrote {args.out}")
 

@@ -18,6 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 from .grassmann import (
     Subspace,
+    _nogc,
     enumerate_grassmannian,
     gaussian_binomial,
     orthogonal_complement,
@@ -145,6 +146,7 @@ def _count_batch(counts: Counter, batch: list[Subspace], k: int, t: int) -> None
         counts.update(zip(*[table[c] for c in c_rows]))
 
 
+@_nogc
 def t_subspace_counts(blocks: Iterable[Subspace], v: int, t: int) -> dict[tuple[int, ...], int]:
     """Multiset of t-subspaces covered by blocks, keyed by their RREF rows.
 
@@ -178,6 +180,7 @@ def t_subspace_counts(blocks: Iterable[Subspace], v: int, t: int) -> dict[tuple[
     return counts
 
 
+@_nogc
 def verify_design(d: Design) -> int:
     """Exhaustively check the design property; returns lambda.
 
@@ -299,6 +302,7 @@ def verify_large_set(ls: LargeSet) -> LargeSetReport:
 # transforms
 
 
+@_nogc
 def derived_large_set(ls: LargeSet, verify: bool = True) -> LargeSet:
     """Blocks through the point e_0, reduced modulo it: (t-1, k-1, v-1).
 
@@ -318,6 +322,7 @@ def derived_large_set(ls: LargeSet, verify: bool = True) -> LargeSet:
     return out
 
 
+@_nogc
 def residual_large_set(ls: LargeSet, verify: bool = True) -> LargeSet:
     """Blocks inside the hyperplane x_{v-1} = 0, in its coordinates: (t-1, k, v-1).
 
@@ -335,6 +340,7 @@ def residual_large_set(ls: LargeSet, verify: bool = True) -> LargeSet:
     return out
 
 
+@_nogc
 def dual_large_set(ls: LargeSet, verify: bool = True) -> LargeSet:
     """Orthogonal complements of all blocks: (t, v-k, v)."""
     out = large_set(ls.v, ls.v - ls.k, ls.t, (
@@ -384,6 +390,7 @@ def write_design(path, d: Design) -> None:
         fh.writelines(map(line.__mod__, rows))
 
 
+@_nogc
 def read_design(path) -> Design:
     """Parse a design file; a block given twice, in any basis, is an error.
 

@@ -8,8 +8,10 @@ binary with the (row-major) first free cell as the least significant bit.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_right
-from functools import lru_cache
+from functools import lru_cache, wraps
+from inspect import isgeneratorfunction
 from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -69,6 +71,34 @@ class Subspace(NamedTuple):
 
     def __repr__(self) -> str:  # compact, unambiguous
         return f"Subspace({self.v}, {list(self.rows)})"
+
+
+def _nogc(func):
+    """Run func with the cyclic garbage collector paused.
+
+    CPython never untracks a tuple subclass such as Subspace, so every
+    full collection walks every live block; a call that makes or counts
+    tens of thousands of blocks would set off several.  Blocks hold no
+    reference cycles, so reference counting alone frees them.  The
+    collector is turned back on afterwards, also after an exception,
+    only if it was on at the call, so nested calls and a caller's own
+    gc.disable() are kept.  Calling a generator function only makes the
+    generator, whose body would then run unpaused, so those are refused.
+    """
+    if isgeneratorfunction(func):
+        raise TypeError(f"_nogc cannot wrap the generator function {func.__qualname__}")
+
+    @wraps(func)
+    def paused(*args, **kwargs):
+        was_on = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if was_on:
+                gc.enable()
+
+    return paused
 
 
 def reduce_vector(x: int, rref_rows: Iterable[int]) -> int:

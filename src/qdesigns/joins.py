@@ -36,6 +36,7 @@ from .gf2 import span_table, vec_mat
 from .grassmann import (
     QuotientFrame,
     Subspace,
+    _nogc,
     contains,
     enumerate_grassmannian,
     full_space,
@@ -364,6 +365,7 @@ def _hyperplane_lifts(v: int, pivots: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
+@_nogc
 def extend_by_hyperplane(ls_small_k: LargeSet, ls_same_k: LargeSet) -> LargeSet:
     """Merge LS(t, k-1, v-1) with LS(t, k, v-1) into LS(t, k, v).
 

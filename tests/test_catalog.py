@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 from importlib import resources
 
@@ -18,7 +19,7 @@ from qdesigns.catalog import (
     decode_quadruple,
 )
 from qdesigns.catalog import DecodeError
-from qdesigns.designs import VerificationError
+from qdesigns.designs import VerificationError, read_design, verify_design, write_design
 from qdesigns.gf2 import BitMatrix
 from qdesigns.groups import close_group, element_order
 
@@ -112,6 +113,41 @@ def test_build_design_from_reps_small_orbit_union():
     assert len(d.blocks) <= 2 * g.order
     assert len(d.blocks) % 1 == 0
     assert all(b.dim == 4 for b in d.blocks)
+
+
+def test_no_collection_inside_bulk_block_calls(tmp_path):
+    # each call makes or counts the 66,929 blocks of shipped design 1; a
+    # collection inside one would walk every live block
+    collections = []
+
+    def watch(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    def collections_during(call, *args, **kwargs):
+        collections.clear()
+        gc.callbacks.append(watch)
+        try:
+            out = call(*args, **kwargs)
+        finally:
+            gc.callbacks.remove(watch)
+        assert collections == [], call.__name__
+        return out
+
+    was_on = gc.isenabled()
+    gc.enable()
+    try:
+        d = collections_during(build_design_from_reps, builtin_orbit_representatives(1),
+                               builtin_group(), DESIGN_LAMBDA, verify=False)
+        assert gc.isenabled()
+        write_design(tmp_path / "d1.txt", d)
+        back = collections_during(read_design, tmp_path / "d1.txt")
+        assert back == d and gc.isenabled()
+        assert collections_during(verify_design, back) == DESIGN_LAMBDA
+        assert gc.isenabled()
+    finally:
+        if not was_on:
+            gc.disable()
 
 
 def test_constants():

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -30,6 +31,15 @@ def lines_ls() -> LargeSet:
 def manifest(directory) -> dict:
     with open(os.path.join(directory, "manifest.json")) as fh:
         return json.load(fh)
+
+
+def digests_of_outputs(directory) -> dict:
+    """SHA-256 of every file a run wrote into directory, the manifest aside."""
+    return {
+        name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+        for name in os.listdir(directory)
+        if name != "manifest.json"
+    }
 
 
 class TestTableAndPlan:
@@ -127,6 +137,30 @@ class TestTransform:
         assert record["verdicts"][0]["ok"] is True
         assert str(src) in record["inputs"]
 
+    def test_manifest_records_every_written_file_and_its_digest(self, tmp_path):
+        src = tmp_path / "in.ls"
+        write_large_set(src, lines_ls())
+        out = tmp_path / "out"
+        assert main(
+            ["transform", "--op", "dual", "--in", str(src), "--out", str(out / "dual.ls")]
+        ) == 0
+        outputs = manifest(out)["outputs"]
+        assert sorted(outputs) == ["dual.ls"] + [f"dual_design{i}.txt" for i in (1, 2, 3)]
+        assert outputs == digests_of_outputs(out)
+
+    def test_deterministic_manifests_match(self, tmp_path):
+        src = tmp_path / "in.ls"
+        write_large_set(src, lines_ls())
+        for name in ("a", "b"):
+            assert main(
+                ["transform", "--op", "dual", "--in", str(src),
+                 "--out", str(tmp_path / name / "dual.ls"), "--deterministic"]
+            ) == 0
+        blob_a = (tmp_path / "a" / "manifest.json").read_bytes()
+        blob_b = (tmp_path / "b" / "manifest.json").read_bytes()
+        assert b"wall_time_s\": null" in blob_a
+        assert blob_a.replace(b"/a/", b"/b/") == blob_b
+
     def test_derived_needs_strength(self, tmp_path):
         src = tmp_path / "in.ls"
         write_large_set(src, lines_ls())
@@ -184,6 +218,7 @@ class TestKmBuild:
         record = manifest(tmp_path)
         assert record["parameters"]["rows"] == 15
         assert record["parameters"]["cols"] == 35
+        assert record["outputs"] == digests_of_outputs(tmp_path)
 
     def test_deterministic_manifests_match(self, tmp_path):
         for name in ("a", "b"):
@@ -277,6 +312,8 @@ class TestKmLsSearch:
         assert ls.n == 7 and all(len(d.blocks) == 5 for d in ls.designs)
         record = manifest(out)
         assert record["parameters"]["status"] == "solved"
+        assert sorted(record["outputs"]) == [f"design{i}.txt" for i in range(1, 8)] + ["large_set.ls"]
+        assert record["outputs"] == digests_of_outputs(out)
         assert record["verdicts"][0]["lam"] == 1
 
     def test_seeded_round_is_respected(self, tmp_path):
@@ -322,6 +359,7 @@ class TestDecode:
         assert (d.v, d.k, d.t) == (8, 4, 2) and len(d.blocks) == 66929
         record = manifest(out)
         assert record["subcommand"] == "decode"
+        assert record["outputs"] == digests_of_outputs(out)
         assert any(key.startswith("builtin:") for key in record["inputs"])
         assert record["verdicts"] == []
 

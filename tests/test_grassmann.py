@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 from itertools import combinations
 
@@ -11,6 +12,7 @@ from qdesigns.gf2 import dot, rref_raw
 from qdesigns.grassmann import (
     QuotientFrame,
     Subspace,
+    _nogc,
     contains,
     enumerate_grassmannian,
     full_space,
@@ -328,3 +330,50 @@ def test_reduce_vector():
     s = span(4, [0b0011, 0b1100])
     assert reduce_vector(0b1111, s.rows) == 0
     assert reduce_vector(0b0111, s.rows) != 0
+
+
+@pytest.fixture
+def collector_on():
+    was_on = gc.isenabled()
+    gc.enable()
+    yield
+    if not was_on:
+        gc.disable()
+
+
+@_nogc
+def _collector_state(fail: bool = False) -> bool:
+    if fail:
+        raise KeyError("inside")
+    return gc.isenabled()
+
+
+def test_nogc_pauses_and_restores_the_collector(collector_on):
+    assert _collector_state() is False
+    assert gc.isenabled()
+    with pytest.raises(KeyError, match="inside"):
+        _collector_state(fail=True)
+    assert gc.isenabled()
+    assert _collector_state.__name__ == "_collector_state"
+
+
+def test_nogc_keeps_a_callers_disabled_collector(collector_on):
+    @_nogc
+    def outer() -> bool:
+        inner_state = _collector_state()
+        return inner_state or gc.isenabled()
+
+    assert outer() is False and gc.isenabled()  # the inner call leaves it paused
+    gc.disable()
+    assert outer() is False and not gc.isenabled()
+    with pytest.raises(KeyError):
+        _collector_state(fail=True)
+    assert not gc.isenabled()
+
+
+def test_nogc_refuses_generator_functions():
+    def blocks():
+        yield zero_subspace(2)
+
+    with pytest.raises(TypeError, match="generator"):
+        _nogc(blocks)
