@@ -36,7 +36,7 @@ from .designs import (
     write_large_set,
 )
 from .groups import Group, close_group, read_generator_file, trivial_group
-from .joins import MissingLeafError, execute_plan
+from .joins import DEFAULT_SIZE_GUARD, MissingLeafError, execute_plan
 from .kramer_mesner import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_RETRY_BUDGET,
@@ -336,7 +336,8 @@ def _cmd_km_ls_search(args) -> int:
                           f"gave up after {result.nodes} nodes, {result.retries} retries")
     ls = result.large_set
     run.write_large_set_files(ls)
-    run.large_set_verdict("large_set.ls", ls, lam=verify_large_set(ls).lam)
+    # iterated_large_set_search has verified it
+    run.large_set_verdict("large_set.ls", ls, lam=ls.designs[0].lam)
     return run.finish(EXIT_OK,
                       f"solved in {result.nodes} nodes: wrote {ls.n} designs to {args.out}")
 
@@ -344,11 +345,10 @@ def _cmd_km_ls_search(args) -> int:
 # ---------------------------------------------------------------- construct
 
 
-def _load_registry(directory: Optional[str], use_builtin: bool, run: _Run) -> dict:
-    registry: dict = {}
+def _load_registry(directory: Optional[str], use_builtin: bool, run: _Run) -> list[LargeSet]:
+    registry = []
     if use_builtin:
-        ls = catalog.builtin_large_set(verify=False)
-        registry[(2, ls.n, ls.t, ls.k, ls.v)] = ls
+        registry.append(catalog.builtin_large_set(verify=False))
         run.input_digests(catalog.builtin_data_digests())
     if directory:
         if not os.path.isdir(directory):
@@ -357,8 +357,7 @@ def _load_registry(directory: Optional[str], use_builtin: bool, run: _Run) -> di
             if not name.endswith(".ls"):
                 continue
             path = os.path.join(directory, name)
-            ls = read_large_set(path)
-            registry[(2, ls.n, ls.t, ls.k, ls.v)] = ls
+            registry.append(read_large_set(path))
             run.input_file(path)
     return registry
 
@@ -370,9 +369,7 @@ def _cmd_construct(args) -> int:
     write_plan_file(os.path.join(args.out, "plan.txt"), plan)
     run.output("plan.txt")
     try:
-        ls = execute_plan(
-            plan, registry, size_guard=args.size_guard, force=args.force_size
-        )
+        ls = execute_plan(plan, registry, size_guard=args.size_guard)
     except MissingLeafError as e:
         run.verdict("plan", False, check="leaf availability", missing=[
             str(p) for p in e.missing
@@ -478,9 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory of .ls files supplying the plan's leaves")
     p.add_argument("--builtin", action="store_true",
                    help="supply the shipped large set as a leaf")
-    p.add_argument("--size-guard", type=int, default=10_000_000)
-    p.add_argument("--force-size", action="store_true",
-                   help="materialize past the size guard")
+    p.add_argument("--size-guard", type=int, default=DEFAULT_SIZE_GUARD,
+                   help="largest Grassmannian a plan node may enumerate")
     _add_outputs(p, "output directory")
     p.set_defaults(func=_cmd_construct)
 

@@ -141,8 +141,7 @@ def orbit_of(s: Subspace, group: Group) -> set[Subspace]:
     v, rows = s.v, s.rows
     tables = group.element_image_tables
     if tables is None:
-        images = ([vec_mat(r, g.rows) for r in rows] for g in group.elements)
-        return {Subspace(v, rref_raw(img).rows) for img in images}
+        return {act(s, g) for g in group.elements}
     if len(rows) < 2:  # no row or a single nonzero row is already RREF
         return {Subspace(v, tuple(tab[r] for r in rows)) for tab in tables}
     members = itemgetter(*span_table(rows))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Sequence
 
 from .designs import (
     TRANSFORMS,
@@ -29,7 +29,7 @@ from .designs import (
     VerificationError,
     check_disjoint,
     large_set,
-    t_equivalent,
+    t_subspace_counts,
     verify_large_set,
 )
 from .gf2 import span_table, vec_mat
@@ -48,7 +48,6 @@ from .planner import LSParams, PlanNode
 
 __all__ = [
     "JoinChain",
-    "PartitionedSet",
     "DecompositionCell",
     "MissingLeafError",
     "join_chain",
@@ -57,8 +56,6 @@ __all__ = [
     "grassmann_decomposition",
     "materialize_cell",
     "compose_partitions",
-    "partitioned_set",
-    "partition_from_large_set",
     "extend_by_hyperplane",
     "execute_plan",
 ]
@@ -66,15 +63,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class JoinChain:
-    """Flag U1 <= U2 inside GF(2)^v, with quotient frames for both gaps.
+    """Flag U1 <= U2 inside GF(2)^v, with the quotient frame of V/U2.
 
-    ``mid`` coordinatizes U2/U1 and ``top`` coordinatizes the full
-    quotient V/U2.  Second join operands live in ``top``'s coordinates.
+    ``top`` coordinatizes the full quotient V/U2.  Second join operands
+    live in its coordinates.
     """
 
     u1: Subspace
     u2: Subspace
-    mid: QuotientFrame
     top: QuotientFrame
 
     @property
@@ -87,7 +83,7 @@ def join_chain(u1: Subspace, u2: Subspace) -> JoinChain:
         raise ValueError("flag members must share an ambient space")
     if not contains(u2, u1):
         raise ValueError("need u1 <= u2")
-    return JoinChain(u1, u2, QuotientFrame(u2, u1), QuotientFrame(full_space(u1.v), u2))
+    return JoinChain(u1, u2, QuotientFrame(full_space(u1.v), u2))
 
 
 def _complements(ambient_dim: int, sub: Subspace) -> Iterator[Subspace]:
@@ -184,59 +180,6 @@ def join_sets(
 
 
 @dataclass(frozen=True)
-class PartitionedSet:
-    """Subspaces of one Grassmannian split into n mutually t-equivalent parts.
-
-    ``t = -1`` means no equivalence is claimed beyond the parts being a
-    partition.  A large set is the special case where every part is the
-    block set of a design.
-    """
-
-    parts: tuple[frozenset[Subspace], ...]
-    t: int
-    ambient_dim: int
-    k: int
-
-    @property
-    def n(self) -> int:
-        return len(self.parts)
-
-    @property
-    def size(self) -> int:
-        return sum(len(p) for p in self.parts)
-
-
-def partitioned_set(
-    parts: Iterable[frozenset[Subspace]],
-    t: int,
-    ambient_dim: int,
-    k: int,
-) -> PartitionedSet:
-    """Build a PartitionedSet, verifying member shapes, disjointness and t-equivalence."""
-    pts = tuple(map(frozenset, parts))
-    if not pts:
-        raise ValueError("need at least one part")
-    for p in pts:
-        for s in p:
-            if s.v != ambient_dim or s.dim != k:
-                raise VerificationError(
-                    f"member {s} is not a {k}-subspace of GF(2)^{ambient_dim}"
-                )
-    check_disjoint(pts)
-    if t >= 0:
-        for i in range(1, len(pts)):
-            if not t_equivalent(pts[0], pts[i], t):
-                raise VerificationError(
-                    f"parts 0 and {i} are not {t}-equivalent"
-                )
-    return PartitionedSet(pts, t, ambient_dim, k)
-
-
-def partition_from_large_set(ls: LargeSet) -> PartitionedSet:
-    return PartitionedSet(tuple(d.blocks for d in ls.designs), ls.t, ls.v, ls.k)
-
-
-@dataclass(frozen=True)
 class DecompositionCell:
     """One cell of the flag decomposition of a Grassmannian.
 
@@ -303,45 +246,45 @@ def materialize_cell(cell: DecompositionCell) -> frozenset[Subspace]:
 
 
 def compose_partitions(
-    p1: PartitionedSet, p2: PartitionedSet, chain: JoinChain
-) -> PartitionedSet:
-    """Join two partitioned sets part-by-part, adding indices modulo n.
+    parts1: Sequence[frozenset[Subspace]],
+    parts2: Sequence[frozenset[Subspace]],
+    chain: JoinChain,
+    t: int,
+) -> tuple[frozenset[Subspace], ...]:
+    """Join two partitions part-by-part, adding indices modulo n.
 
-    Part m of the result collects the joins of part i of ``p1`` with
-    part j of ``p2`` over all i + j = m (mod n).  The equivalence
-    strength adds as t1 + t2 + 1 and is checked, not assumed; a failure
-    here means the composition convention is wrong for the operands, so
-    it raises rather than returning a bad partition.
+    Part m of the result collects the joins of part i of ``parts1`` with
+    part j of ``parts2`` over all i + j = m (mod n).  Operands use the
+    local coordinates of join_sets.  ``t`` is the strength t1 + t2 + 1
+    the parts should share (t = -1 claims none).  It is checked, not
+    assumed; a failure here means the composition convention is wrong
+    for the operands, so it raises rather than returning a bad partition.
+    The parts are also checked to be pairwise disjoint: counting within
+    each part cannot see a subspace that lands in two parts.
     """
-    if p1.n != p2.n:
+    n = len(parts1)
+    if len(parts2) != n:
         raise ValueError("operands must have the same number of parts")
-    if p1.ambient_dim != chain.u1.dim:
-        raise ValueError("first operand must live in u1's local coordinates")
-    if p2.ambient_dim != chain.top.dim:
-        raise ValueError("second operand must live in the top quotient's coordinates")
-    n = p1.n
-    k_out = p1.k + (p2.k + chain.u2.dim) - chain.u1.dim
     buckets: list[set[Subspace]] = [set() for _ in range(n)]
     placed = 0
-    for i in range(n):
-        if not p1.parts[i]:
-            continue
-        for j in range(n):
-            if not p2.parts[j]:
-                continue
-            joined = join_sets(p1.parts[i], p2.parts[j], chain)
+    for i, part1 in enumerate(parts1):
+        for j, part2 in enumerate(parts2):
+            joined = join_sets(part1, part2, chain)
             buckets[(i + j) % n] |= joined
             placed += len(joined)
     if sum(len(b) for b in buckets) != placed:
         raise VerificationError("join images collided")
-    t_out = p1.t + p2.t + 1
-    try:
-        return partitioned_set(buckets, t_out, chain.v, k_out)
-    except VerificationError as e:
-        raise VerificationError(
-            f"composition failed the {t_out}-equivalence check "
-            f"(wrong part-index convention or operands): {e}"
-        ) from e
+    parts = tuple(map(frozenset, buckets))
+    check_disjoint(parts)
+    if t >= 0:
+        first = t_subspace_counts(parts[0], chain.v, t)
+        for i in range(1, n):
+            if t_subspace_counts(parts[i], chain.v, t) != first:
+                raise VerificationError(
+                    f"composition failed the {t}-equivalence check (wrong part-index"
+                    f" convention or operands): parts 0 and {i} are not {t}-equivalent"
+                )
+    return parts
 
 
 @lru_cache(maxsize=None)
@@ -407,7 +350,7 @@ def extend_by_hyperplane(ls_small_k: LargeSet, ls_same_k: LargeSet) -> LargeSet:
 
 
 class MissingLeafError(LookupError):
-    """A plan needs external large sets that the registry does not hold."""
+    """A plan needs external large sets that were not supplied."""
 
     def __init__(self, missing: list[LSParams]):
         self.missing = tuple(missing)
@@ -415,31 +358,10 @@ class MissingLeafError(LookupError):
         super().__init__(f"plan requires external data for: {names}")
 
 
-RegistryKey = Union[LSParams, tuple]
-Registry = Mapping[RegistryKey, Union[LargeSet, PartitionedSet]]
-
 DEFAULT_SIZE_GUARD = 10_000_000
 
 
-def _normalize_registry(registry: Registry) -> dict[LSParams, PartitionedSet]:
-    out: dict[LSParams, PartitionedSet] = {}
-    for key, value in registry.items():
-        params = key if isinstance(key, LSParams) else LSParams(*key)
-        if isinstance(value, LargeSet):
-            pset = partition_from_large_set(value)
-        elif isinstance(value, PartitionedSet):
-            pset = value
-        else:
-            raise TypeError(f"registry value for {params} must be a LargeSet or PartitionedSet")
-        if (pset.ambient_dim, pset.k, pset.n) != (params.v, params.k, params.n):
-            raise ValueError(f"registry entry for {params} has mismatched shape")
-        if pset.t < params.t:
-            raise ValueError(f"registry entry for {params} only certifies t={pset.t}")
-        out[params] = pset
-    return out
-
-
-def _missing_leaves(plan: PlanNode, known: dict[LSParams, PartitionedSet]) -> list[LSParams]:
+def _missing_leaves(plan: PlanNode, known: dict[LSParams, LargeSet]) -> list[LSParams]:
     missing = []
 
     def walk(node: PlanNode) -> None:
@@ -455,78 +377,66 @@ def _missing_leaves(plan: PlanNode, known: dict[LSParams, PartitionedSet]) -> li
 
 def execute_plan(
     plan: PlanNode,
-    registry: Optional[Registry] = None,
+    leaves: Iterable[LargeSet] = (),
     size_guard: int = DEFAULT_SIZE_GUARD,
-    force: bool = False,
 ) -> LargeSet:
     """Materialize the large set a plan tree describes.
 
-    ``registry`` supplies the external leaves, keyed by their parameter
-    tuples.  Nodes that would enumerate a Grassmannian larger than
-    ``size_guard`` raise unless ``force`` is set.  The root is verified
-    as a large set before it is returned.
+    ``leaves`` supplies the external leaves; each one serves the
+    leaf_table nodes whose parameters are its own LS_2[N](t,k,v).  Nodes
+    that would enumerate a Grassmannian larger than ``size_guard`` raise.
+    The root is verified as a large set before it is returned.
     """
-    known = _normalize_registry(registry or {})
+    known = {LSParams(2, ls.n, ls.t, ls.k, ls.v): ls for ls in leaves}
     missing = _missing_leaves(plan, known)
     if missing:
         raise MissingLeafError(missing)
 
-    pset = _eval_node(plan, known, size_guard, force)
     p = plan.params
-    out = large_set(p.v, p.k, p.t, pset.parts)
-    verify_large_set(out)
+    out = large_set(p.v, p.k, p.t, _eval_node(plan, known, size_guard))
+    if plan.kind != "hyperplane_extend":  # extend_by_hyperplane verified it
+        verify_large_set(out)
     return out
 
 
 def _eval_node(
-    node: PlanNode,
-    known: dict[LSParams, PartitionedSet],
-    size_guard: int,
-    force: bool,
-) -> PartitionedSet:
+    node: PlanNode, known: dict[LSParams, LargeSet], size_guard: int
+) -> tuple[frozenset[Subspace], ...]:
+    """The node's N parts, each a frozenset of k-subspaces of GF(2)^v."""
     p = node.params
     if node.kind == "leaf_table":
-        return known[p]
+        return tuple(d.blocks for d in known[p].designs)
     if node.kind in ("leaf_trivial", "decompose"):
         total = gaussian_binomial(p.v, p.k)
-        if total > size_guard and not force:
+        if total > size_guard:
             raise ValueError(
                 f"{node.kind} node for {p} would materialize {total} subspaces; "
-                f"raise the size guard or pass force to proceed"
+                f"raise the size guard to proceed"
             )
-    children = [_eval_node(c, known, size_guard, force) for c in node.children]
+    children = [_eval_node(c, known, size_guard) for c in node.children]
     if node.kind == "leaf_trivial":
-        full = frozenset(enumerate_grassmannian(p.v, p.k))
-        empty = frozenset()
-        parts = (full,) + (empty,) * (p.n - 1)
-        return PartitionedSet(parts, -1, p.v, p.k)
+        return (frozenset(enumerate_grassmannian(p.v, p.k)),) + (frozenset(),) * (p.n - 1)
     if node.kind in TRANSFORMS or node.kind == "hyperplane_extend":
         operands = [
-            large_set(c.params.v, c.params.k, c.params.t, child.parts)
-            for c, child in zip(node.children, children)
+            large_set(c.params.v, c.params.k, c.params.t, parts)
+            for c, parts in zip(node.children, children)
         ]
         if node.kind == "hyperplane_extend":
-            return partition_from_large_set(extend_by_hyperplane(*operands))
-        # verification happens once, at the plan root
-        return partition_from_large_set(TRANSFORMS[node.kind](*operands, verify=False))
+            out = extend_by_hyperplane(*operands)
+        else:
+            # verification happens once, at the plan root
+            out = TRANSFORMS[node.kind](*operands, verify=False)
+        return tuple(d.blocks for d in out.designs)
     if node.kind == "decompose":
         cells = grassmann_decomposition(p.v, p.k, node.s)
         buckets: list[set[Subspace]] = [set() for _ in range(p.n)]
-        for cell, first, second in zip(cells, children[::2], children[1::2]):
+        for cell, (t1, t2), first, second in zip(
+            cells, node.cell_strengths, children[::2], children[1::2]
+        ):
             a1 = cell.first_grassmannian[0]
-            lifted = PartitionedSet(
-                tuple(
-                    frozenset(Subspace(a1 + 1, s.rows) for s in part)
-                    for part in first.parts
-                ),
-                first.t,
-                a1 + 1,
-                first.k,
-            )
-            composed = compose_partitions(lifted, second, cell.chain)
-            for m in range(p.n):
-                buckets[m] |= composed.parts[m]
-        return PartitionedSet(
-            tuple(frozenset(b) for b in buckets), p.t, p.v, p.k
-        )
+            lifted = [frozenset(Subspace(a1 + 1, s.rows) for s in part) for part in first]
+            composed = compose_partitions(lifted, second, cell.chain, t1 + t2 + 1)
+            for bucket, part in zip(buckets, composed):
+                bucket |= part
+        return tuple(map(frozenset, buckets))
     raise ValueError(f"unhandled plan node kind {node.kind!r}")

@@ -116,7 +116,6 @@ class PlanNode:
     s: Optional[int] = None
     children: tuple["PlanNode", ...] = ()
     cell_strengths: Optional[tuple[tuple[int, int], ...]] = None
-    data_ref: Optional[str] = None
 
     def __post_init__(self):
         if self.kind not in PLAN_KINDS:
@@ -299,8 +298,8 @@ def render_table(grid: dict[tuple[int, int], str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# plan files: one node per line as "<kind> q= N= t= k= v= [s=] [strengths=]
-# [data=]", children indented two spaces below their parent
+# plan files: one node per line as "<kind> q= N= t= k= v= [s=] [strengths=]",
+# children indented two spaces below their parent
 
 
 def serialize_plan(node: PlanNode) -> str:
@@ -315,8 +314,6 @@ def serialize_plan(node: PlanNode) -> str:
             parts.append(
                 "strengths=" + ",".join(f"{a}:{b}" for a, b in n.cell_strengths)
             )
-        if n.data_ref is not None:
-            parts.append(f"data={n.data_ref}")
         lines.append("  " * depth + " ".join(parts))
         for c in n.children:
             emit(c, depth + 1)
@@ -364,10 +361,7 @@ def parse_plan(text: str) -> PlanNode:
         children = []
         while pos < len(rows) and rows[pos][0] == depth + 1:
             children.append(build(depth + 1))
-        return PlanNode(
-            kind, params, s=s, children=tuple(children),
-            cell_strengths=strengths, data_ref=attrs.get("data"),
-        )
+        return PlanNode(kind, params, s=s, children=tuple(children), cell_strengths=strengths)
 
     node = build(0)
     if pos != len(rows):

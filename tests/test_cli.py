@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from qdesigns import cli, kramer_mesner
 from qdesigns.cli import main
 from qdesigns.designs import (
     Design,
@@ -15,6 +16,7 @@ from qdesigns.designs import (
     large_set,
     read_design,
     read_large_set,
+    verify_large_set,
     write_design,
     write_large_set,
 )
@@ -333,6 +335,23 @@ class TestKmLsSearch:
         seeded = (solved / "design.txt").read_bytes()
         assert (out / "design1.txt").read_bytes() == seeded
 
+    def test_found_large_set_is_verified_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_verify(ls):
+            calls.append(ls.n)
+            return verify_large_set(ls)
+
+        monkeypatch.setattr(cli, "verify_large_set", counting_verify)
+        monkeypatch.setattr(kramer_mesner, "verify_large_set", counting_verify)
+        code = main(
+            ["km", "ls-search", "--v", "4", "--k", "2", "--t", "1",
+             "--N", "7", "--group", "trivial", "--out", str(tmp_path / "par")]
+        )
+        assert code == 0
+        assert calls == [7]
+        assert manifest(tmp_path / "par")["verdicts"][0]["lam"] == 1
+
     def test_budget_gives_unknown(self, tmp_path):
         code = main(
             ["km", "ls-search", "--v", "4", "--k", "2", "--t", "1",
@@ -377,6 +396,13 @@ class TestConstruct:
     def test_unrealizable_target(self, tmp_path):
         assert main(["construct", "--k", "3", "--v", "9",
                      "--out", str(tmp_path / "c")]) == 4
+
+    def test_force_size_is_rejected(self, tmp_path):
+        # a larger --size-guard is the one way past the size limit
+        code = main(["construct", "--k", "4", "--v", "8", "--builtin", "--force-size",
+                     "--out", str(tmp_path / "c")])
+        assert code == 4
+        assert not (tmp_path / "c").exists()
 
 
 class TestUsage:

@@ -2,12 +2,14 @@
 
 import pytest
 
+from qdesigns import joins
 from qdesigns.designs import (
     Design,
     LargeSet,
     VerificationError,
     dual_large_set,
     large_set,
+    t_subspace_counts,
     verify_large_set,
 )
 from qdesigns.grassmann import (
@@ -25,7 +27,6 @@ from qdesigns.grassmann import (
 )
 from qdesigns.joins import (
     MissingLeafError,
-    PartitionedSet,
     avoiding_join,
     compose_partitions,
     execute_plan,
@@ -34,8 +35,6 @@ from qdesigns.joins import (
     join_chain,
     join_sets,
     materialize_cell,
-    partition_from_large_set,
-    partitioned_set,
 )
 from qdesigns.planner import LSParams, PlanNode, plan_series
 
@@ -48,8 +47,8 @@ def lines_of_plane() -> list[Subspace]:
     return sorted(enumerate_grassmannian(2, 1), key=lambda s: s.rows)
 
 
-def singleton_line_partition() -> PartitionedSet:
-    return partitioned_set([frozenset([s]) for s in lines_of_plane()], 0, 2, 1)
+def singleton_line_partition() -> tuple[frozenset[Subspace], ...]:
+    return tuple(frozenset([s]) for s in lines_of_plane())
 
 
 def line_large_set() -> LargeSet:
@@ -75,7 +74,6 @@ class TestJoinChain:
 
     def test_frames(self):
         chain = join_chain(standard_flag_subspace(5, 1), standard_flag_subspace(5, 3))
-        assert chain.mid.dim == 2
         assert chain.top.dim == 2
         assert chain.v == 5
 
@@ -229,77 +227,72 @@ class TestDecomposition:
         assert sum(c.size for c in cells) == 200787
 
 
-class TestPartitionedSet:
-    def test_factory_checks_disjointness(self):
-        a = span(2, [1])
-        with pytest.raises(VerificationError):
-            partitioned_set([frozenset([a]), frozenset([a])], -1, 2, 1)
-
-    def test_factory_checks_membership_shape(self):
-        with pytest.raises(VerificationError):
-            partitioned_set([frozenset([span(3, [1])])], -1, 2, 1)
-
-    def test_factory_checks_equivalence(self):
-        lines = lines_of_plane()
-        with pytest.raises(VerificationError):
-            partitioned_set(
-                [frozenset(lines[:2]), frozenset(lines[2:]), frozenset()], 0, 2, 1
-            )
-
-    def test_round_trip_with_large_set(self):
-        ps = partition_from_large_set(line_large_set())
-        assert ps.n == 3 and ps.t == 0 and ps.size == 3
-
-
 class TestCompose:
     def test_strengths_add(self):
         chain = join_chain(standard_flag_subspace(4, 2), standard_flag_subspace(4, 2))
         p = singleton_line_partition()
-        out = compose_partitions(p, p, chain)
-        assert out.t == 1 and out.k == 2 and out.n == 3
-        assert [len(x) for x in out.parts] == [6, 6, 6]
+        out = compose_partitions(p, p, chain, 1)
+        assert [len(x) for x in out] == [6, 6, 6]
+        assert all(s.v == 4 and s.dim == 2 for part in out for s in part)
         # the 18 members are exactly the 2-subspaces meeting U2 in a line
         u2 = chain.u2
         expect = {
             s for s in enumerate_grassmannian(4, 2) if intersect(s, u2).dim == 1
         }
-        all_members = set().union(*out.parts)
+        all_members = set().union(*out)
         assert all_members == expect
 
     def test_trivial_times_pointed(self):
         chain = join_chain(standard_flag_subspace(4, 2), standard_flag_subspace(4, 2))
-        trivial = PartitionedSet(
-            (frozenset(lines_of_plane()), frozenset(), frozenset()), -1, 2, 1
-        )
-        out = compose_partitions(trivial, singleton_line_partition(), chain)
-        assert out.t == 0
-        assert [len(x) for x in out.parts] == [6, 6, 6]
+        trivial = (frozenset(lines_of_plane()), frozenset(), frozenset())
+        out = compose_partitions(trivial, singleton_line_partition(), chain, 0)
+        assert [len(x) for x in out] == [6, 6, 6]
 
     def test_wrong_convention_raises(self):
         chain = join_chain(standard_flag_subspace(4, 2), standard_flag_subspace(4, 2))
         lines = lines_of_plane()
-        lying = PartitionedSet(
-            (frozenset(lines[:2]), frozenset(lines[2:]), frozenset()), 0, 2, 1
-        )
+        lying = (frozenset(lines[:2]), frozenset(lines[2:]), frozenset())
         with pytest.raises(VerificationError, match="composition"):
-            compose_partitions(singleton_line_partition(), lying, chain)
+            compose_partitions(singleton_line_partition(), lying, chain, 1)
+
+    def test_each_part_counted_once(self, monkeypatch):
+        counted = []
+
+        def counting(blocks, v, t):
+            counted.append(blocks)
+            return t_subspace_counts(blocks, v, t)
+
+        monkeypatch.setattr(joins, "t_subspace_counts", counting)
+        chain = join_chain(standard_flag_subspace(4, 2), standard_flag_subspace(4, 2))
+        p = singleton_line_partition()
+        out = compose_partitions(p, p, chain, 1)
+        assert counted == list(out)
+
+    def test_overlapping_parts_raise(self):
+        # the same line in parts 0 and 1 sends one join image to two
+        # parts; each part alone is collision-free, and t = -1 claims no
+        # equivalence, so only the pairwise disjointness check sees it
+        chain = join_chain(standard_flag_subspace(4, 2), standard_flag_subspace(4, 2))
+        a = span(2, [1])
+        first = (frozenset([a]), frozenset([a]), frozenset())
+        second = (frozenset([a]), frozenset(), frozenset())
+        with pytest.raises(VerificationError, match="overlap"):
+            compose_partitions(first, second, chain, -1)
 
     def test_part_count_mismatch(self):
         chain = join_chain(standard_flag_subspace(4, 2), standard_flag_subspace(4, 2))
-        two_parts = PartitionedSet(
-            (frozenset(lines_of_plane()), frozenset()), -1, 2, 1
-        )
+        two_parts = (frozenset(lines_of_plane()), frozenset())
         with pytest.raises(ValueError):
-            compose_partitions(two_parts, singleton_line_partition(), chain)
+            compose_partitions(two_parts, singleton_line_partition(), chain, 0)
 
     def test_ambient_mismatch(self):
         p = singleton_line_partition()
         tall = join_chain(standard_flag_subspace(5, 3), standard_flag_subspace(5, 3))
         with pytest.raises(ValueError):
-            compose_partitions(p, p, tall)  # first operand needs u1's dim 3 coords
+            compose_partitions(p, p, tall, 1)  # first operand needs u1's dim 3 coords
         wide = join_chain(standard_flag_subspace(5, 2), standard_flag_subspace(5, 2))
         with pytest.raises(ValueError):
-            compose_partitions(p, p, wide)  # second operand needs dim 3 quotient coords
+            compose_partitions(p, p, wide, 1)  # second operand needs dim 3 quotient coords
 
 
 def chunked_large_set(v: int, k: int, n: int) -> LargeSet:
@@ -376,16 +369,11 @@ def small_plan() -> PlanNode:
 class TestExecutePlan:
     def test_leaf_passthrough(self):
         plan = PlanNode("leaf_table", params(0, 1, 2))
-        out = execute_plan(plan, {params(0, 1, 2): line_large_set()})
+        out = execute_plan(plan, [line_large_set()])
         assert verify_large_set(out).lam == 1
 
-    def test_registry_accepts_tuple_keys(self):
-        plan = PlanNode("leaf_table", params(0, 1, 2))
-        out = execute_plan(plan, {(2, 3, 0, 1, 2): line_large_set()})
-        assert out.n == 3
-
     def test_small_decompose(self):
-        ls = execute_plan(small_plan(), {params(0, 1, 2): line_large_set()})
+        ls = execute_plan(small_plan(), [line_large_set()])
         assert (ls.v, ls.k, ls.t, ls.n) == (4, 1, 0, 3)
         assert verify_large_set(ls).lam == 5
 
@@ -412,40 +400,57 @@ class TestExecutePlan:
                 leaf_t(-1, 0, 1),
             ),
         )
-        ls = execute_plan(plan, {params(0, 1, 2): line_large_set()})
+        ls = execute_plan(plan, [line_large_set()])
         assert (ls.v, ls.k, ls.t, ls.n) == (6, 3, 0, 3)
         assert verify_large_set(ls).lam == 465
 
     def test_missing_leaves_reported_upfront(self):
         plan = plan_series(4, 9)
         with pytest.raises(MissingLeafError) as exc:
-            execute_plan(plan, {})
+            execute_plan(plan)
         msg = str(exc.value)
         assert "LS_2[3](2,3,8)" in msg and "LS_2[3](2,4,8)" in msg
 
     def test_size_guard(self):
         plan = PlanNode("leaf_trivial", params(0, 1, 4))
         with pytest.raises(ValueError, match="size guard"):
-            execute_plan(plan, {}, size_guard=10)
+            execute_plan(plan, size_guard=10)
 
     def test_size_guard_on_decompose(self):
-        registry = {params(0, 1, 2): line_large_set()}
+        leaves = [line_large_set()]
         with pytest.raises(ValueError, match="decompose node .* would materialize 15"):
-            execute_plan(small_plan(), registry, size_guard=10)
-        assert execute_plan(small_plan(), registry, size_guard=10, force=True).n == 3
+            execute_plan(small_plan(), leaves, size_guard=10)
+        assert execute_plan(small_plan(), leaves, size_guard=15).n == 3
 
     def test_root_needs_a_strength(self):
         with pytest.raises(ValueError, match="t >= 0"):
-            execute_plan(PlanNode("leaf_trivial", LSParams(2, 1, -1, 1, 2)), {})
+            execute_plan(PlanNode("leaf_trivial", LSParams(2, 1, -1, 1, 2)))
 
-    def test_registry_shape_checked(self):
+    def test_leaf_of_other_parameters_is_missing(self):
+        # a leaf serves only the plan leaf with its own parameters
         plan = PlanNode("leaf_table", params(0, 1, 2))
-        with pytest.raises(ValueError):
-            execute_plan(plan, {params(0, 1, 2): trivial_large_set(3, 1)})
+        with pytest.raises(MissingLeafError, match=r"LS_2\[3\]\(0,1,2\)"):
+            execute_plan(plan, [trivial_large_set(3, 1)])
 
     def test_dual_of_registry_leaf(self):
         plan = PlanNode(
             "dual", params(0, 1, 2), children=(PlanNode("leaf_table", params(0, 1, 2)),)
         )
-        out = execute_plan(plan, {params(0, 1, 2): line_large_set()})
+        out = execute_plan(plan, [line_large_set()])
         assert out == dual_large_set(line_large_set())
+
+    def test_hyperplane_root_verified_once(self, monkeypatch):
+        calls = []
+
+        def counting_verify(ls):
+            calls.append((ls.v, ls.k))
+            return verify_large_set(ls)
+
+        monkeypatch.setattr(joins, "verify_large_set", counting_verify)
+        leaf = lambda k: PlanNode("leaf_table", LSParams(2, 1, 0, k, 3))
+        plan = PlanNode(
+            "hyperplane_extend", LSParams(2, 1, 0, 2, 4), children=(leaf(1), leaf(2))
+        )
+        out = execute_plan(plan, [trivial_large_set(3, 1), trivial_large_set(3, 2)])
+        assert len(out.designs[0].blocks) == gaussian_binomial(4, 2)
+        assert calls == [(4, 2)]
