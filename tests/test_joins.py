@@ -227,6 +227,23 @@ class TestDecomposition:
         assert sum(c.size for c in cells) == 200787
 
 
+class TestPartitionedSet:
+    """A partition of Gr(v, k) into parts is checked as a large set by
+    verify_large_set once the ``large_set`` factory has built it."""
+
+    def test_factory_checks_membership_shape(self):
+        lines = lines_of_plane()
+        parts = [frozenset([span(3, [1])]), frozenset([lines[1]]), frozenset([lines[2]])]
+        with pytest.raises(VerificationError, match="wrong shape"):
+            verify_large_set(large_set(2, 1, 0, parts))
+
+    def test_factory_checks_equivalence(self):
+        lines = lines_of_plane()
+        parts = [frozenset(lines[:2]), frozenset(lines[2:]), frozenset()]
+        with pytest.raises(VerificationError):
+            verify_large_set(large_set(2, 1, 0, parts))
+
+
 class TestCompose:
     def test_strengths_add(self):
         chain = join_chain(standard_flag_subspace(4, 2), standard_flag_subspace(4, 2))
