@@ -14,7 +14,15 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterable, NamedTuple, Sequence
 
-from .designs import Design, LargeSet, VerificationError, large_set, verify_design, verify_large_set
+from .designs import (
+    Design,
+    LargeSet,
+    VerificationError,
+    _frozen,
+    large_set,
+    verify_design,
+    verify_large_set,
+)
 from .gf2 import BitMatrix, rank_raw
 from .grassmann import Subspace, _nogc, span
 from .groups import Group, close_group, orbit_of, parse_generator_text
@@ -160,9 +168,7 @@ def build_design_from_reps(
             )
     if k is None:
         raise ValueError("no representatives given")
-    # copied from a set, a frozenset is presized to twice the set's size;
-    # filled from an iterator, it grows to the set's own table size
-    design = Design(group.v, k, t, expected_lambda, frozenset(iter(blocks)))
+    design = Design(group.v, k, t, expected_lambda, _frozen(blocks))
     if verify:
         verify_design(design)
     return design

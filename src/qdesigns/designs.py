@@ -13,7 +13,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import and_, attrgetter, eq, lt, neg, or_, xor
+from operator import and_, eq, itemgetter, lt, neg, or_, xor
 from typing import Iterable, Optional, Sequence
 
 from .grassmann import (
@@ -132,7 +132,7 @@ def _count_batch(counts: Counter, batch: list[Subspace], k: int, t: int) -> None
     Column x of the span tables holds entry x of every block's table
     (column 2^i is row i), built by one map over two earlier columns.
     """
-    cols = list(zip(*map(attrgetter("rows"), batch)))
+    cols = list(zip(*batch))[1:]  # column 0 holds every block's v
     if not _rref_columns(cols):
         block = next(b for b in batch if not _is_rref(b.rows))
         raise VerificationError(f"block rows are not in RREF: {block}", witness=block)
@@ -168,7 +168,7 @@ def t_subspace_counts(blocks: Iterable[Subspace], v: int, t: int) -> dict[tuple[
     counts: Counter[tuple[int, ...]] = Counter()
     pending: dict[int, list[Subspace]] = {}  # dimension -> blocks not yet counted
     for block in blocks:
-        k = len(block.rows)
+        k = len(block) - 1
         batch = pending.setdefault(k, [])
         batch.append(block)
         if len(batch) << k >= _COUNT_BATCH:
@@ -188,9 +188,10 @@ def verify_design(d: Design) -> int:
     """
     if not 0 <= d.t <= d.k <= d.v:
         raise VerificationError(f"invalid parameters t={d.t} k={d.k} v={d.v}")
-    for b in d.blocks:
-        if b.v != d.v or b.dim != d.k:
-            raise VerificationError(f"block has wrong shape: {b}", witness=b)
+    size, v = d.k + 1, d.v
+    bad = next((b for b in d.blocks if len(b) != size or b[0] != v), None)
+    if bad is not None:
+        raise VerificationError(f"block has wrong shape: {bad}", witness=bad)
     expected_blocks = d.lam * gaussian_binomial(d.v, d.t)
     denom = gaussian_binomial(d.k, d.t)
     if expected_blocks % denom:
@@ -243,6 +244,16 @@ def large_set_lambda(v: int, k: int, t: int, n: int) -> int:
     return lam_max // n
 
 
+def _frozen(members: Iterable[Subspace]) -> frozenset[Subspace]:
+    """The members as a frozenset; one that is already frozen is kept as it is.
+
+    Copied from a set, a frozenset is presized to twice the set's size.
+    Filled from an iterator, it grows only to the table its size needs,
+    about half as large.
+    """
+    return members if isinstance(members, frozenset) else frozenset(iter(members))
+
+
 def large_set(v: int, k: int, t: int, parts: Iterable[Iterable[Subspace]]) -> LargeSet:
     """The parts as a large set of t-(v, k, lambda) designs, lambda from large_set_lambda.
 
@@ -251,7 +262,7 @@ def large_set(v: int, k: int, t: int, parts: Iterable[Iterable[Subspace]]) -> La
     """
     if t < 0:
         raise ValueError(f"a large set needs strength t >= 0, got t={t}")
-    blocks = tuple(map(frozenset, parts))  # frozenset(p) is p for a frozenset p
+    blocks = tuple(map(_frozen, parts))
     lam = large_set_lambda(v, k, t, len(blocks))
     return LargeSet(v, k, t, len(blocks), tuple(Design(v, k, t, lam, b) for b in blocks))
 
@@ -314,7 +325,7 @@ def derived_large_set(ls: LargeSet, verify: bool = True) -> LargeSet:
         raise ValueError("derived transform needs t >= 1")
     v = ls.v - 1
     out = large_set(v, ls.k - 1, ls.t - 1, (
-        (Subspace(v, tuple(r >> 1 for r in b.rows[1:])) for b in d.blocks if b.rows[0] == 1)
+        (Subspace(v, [r >> 1 for r in b[2:]]) for b in d.blocks if b[1] == 1)  # b[1]: first row
         for d in ls.designs
     ))
     if verify:
@@ -380,14 +391,16 @@ def write_design(path, d: Design) -> None:
 
     The zero subspace, the one block of a k = 0 design, is written as 0.
     """
-    rows = sorted(map(attrgetter("rows"), d.blocks))
-    for r in rows:
-        if len(r) != d.k:
-            raise ValueError(f"block rows {list(r)} do not span a {d.k}-subspace")
+    blocks = sorted(d.blocks)  # blocks of one v sort in the order of their rows
+    bad = next((b for b in blocks if len(b) != d.k + 1), None)
+    if bad is not None:
+        raise ValueError(f"block rows {list(bad.rows)} do not span a {d.k}-subspace")
     line = " ".join(["%d"] * d.k) + "\n" if d.k else "0\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"q=2 v={d.v} k={d.k} t={d.t} lambda={d.lam}\n")
-        fh.writelines(map(line.__mod__, rows))
+        # rows are sliced one block at a time: holding all slices at once
+        # sets off collector passes over them
+        fh.writelines(map(line.__mod__, map(itemgetter(slice(1, None)), blocks)))
 
 
 @_nogc

@@ -52,15 +52,29 @@ def gaussian_binomial(v: int, k: int, q: int = 2) -> int:
     return num // den
 
 
-class Subspace(NamedTuple):
-    """Subspace of GF(2)^v held as its canonical RREF basis rows."""
+class Subspace(tuple):
+    """Subspace of GF(2)^v held as its canonical RREF basis rows.
 
-    v: int
-    rows: tuple[int, ...]
+    A block is one flat tuple (v, row_0, ..., row_{k-1}), so len(s) is
+    dim + 1 and s[1] is the first row, not the rows tuple.  Subspaces
+    order like the pairs (v, rows): a row tuple that is a prefix of
+    another sorts first in both layouts.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, v: int, rows: Iterable[int]) -> Subspace:
+        return tuple.__new__(cls, (v, *rows))
+
+    def __getnewargs__(self) -> tuple[int, tuple[int, ...]]:  # for pickle and copy
+        return self[0], self[1:]
+
+    v = property(itemgetter(0), doc="Dimension of the ambient space.")
+    rows = property(itemgetter(slice(1, None)), doc="The canonical RREF basis rows.")
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self) - 1
 
     def vectors(self) -> list[int]:
         """All 2^dim vectors of the subspace; bits of the index pick the rows."""
@@ -198,7 +212,7 @@ def orthogonal_complement(s: Subspace) -> Subspace:
         low = free & -free
         out.append(fields >> (v * (low.bit_length() - 1)) & mask | low)
         free ^= low
-    return Subspace(v, tuple(out))
+    return Subspace(v, out)
 
 
 class _PivotSet(NamedTuple):
@@ -243,7 +257,7 @@ def enumerate_grassmannian(v: int, k: int) -> Iterator[Subspace]:
                 i, mask = cells[low.bit_length() - 1]
                 rows[i] |= mask
                 bits ^= low
-            yield Subspace(v, tuple(rows))
+            yield Subspace(v, rows)
 
 
 @lru_cache(maxsize=None)
@@ -313,7 +327,7 @@ def grassmannian_unrank(v: int, k: int, rank: int) -> Subspace:
         i, mask = cells[low.bit_length() - 1]
         rows[i] |= mask
         bits ^= low
-    return Subspace(v, tuple(rows))
+    return Subspace(v, rows)
 
 
 class QuotientFrame:

@@ -27,6 +27,7 @@ from .designs import (
     TRANSFORMS,
     LargeSet,
     VerificationError,
+    _frozen,
     check_disjoint,
     large_set,
     t_subspace_counts,
@@ -138,7 +139,7 @@ def avoiding_join(k1: Subspace, k2: Subspace, chain: JoinChain) -> frozenset[Sub
             raise VerificationError(
                 f"avoiding join member has dimension {s.dim}, expected {want_dim}", witness=s
             )
-    return frozenset(out)
+    return _frozen(out)
 
 
 def join_sets(
@@ -176,7 +177,7 @@ def join_sets(
     expect = len(b1) * len(b2) * (1 << ((u1.dim - k1) * (k2 - u1.dim)))
     if len(out) != expect:
         raise VerificationError(f"joined set has {len(out)} members, expected {expect}")
-    return frozenset(out)
+    return _frozen(out)
 
 
 @dataclass(frozen=True)
@@ -274,7 +275,7 @@ def compose_partitions(
             placed += len(joined)
     if sum(len(b) for b in buckets) != placed:
         raise VerificationError("join images collided")
-    parts = tuple(map(frozenset, buckets))
+    parts = tuple(map(_frozen, buckets))
     check_disjoint(parts)
     if t >= 0:
         first = t_subspace_counts(parts[0], chain.v, t)
@@ -337,8 +338,8 @@ def extend_by_hyperplane(ls_small_k: LargeSet, ls_same_k: LargeSet) -> LargeSet:
             for w, low, at in _hyperplane_lifts(v_out, sum(r & -r for r in rows)):
                 lifted = [r ^ w if r & low else r for r in rows]
                 lifted.insert(at, w)
-                blocks.add(Subspace(v_out, tuple(lifted)))
-        parts.append(frozenset(blocks))
+                blocks.add(Subspace(v_out, lifted))
+        parts.append(_frozen(blocks))
     out = large_set(v_out, ls_same_k.k, ls_same_k.t, parts)
     try:
         verify_large_set(out)
@@ -438,5 +439,5 @@ def _eval_node(
             composed = compose_partitions(lifted, second, cell.chain, t1 + t2 + 1)
             for bucket, part in zip(buckets, composed):
                 bucket |= part
-        return tuple(map(frozenset, buckets))
+        return tuple(map(_frozen, buckets))
     raise ValueError(f"unhandled plan node kind {node.kind!r}")

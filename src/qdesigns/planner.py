@@ -322,15 +322,19 @@ def serialize_plan(node: PlanNode) -> str:
     return "\n".join(lines) + "\n"
 
 
+_REQUIRED_KEYS = ("q", "N", "t", "k", "v")
+_PLAN_KEYS = _REQUIRED_KEYS + ("s", "strengths")
+
+
 def parse_plan(text: str) -> PlanNode:
-    rows: list[tuple[int, str]] = []
+    rows: list[tuple[int, int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip() or raw.lstrip().startswith("#"):
             continue
         indent = len(raw) - len(raw.lstrip(" "))
         if indent % 2:
             raise ValueError(f"line {lineno}: odd indentation")
-        rows.append((indent // 2, raw.strip()))
+        rows.append((lineno, indent // 2, raw.strip()))
     if not rows:
         raise ValueError("empty plan")
 
@@ -338,7 +342,7 @@ def parse_plan(text: str) -> PlanNode:
 
     def build(depth: int) -> PlanNode:
         nonlocal pos
-        d, line = rows[pos]
+        lineno, d, line = rows[pos]
         if d != depth:
             raise ValueError(f"expected depth {depth}, got {d} at {line!r}")
         pos += 1
@@ -346,7 +350,17 @@ def parse_plan(text: str) -> PlanNode:
         kind = tokens[0]
         if kind == "leaf":
             kind = "leaf_table"
-        attrs = dict(tok.split("=", 1) for tok in tokens[1:])
+        attrs = {}
+        for tok in tokens[1:]:
+            key, eq, val = tok.partition("=")
+            if not eq:
+                raise ValueError(f"line {lineno}: token {tok!r} has no '='")
+            if key not in _PLAN_KEYS:
+                raise ValueError(f"line {lineno}: unknown token {tok!r}")
+            attrs[key] = val
+        for key in _REQUIRED_KEYS:
+            if key not in attrs:
+                raise ValueError(f"line {lineno}: {line!r} is missing {key}=")
         params = LSParams(
             int(attrs["q"]), int(attrs["N"]), int(attrs["t"]),
             int(attrs["k"]), int(attrs["v"]),
@@ -359,13 +373,13 @@ def parse_plan(text: str) -> PlanNode:
                 for pair in attrs["strengths"].split(",")
             )
         children = []
-        while pos < len(rows) and rows[pos][0] == depth + 1:
+        while pos < len(rows) and rows[pos][1] == depth + 1:
             children.append(build(depth + 1))
         return PlanNode(kind, params, s=s, children=tuple(children), cell_strengths=strengths)
 
     node = build(0)
     if pos != len(rows):
-        raise ValueError(f"trailing content from {rows[pos][1]!r}")
+        raise ValueError(f"trailing content from {rows[pos][2]!r}")
     return node
 
 

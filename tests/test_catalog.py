@@ -14,6 +14,7 @@ from qdesigns.catalog import (
     QuadrupleRecord,
     build_design_from_reps,
     builtin_data_digests,
+    builtin_design,
     builtin_group,
     builtin_orbit_representatives,
     decode_quadruple,
@@ -24,6 +25,13 @@ from qdesigns.gf2 import BitMatrix
 from qdesigns.groups import close_group, element_order
 
 EXPECTED_REP_COUNTS = {1: 346, 2: 357, 3: 358}
+
+# SHA-256 of each shipped design as write_design writes it (qdesigns decode)
+WRITTEN_DESIGN_SHA256 = {
+    1: "723b812de1ab6a0f23bb26e08c07d346fca135fd951153ac84c768c93fed61d6",
+    2: "a44ba615bca9fcca71b60b288be45dfbcc86423bfa578f407da7fe1e4f24a7c1",
+    3: "d9b054834f7fc4c9c9fc990c8a02cfadc2b522ce385d87c889a3f7cb20f01f6c",
+}
 
 
 def test_builtin_data_digests_are_the_files_digests():
@@ -152,3 +160,10 @@ def test_no_collection_inside_bulk_block_calls(tmp_path):
 
 def test_constants():
     assert (AMBIENT_DIM, BLOCK_DIM, DESIGN_COUNT, DESIGN_LAMBDA) == (8, 4, 3, 217)
+
+
+@pytest.mark.parametrize("index", (1, 2, 3))
+def test_written_design_bytes_are_pinned(index, tmp_path):
+    path = tmp_path / f"design{index}.txt"
+    write_design(path, builtin_design(index, verify=False))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WRITTEN_DESIGN_SHA256[index]

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -377,3 +380,40 @@ def test_nogc_refuses_generator_functions():
 
     with pytest.raises(TypeError, match="generator"):
         _nogc(blocks)
+
+
+# ---------------------------------------------------------------------------
+# the one-object block layout
+
+
+LAYOUT_CASES = [zero_subspace(0), zero_subspace(3), full_space(5), span(8, [3, 5, 9, 17])]
+
+
+@pytest.mark.parametrize("s", LAYOUT_CASES, ids=repr)
+def test_block_is_one_object(s):
+    assert not [x for x in gc.get_referents(s) if isinstance(x, tuple)]
+    assert sys.getsizeof(s) == sys.getsizeof((s.v, *s.rows))
+    assert len(s) == s.dim + 1 and tuple(s) == (s.v, *s.rows)
+
+
+@pytest.mark.parametrize("s", LAYOUT_CASES, ids=repr)
+def test_pickle_and_copy_round_trip(s):
+    for back in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+        assert back == s and type(back) is Subspace
+        assert (back.v, back.rows) == (s.v, s.rows)
+
+
+@st.composite
+def mixed_subspaces(draw):
+    """Subspaces of several GF(2)^v, v <= 6, of any dimension."""
+    vs = st.integers(0, 6)
+    return [
+        span(v, draw(st.lists(st.integers(0, (1 << v) - 1), max_size=v)))
+        for v in draw(st.lists(vs, max_size=12))
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_subspaces())
+def test_subspaces_order_like_v_then_rows(xs):
+    assert sorted(xs) == sorted(xs, key=lambda s: (s.v, s.rows))

@@ -1,5 +1,7 @@
 """Tests for the join construction and the plan executor."""
 
+import sys
+
 import pytest
 
 from qdesigns import joins
@@ -361,6 +363,14 @@ class TestExtendByHyperplane:
         small, same = chunked_large_set(v, k - 1, n), chunked_large_set(v, k, n)
         out = extend_by_hyperplane(small, same)
         assert [d.blocks for d in out.designs] == quotient_frame_lifts(small, same)
+
+    @pytest.mark.parametrize("v,k,n", [(5, 3, 5), (3, 2, 7), (4, 2, 1)])
+    def test_parts_are_no_larger_than_frozensets_of_lists(self, v, k, n):
+        # (5, 3, 5) gives parts of 279 blocks, a size at which a frozenset
+        # copied from a set is twice as large as one filled from a list
+        out = extend_by_hyperplane(chunked_large_set(v, k - 1, n), chunked_large_set(v, k, n))
+        for d in out.designs:
+            assert sys.getsizeof(d.blocks) <= sys.getsizeof(frozenset(list(d.blocks)))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

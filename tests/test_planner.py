@@ -264,6 +264,21 @@ def test_parse_plan_rejects_malformed_text():
         )
 
 
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("leaf_table q=2 N=3 t=2 k=3 v=8 strenghts=1:2", "line 2: unknown token 'strenghts=1:2'"),
+        ("leaf_table q=2 N=3 t=2 k=3 v=8 data=x", "line 2: unknown token 'data=x'"),
+        ("leaf_table q=2 N=3 t=2 k=3 v=8 s", "line 2: token 's' has no '='"),
+        ("leaf_table q=2 N=3 t=2 k=3", "line 2: .* is missing v="),
+        ("leaf_table N=3 t=2 k=3 v=8", "line 2: .* is missing q="),
+    ],
+)
+def test_parse_plan_names_the_line_and_the_bad_token(line, message):
+    with pytest.raises(ValueError, match=message):
+        parse_plan("# a comment\n" + line + "\n")
+
+
 def test_serialize_decompose_mentions_strengths():
     text = serialize_plan(plan_series(3, 14))
     assert "strengths=-1:2,0:1,1:0,2:-1" in text.splitlines()[0]
