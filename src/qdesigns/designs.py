@@ -147,7 +147,7 @@ def _count_batch(counts: Counter, batch: list[Subspace], k: int, t: int) -> None
 
 
 @_nogc
-def t_subspace_counts(blocks: Iterable[Subspace], v: int, t: int) -> dict[tuple[int, ...], int]:
+def t_subspace_counts(blocks: Iterable[Subspace], t: int) -> dict[tuple[int, ...], int]:
     """Multiset of t-subspaces covered by blocks, keyed by their RREF rows.
 
     If R is a block's RREF basis and C the RREF basis of a t-subspace of
@@ -202,7 +202,7 @@ def verify_design(d: Design) -> int:
         raise VerificationError(
             f"block count {len(d.blocks)} differs from required {expected_blocks // denom}"
         )
-    counts = t_subspace_counts(d.blocks, d.v, d.t)
+    counts = t_subspace_counts(d.blocks, d.t)
     total = gaussian_binomial(d.v, d.t)
     if len(counts) != total and d.lam != 0:
         raise VerificationError(
@@ -224,12 +224,7 @@ def t_equivalent(b1: Iterable[Subspace], b2: Iterable[Subspace], t: int) -> bool
     """Whether two block sets cover every t-subspace equally often."""
     if t < 0:
         return True
-    b1 = list(b1)
-    b2 = list(b2)
-    if not b1 and not b2:
-        return True
-    v = (b1[0] if b1 else b2[0]).v
-    return t_subspace_counts(b1, v, t) == t_subspace_counts(b2, v, t)
+    return t_subspace_counts(b1, t) == t_subspace_counts(b2, t)
 
 
 def large_set_lambda(v: int, k: int, t: int, n: int) -> int:

@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Sequence
 from .gf2 import BitMatrix, identity, mat_mul, rank_raw, rref_raw, span_table, vec_mat
 from .grassmann import (
     Subspace,
+    _ranker,
     gaussian_binomial,
     grassmannian_rank,
     grassmannian_unrank,
@@ -199,6 +200,7 @@ def orbit_partition(v: int, k: int, group: Group) -> OrbitPartition:
     representatives: list[Subspace] = []
     sizes: list[int] = []
     starts = [0]
+    rank = _ranker(v, k)
     r = -1
     while True:
         try:
@@ -207,7 +209,7 @@ def orbit_partition(v: int, k: int, group: Group) -> OrbitPartition:
             break
         orbit = orbit_of(grassmannian_unrank(v, k, r), group)
         oid = len(sizes)
-        ranks = sorted(grassmannian_rank(v, k, s.rows) for s in orbit)
+        ranks = sorted(rank(s.rows) for s in orbit)
         for x in ranks:
             orbit_of_rank[x] = oid
         member_ranks.extend(ranks)

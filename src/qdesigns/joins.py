@@ -278,9 +278,9 @@ def compose_partitions(
     parts = tuple(map(_frozen, buckets))
     check_disjoint(parts)
     if t >= 0:
-        first = t_subspace_counts(parts[0], chain.v, t)
+        first = t_subspace_counts(parts[0], t)
         for i in range(1, n):
-            if t_subspace_counts(parts[i], chain.v, t) != first:
+            if t_subspace_counts(parts[i], t) != first:
                 raise VerificationError(
                     f"composition failed the {t}-equivalence check (wrong part-index"
                     f" convention or operands): parts 0 and {i} are not {t}-equivalent"

@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .designs import Design, LargeSet, large_set, verify_design, verify_large_set
-from .gf2 import vec_mat
-from .grassmann import Subspace, enumerate_grassmannian, gaussian_binomial, span
+from .designs import (
+    Design, LargeSet, large_set, t_subspace_counts, verify_design, verify_large_set,
+)
+from .grassmann import Subspace, gaussian_binomial, span
 from .groups import Group, OrbitPartition, orbit_partition
 
 __all__ = [
@@ -116,16 +118,11 @@ def build_km(v: int, t: int, k: int, group: Group) -> KMSystem:
         raise ValueError(f"need 0 <= t <= k <= v, got t={t} k={k} v={v}")
     t_orbits = orbit_partition(v, t, group)
     k_orbits = orbit_partition(v, k, group)
-    tau = t_orbits.n_orbits
-    local = [s.rows for s in enumerate_grassmannian(k, t)]
-
-    matrix = [[0] * k_orbits.n_orbits for _ in range(tau)]
+    matrix = [[0] * k_orbits.n_orbits for _ in range(t_orbits.n_orbits)]
     for j, krep in enumerate(k_orbits.representatives):
-        counts: dict[int, int] = {}
-        for loc_rows in local:
-            glob = [vec_mat(mask, krep.rows) for mask in loc_rows]
-            i = t_orbits.orbit_index(span(v, glob))
-            counts[i] = counts.get(i, 0) + 1
+        counts = Counter(
+            t_orbits.orbit_index(Subspace(v, key)) for key in t_subspace_counts([krep], t)
+        )
         ksize = k_orbits.sizes[j]
         for i, c in counts.items():
             a, r = divmod(ksize * c, t_orbits.sizes[i])
@@ -410,7 +407,7 @@ def iterated_large_set_search(
 
     trace: list[str] = []
     searched: list[frozenset[int]] = []
-    searchers: list[_Search] = []
+    searchers: list[_Search] = []  # every round's search, dropped ones included
     gens: list[Iterator[frozenset[int]]] = []
     retries = 0
 
@@ -437,7 +434,6 @@ def iterated_large_set_search(
         except StopIteration:
             trace.append(f"round {r}: solutions exhausted")
             gens.pop()
-            searchers.pop()
             if not searched:
                 trace.append("no searched round left to advance; giving up")
                 return failure("exhausted")

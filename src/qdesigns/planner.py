@@ -83,13 +83,14 @@ class LSParams:
         return f"LS_{self.q}[{self.n}]({self.t},{self.k},{self.v})"
 
 
+def _binomials(p: LSParams) -> list[int]:
+    """[v-i choose k-i]_q for i = 0..t; N must divide each of them."""
+    return [gaussian_binomial(p.v - i, p.k - i, p.q) for i in range(p.t + 1)]
+
+
 def admissible(p: LSParams) -> bool:
     """N divides [v-i choose k-i]_q for all i = 0..t; t = -1 always passes."""
-    if p.t == -1:
-        return True
-    return all(
-        gaussian_binomial(p.v - i, p.k - i, p.q) % p.n == 0 for i in range(p.t + 1)
-    )
+    return all(value % p.n == 0 for value in _binomials(p))
 
 
 def _direct(k: int, v: int) -> bool:
@@ -121,122 +122,88 @@ class PlanNode:
         if self.kind not in PLAN_KINDS:
             raise ValueError(f"unknown plan node kind {self.kind!r}")
         p = self.params
-        n_children = len(self.children)
-        if self.kind in ("leaf_table", "leaf_trivial"):
-            if n_children:
-                raise ValueError(f"{self.kind} node cannot have children")
-        elif self.kind in ("derived", "residual", "dual"):
-            if n_children != 1:
-                raise ValueError(f"{self.kind} node needs exactly one child")
-            c = self.children[0].params
-            want = {
-                "derived": (p.t + 1, p.k + 1, p.v + 1),
-                "residual": (p.t + 1, p.k, p.v + 1),
-                "dual": (p.t, p.v - p.k, p.v),
-            }[self.kind]
-            if (c.t, c.k, c.v) != want or (c.q, c.n) != (p.q, p.n):
+        shapes = _child_shapes(self.kind, p, self.s, self.cell_strengths)
+        if len(self.children) != len(shapes):
+            raise ValueError(
+                f"{self.kind} node for {p} needs {len(shapes)} children, "
+                f"got {len(self.children)}"
+            )
+        for child, (t, k, v) in zip(self.children, shapes):
+            c = child.params
+            if (c.q, c.n, c.t, c.k, c.v) != (p.q, p.n, t, k, v):
                 raise ValueError(
-                    f"{self.kind} child {c} does not transform to {p}"
+                    f"{self.kind} child {c} of {p} should have (t,k,v)={(t, k, v)}"
                 )
-        elif self.kind == "hyperplane_extend":
-            if n_children != 2:
-                raise ValueError("hyperplane_extend node needs exactly two children")
-            a, b = (c.params for c in self.children)
-            if (a.t, a.k, a.v) != (p.t, p.k - 1, p.v - 1) or (
-                b.t, b.k, b.v
-            ) != (p.t, p.k, p.v - 1):
-                raise ValueError(
-                    f"hyperplane_extend children ({a}, {b}) do not extend to {p}"
-                )
-        else:  # decompose
-            if self.s is None or self.s < 0:
-                raise ValueError("decompose node needs a non-negative offset s")
-            if self.s > p.v - p.k - 1:
-                raise ValueError(f"offset s={self.s} exceeds v-k-1 = {p.v - p.k - 1}")
-            if self.cell_strengths is None or len(self.cell_strengths) != p.k + 1:
-                raise ValueError("decompose node needs one (t1,t2) pair per cell")
-            if n_children != 2 * (p.k + 1):
-                raise ValueError(
-                    f"decompose node needs {2 * (p.k + 1)} children, got {n_children}"
-                )
-            for i, (t1, t2) in enumerate(self.cell_strengths):
-                if t1 + t2 + 1 < p.t:
-                    raise ValueError(
-                        f"cell {i} strengths ({t1},{t2}) compose below target {p.t}"
-                    )
-                first, second = self.children[2 * i], self.children[2 * i + 1]
-                fw = (t1, i, self.s + i)
-                sw = (t2, p.k - i, p.v - self.s - i - 1)
-                for child, want in ((first, fw), (second, sw)):
-                    c = child.params
-                    if (c.t, c.k, c.v) != want or (c.q, c.n) != (p.q, p.n):
-                        raise ValueError(
-                            f"cell {i} factor {c} does not match expected "
-                            f"(t,k,v)={want}"
-                        )
 
 
-def _leaf(p: LSParams) -> PlanNode:
-    return PlanNode("leaf_table", p)
+def _child_shapes(
+    kind: str, params: LSParams, s: Optional[int], cell_strengths: Optional[tuple]
+) -> list[tuple[int, int, int]]:
+    """The (t, k, v) of each child a node of this kind needs, in order.
+
+    Children share the node's q and N; decompose cell i's two factors come
+    at positions 2i and 2i+1.  A bad offset or strength list raises.
+    """
+    t, k, v = params.t, params.k, params.v
+    if kind == "derived":
+        return [(t + 1, k + 1, v + 1)]
+    if kind == "residual":
+        return [(t + 1, k, v + 1)]
+    if kind == "dual":
+        return [(t, v - k, v)]
+    if kind == "hyperplane_extend":
+        return [(t, k - 1, v - 1), (t, k, v - 1)]
+    if kind != "decompose":
+        return []
+    if s is None or s < 0:
+        raise ValueError("decompose node needs a non-negative offset s")
+    if s > v - k - 1:
+        raise ValueError(f"offset s={s} exceeds v-k-1 = {v - k - 1}")
+    if cell_strengths is None or len(cell_strengths) != k + 1:
+        raise ValueError("decompose node needs one (t1,t2) pair per cell")
+    shapes = []
+    for i, (t1, t2) in enumerate(cell_strengths):
+        if t1 + t2 + 1 < t:
+            raise ValueError(f"cell {i} strengths ({t1},{t2}) compose below target {t}")
+        shapes += [(t1, i, s + i), (t2, k - i, v - s - i - 1)]
+    return shapes
 
 
 def plan_series(k: int, v: int) -> PlanNode:
     """Construction plan for the series member LS_2[3](2,k,v)."""
     if not realizable_by_series(k, v):
         raise ValueError(f"LS_2[3](2,{k},{v}) is not covered by the series")
-    return _plan(k, v, {})
+    return _plan(2, k, v, {})
 
 
-def _params(t: int, k: int, v: int) -> LSParams:
-    return LSParams(2, 3, t, k, v)
+def _plan(t: int, k: int, v: int, memo: dict) -> PlanNode:
+    """Plan for LS_2[3](t,k,v); below t = 2, an (N,t)-partition of [v choose k].
 
-
-def _plan(k: int, v: int, memo: dict) -> PlanNode:
-    if (k, v) in memo:
-        return memo[(k, v)]
-    if not realizable_by_series(k, v):
+    Strength-t partitions below 2 are derived from higher members, and
+    t = -1 is the trivial partition.  Each (t,k,v) is planned once.
+    """
+    if (t, k, v) in memo:
+        return memo[(t, k, v)]
+    s = strengths = None
+    if t == -1:
+        kind = "leaf_trivial"
+    elif t < 2:
+        kind = "derived"
+    elif not realizable_by_series(k, v):
         raise ArithmeticError(f"series recursion reached uncovered parameters ({k},{v})")
-    if v == 8:
-        if k in (3, 4):
-            node = _leaf(_params(2, k, 8))
-        else:
-            node = PlanNode("dual", _params(2, 5, 8), children=(_plan(3, 8, memo),))
+    elif v == 8:
+        kind = "leaf_table" if k in (3, 4) else "dual"
     elif v in (9, 10):
-        node = PlanNode(
-            "hyperplane_extend",
-            _params(2, k, v),
-            children=(_plan(k - 1, v - 1, memo), _plan(k, v - 1, memo)),
-        )
+        kind = "hyperplane_extend"
     elif 2 * k > v:
-        node = PlanNode("dual", _params(2, k, v), children=(_plan(v - k, v, memo),))
+        kind = "dual"
     else:
-        s = 5
-        children = []
-        strengths = []
-        for i in range(k + 1):
-            t1, t2 = CELL_STRENGTHS_MOD6[i % 6]
-            strengths.append((t1, t2))
-            children.append(_factor(t1, i, s + i, memo))
-            children.append(_factor(t2, k - i, v - s - i - 1, memo))
-        node = PlanNode(
-            "decompose",
-            _params(2, k, v),
-            s=s,
-            children=tuple(children),
-            cell_strengths=tuple(strengths),
-        )
-    memo[(k, v)] = node
+        kind, s = "decompose", 5
+        strengths = tuple(CELL_STRENGTHS_MOD6[i % 6] for i in range(k + 1))
+    p = LSParams(2, 3, t, k, v)
+    children = tuple(_plan(*shape, memo) for shape in _child_shapes(kind, p, s, strengths))
+    node = memo[(t, k, v)] = PlanNode(kind, p, s, children, strengths)
     return node
-
-
-def _factor(t_req: int, k: int, v: int, memo: dict) -> PlanNode:
-    """Plan producing an (N,t_req)-partition of the full Grassmannian [v choose k]."""
-    if t_req == -1:
-        return PlanNode("leaf_trivial", _params(-1, k, v))
-    if t_req == 2:
-        return _plan(k, v, memo)
-    inner = _factor(t_req + 1, k + 1, v + 1, memo)
-    return PlanNode("derived", _params(t_req, k, v), children=(inner,))
 
 
 def check_remark_genericity(q: int, n: int) -> tuple[LSParams, LSParams]:
@@ -247,15 +214,12 @@ def check_remark_genericity(q: int, n: int) -> tuple[LSParams, LSParams]:
     checked here; an inadmissible leaf raises with the failing division.
     """
     leaves = (LSParams(q, n, 2, 3, 8), LSParams(q, n, 2, 4, 8))
-    failures = []
-    for p in leaves:
-        for i in range(p.t + 1):
-            value = gaussian_binomial(p.v - i, p.k - i, q)
-            if value % n:
-                failures.append(
-                    f"{p}: {n} does not divide [{p.v - i} choose {p.k - i}]_{q}"
-                    f" = {value}"
-                )
+    failures = [
+        f"{p}: {n} does not divide [{p.v - i} choose {p.k - i}]_{q} = {value}"
+        for p in leaves
+        for i, value in enumerate(_binomials(p))
+        if value % n
+    ]
     if failures:
         raise ValueError("inadmissible leaves: " + "; ".join(failures))
     return leaves

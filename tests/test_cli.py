@@ -360,6 +360,15 @@ class TestKmLsSearch:
         )
         assert code == 3
 
+    def test_exhausted_search_reports_its_nodes(self, tmp_path):
+        code = main(
+            ["km", "ls-search", "--v", "5", "--t", "2", "--k", "3",
+             "--N", "7", "--group", "trivial", "--out", str(tmp_path / "r")]
+        )
+        assert code == 2
+        params = manifest(tmp_path / "r")["parameters"]
+        assert (params["status"], params["nodes"]) == ("exhausted", 55)
+
     def test_bad_seed_file(self, tmp_path):
         code = main(
             ["km", "ls-search", "--v", "4", "--k", "2", "--t", "1",

@@ -172,7 +172,7 @@ def test_verify_design_rejects_non_rref_block():
 def test_t_subspace_counts_rejects_non_rref_rows(rows):
     block = Subspace(4, rows)
     with pytest.raises(VerificationError) as info:
-        t_subspace_counts([span(4, [1, 2]), block], 4, 1)
+        t_subspace_counts([span(4, [1, 2]), block], 1)
     assert info.value.witness is block
 
 
@@ -190,7 +190,7 @@ def block_sets(draw):
 @given(block_sets())
 def test_t_subspace_counts_matches_sort_pack_oracle(case):
     v, t, blocks = case
-    assert dict(t_subspace_counts(blocks, v, t)) == oracle_counts(blocks, v, t)
+    assert dict(t_subspace_counts(blocks, t)) == oracle_counts(blocks, v, t)
 
 
 def test_t_subspace_counts_in_small_batches(monkeypatch):
@@ -201,10 +201,10 @@ def test_t_subspace_counts_in_small_batches(monkeypatch):
     v = 6
     blocks = [span(v, [rng.randrange(1 << v) for _ in range(rng.randrange(5))]) for _ in range(60)]
     for t in (1, 2, 3):
-        assert dict(t_subspace_counts(blocks, v, t)) == oracle_counts(blocks, v, t)
+        assert dict(t_subspace_counts(blocks, t)) == oracle_counts(blocks, v, t)
     bad = Subspace(v, (3, 2))
     with pytest.raises(VerificationError) as info:
-        t_subspace_counts(blocks + [bad] + blocks, v, 1)
+        t_subspace_counts(blocks + [bad] + blocks, 1)
     assert info.value.witness is bad
 
 
@@ -224,7 +224,7 @@ def test_t0_design_counts_blocks():
 
 def test_t_subspace_counts_trivial_cover():
     blocks = list(enumerate_grassmannian(4, 2))
-    counts = t_subspace_counts(blocks, 4, 1)
+    counts = t_subspace_counts(blocks, 1)
     assert len(counts) == gaussian_binomial(4, 1)
     assert set(counts.values()) == {gaussian_binomial(3, 1)}
 
@@ -496,6 +496,6 @@ def test_random_small_design_search_consistency():
     # sanity: counting by blocks agrees with counting by containment
     rng = random.Random(31)
     blocks = rng.sample(sorted(enumerate_grassmannian(5, 2), key=lambda s: s.rows), 40)
-    counts = t_subspace_counts(blocks, 5, 1)
+    counts = t_subspace_counts(blocks, 1)
     total = sum(counts.values())
     assert total == len(blocks) * gaussian_binomial(2, 1)

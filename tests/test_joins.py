@@ -277,9 +277,9 @@ class TestCompose:
     def test_each_part_counted_once(self, monkeypatch):
         counted = []
 
-        def counting(blocks, v, t):
+        def counting(blocks, t):
             counted.append(blocks)
-            return t_subspace_counts(blocks, v, t)
+            return t_subspace_counts(blocks, t)
 
         monkeypatch.setattr(joins, "t_subspace_counts", counting)
         chain = join_chain(standard_flag_subspace(4, 2), standard_flag_subspace(4, 2))

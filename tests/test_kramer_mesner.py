@@ -1,14 +1,16 @@
 """Incidence system construction and exact search."""
 
+from collections import Counter
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdesigns import kramer_mesner
 from qdesigns.designs import verify_design, verify_large_set
-from qdesigns.gf2 import BitMatrix, rank_raw
-from qdesigns.grassmann import gaussian_binomial, intersect, span
+from qdesigns.gf2 import BitMatrix, rank_raw, vec_mat
+from qdesigns.grassmann import enumerate_grassmannian, gaussian_binomial, intersect, span
 from qdesigns.groups import close_group, trivial_group
 from qdesigns.kramer_mesner import (
     BudgetExceeded,
@@ -303,6 +305,45 @@ def test_build_t_equals_k_is_permutation_like():
         assert sorted(col) == [0] * 34 + [1]
 
 
+def oracle_matrix(system) -> tuple[tuple[int, ...], ...]:
+    """The incidence matrix of a system, each local t-subspace of a k-orbit
+    representative mapped into GF(2)^v row by row and reduced by span."""
+    v, t_orbits, k_orbits = system.v, system.t_orbits, system.k_orbits
+    local = [s.rows for s in enumerate_grassmannian(system.k, system.t)]
+    matrix = [[0] * k_orbits.n_orbits for _ in range(t_orbits.n_orbits)]
+    for j, krep in enumerate(k_orbits.representatives):
+        counts = Counter(
+            t_orbits.orbit_index(span(v, [vec_mat(mask, krep.rows) for mask in loc_rows]))
+            for loc_rows in local
+        )
+        for i, c in counts.items():
+            matrix[i][j] = k_orbits.sizes[j] * c // t_orbits.sizes[i]
+    return tuple(map(tuple, matrix))
+
+
+@pytest.mark.parametrize(
+    "v,t,k,group",
+    [
+        (8, 2, 4, "builtin"),
+        (7, 2, 3, "singer"),
+        (7, 0, 3, "singer"),
+        (5, 0, 2, "trivial"),
+        (5, 3, 3, "trivial"),
+        (4, 2, 2, "trivial"),
+        (6, 2, 3, "trivial"),
+    ],
+)
+def test_build_matches_mapped_local_subspaces(v, t, k, group):
+    if group == "builtin":
+        from qdesigns.catalog import builtin_group
+
+        g = builtin_group()
+    else:
+        g = close_group([SINGER7]) if group == "singer" else trivial_group(v)
+    system = build_km(v, t, k, g)
+    assert system.matrix == oracle_matrix(system)
+
+
 def test_build_rejects_bad_parameters():
     with pytest.raises(ValueError):
         build_km(4, 3, 2, trivial_group(4))
@@ -397,6 +438,28 @@ def test_iterated_infeasible_round_gives_trace():
     assert res.large_set is None
     assert res.selections == ()
     assert any("round 0" in line for line in res.trace)
+
+
+def test_exhausted_search_counts_its_nodes():
+    system = build_km(5, 2, 3, trivial_group(5))
+    assert solve_exact(system, 1) == SolveResult("infeasible", None, 55)
+    res = iterated_large_set_search(system, 7)
+    assert (res.status, res.nodes) == ("exhausted", 55)
+
+
+def test_dropped_rounds_keep_their_nodes(monkeypatch):
+    made = []
+
+    class RecordedSearch(_Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(kramer_mesner, "_Search", RecordedSearch)
+    system = build_km(6, 1, 2, trivial_group(6))
+    res = iterated_large_set_search(system, 31, node_budget=20_000, retry_budget=20)
+    assert res.status == "retry_limit" and res.retries == 21
+    assert res.nodes == sum(s.nodes for s in made) == 3780
 
 
 def test_iterated_budget_exhaustion_is_reported():

@@ -1,11 +1,16 @@
 """Admissibility arithmetic, series membership, and plan emission."""
 
+import hashlib
+
 import pytest
 
-from qdesigns.grassmann import gaussian_binomial
+from qdesigns.designs import TRANSFORMS, large_set, verify_large_set
+from qdesigns.grassmann import enumerate_grassmannian, gaussian_binomial
+from qdesigns.joins import extend_by_hyperplane
 from qdesigns.planner import (
     LSParams,
     PlanNode,
+    _child_shapes,
     admissible,
     check_remark_genericity,
     generate_table,
@@ -238,6 +243,73 @@ def test_plan_node_validation():
             LSParams(2, 3, 1, 3, 7),
             children=(PlanNode("leaf_table", LSParams(2, 3, 2, 3, 8)),),
         )
+
+
+def decompose_node(**changes) -> PlanNode:
+    """A valid offset-1 decomposition of LS_2[3](0,1,4), with fields replaced."""
+    trivial = PlanNode("leaf_trivial", LSParams(2, 3, -1, 0, 1))
+    leaf = PlanNode("leaf_table", LSParams(2, 3, 0, 1, 2))
+    fields = dict(
+        s=1, cell_strengths=((-1, 0), (0, -1)), children=(trivial, leaf, leaf, trivial)
+    )
+    fields.update(changes)
+    return PlanNode("decompose", LSParams(2, 3, 0, 1, 4), **fields)
+
+
+def test_decompose_node_validation():
+    node = decompose_node()
+    trivial, leaf = node.children[:2]
+    other_n = PlanNode("leaf_table", LSParams(2, 5, 0, 1, 2))
+    for bad in (
+        dict(s=None),
+        dict(s=-1),
+        dict(s=3),  # v - k - 1 = 2
+        dict(cell_strengths=None),
+        dict(cell_strengths=((-1, 0),)),
+        dict(cell_strengths=((-1, -1), (0, -1))),  # composes to strength -1 < 0
+        dict(cell_strengths=((-1, 0, 1), (0, -1))),
+        dict(children=(trivial, leaf, leaf)),
+        dict(children=(leaf, trivial, leaf, trivial)),
+        dict(children=(trivial, other_n, leaf, trivial)),
+    ):
+        with pytest.raises(ValueError):
+            decompose_node(**bad)
+
+
+@pytest.mark.parametrize(
+    "kind,t,k,v",
+    [("derived", 1, 2, 4), ("residual", 1, 2, 4), ("dual", 1, 3, 5), ("hyperplane_extend", 1, 2, 4)],
+)
+def test_child_shapes_match_the_operations(kind, t, k, v):
+    # N = 1 large sets (whole Grassmannians) of the named child shapes go
+    # through the operation itself and must come out with the node's shape
+    shapes = _child_shapes(kind, LSParams(2, 1, t, k, v), None, None)
+    operands = [
+        large_set(cv, ck, ct, [enumerate_grassmannian(cv, ck)]) for ct, ck, cv in shapes
+    ]
+    operation = extend_by_hyperplane if kind == "hyperplane_extend" else TRANSFORMS[kind]
+    out = operation(*operands)
+    assert (out.t, out.k, out.v, out.n) == (t, k, v, 1)
+    assert verify_large_set(out).grassmannian_size == gaussian_binomial(v, k)
+
+
+def test_series_plans_are_pinned():
+    # every series member with 8 <= v <= 40, v ascending, then k ascending
+    members = [(k, v) for v in range(8, 41) for k in range(v + 1) if realizable_by_series(k, v)]
+    text = "".join(serialize_plan(plan_series(k, v)) for k, v in members)
+    assert len(members) == 126
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "52ff5b1ef0f8577d0101f57f1cd002c59a7c2c0c6b2b04f32eea97d992c2bd60"
+    )
+
+
+def test_plan_series_shares_repeated_subplans():
+    nodes = collect(plan_series(5, 15), [])
+    first = {}
+    for node in nodes:
+        assert first.setdefault(node.params, node) is node
+    assert len(nodes) == 37 and len(first) < len(nodes)
 
 
 def test_plan_file_round_trip(tmp_path):
