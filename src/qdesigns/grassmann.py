@@ -342,28 +342,24 @@ class QuotientFrame:
     def __init__(self, sup: Subspace, sub: Subspace):
         if sup.v != sub.v:
             raise ValueError("ambient dimensions differ")
-        if not contains(sup, sub):
+        # sub's rows, then sup's: a sup row that depends on earlier rows (the
+        # top bit of its dependency) is dropped, so the rest extend sub's
+        # basis greedily, in sup's order
+        ns = len(sub.rows)
+        by_pivot, dependent = eliminate_tracked(sub.rows + sup.rows)
+        if len(by_pivot) != len(sup.rows):
             raise ValueError("sub is not contained in sup")
+        dropped = sum(1 << (combo.bit_length() - 1) for combo in dependent)
+        kept = [i for i in range(ns, ns + len(sup.rows)) if not dropped >> i & 1]
         self.sub = sub
         self.sup = sup
-        transversal = []
-        cur = list(sub.rows)
-        cur_rref = rref_raw(cur).rows
-        for r in sup.rows:
-            if reduce_vector(r, cur_rref):
-                transversal.append(r)
-                cur.append(r)
-                cur_rref = rref_raw(cur).rows
-        self.transversal = tuple(transversal)
-        self.dim = len(transversal)
+        self.transversal = tuple(sup.rows[i - ns] for i in kept)
+        self.dim = len(kept)
         # elimination steps for coefficient extraction: (pivot mask, row, combo);
-        # combo bits 0..ns-1 select sub rows, ns.. select transversal rows
-        ns = len(sub.rows)
-        by_pivot, dependent = eliminate_tracked(sub.rows + self.transversal)
-        if dependent:
-            raise ArithmeticError("sub rows plus transversal are dependent")
+        # combo bit j selects transversal row j; sub rows' bits are left out
         self._steps = tuple(
-            (mask, row, combo >> ns) for mask, (row, combo) in sorted(by_pivot.items())
+            (mask, row, sum(1 << j for j, i in enumerate(kept) if combo >> i & 1))
+            for mask, (row, combo) in sorted(by_pivot.items())
         )
 
     def project_vector(self, x: int) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .designs import (
     TRANSFORMS,
@@ -87,22 +87,6 @@ def join_chain(u1: Subspace, u2: Subspace) -> JoinChain:
     return JoinChain(u1, u2, QuotientFrame(full_space(u1.v), u2))
 
 
-def _complements(ambient_dim: int, sub: Subspace) -> Iterator[Subspace]:
-    """All complements of ``sub`` in the full space of ``ambient_dim``.
-
-    There are 2^(dim * codim) of them; each is produced once, as the
-    graph of a linear map from a fixed complement into ``sub``.
-    """
-    frame = QuotientFrame(full_space(ambient_dim), sub)
-    base = frame.transversal
-    if not base:
-        yield Subspace(ambient_dim, ())
-        return
-    shifts = sub.vectors()
-    for offset in itertools.product(shifts, repeat=len(base)):
-        yield span(ambient_dim, [r ^ o for r, o in zip(base, offset)])
-
-
 def avoiding_join(k1: Subspace, k2: Subspace, chain: JoinChain) -> frozenset[Subspace]:
     """All K meeting U1 exactly in ``k1``, with K + U2 = ``k2`` = K + U1.
 
@@ -117,18 +101,15 @@ def avoiding_join(k1: Subspace, k2: Subspace, chain: JoinChain) -> frozenset[Sub
     if not contains(k2, chain.u2):
         raise ValueError("second operand must contain u2")
 
-    u1, u2 = chain.u1, chain.u2
-    out = set()
-    # Stage one: subspaces W with K1 <= W <= U2, W complementary to U1 over K1.
-    over_k1 = QuotientFrame(u2, k1)
-    u1_bar = over_k1.project(u1)
-    for c_bar in _complements(over_k1.dim, u1_bar):
-        w = over_k1.lift_preimage(c_bar)
-        # Stage two: inside K2, complements of U2 over W give the joins.
-        over_w = QuotientFrame(k2, w)
-        u2_bar = over_w.project(u2)
-        for d_bar in _complements(over_w.dim, u2_bar):
-            out.add(over_w.lift_preimage(d_bar))
+    # A member K meets each coset c + U1, c in a complement of U1 in K2, in
+    # c + x + K1 for exactly one x of a complement of K1 in U1.
+    u1 = chain.u1
+    base = QuotientFrame(k2, u1).transversal
+    shifts = span_table(QuotientFrame(u1, k1).transversal)
+    out = {
+        span(chain.v, k1.rows + tuple(c ^ x for c, x in zip(base, offset)))
+        for offset in itertools.product(shifts, repeat=len(base))
+    }
 
     expect = 1 << ((u1.dim - k1.dim) * (k2.dim - u1.dim))
     if len(out) != expect:
@@ -275,7 +256,8 @@ def compose_partitions(
             placed += len(joined)
     if sum(len(b) for b in buckets) != placed:
         raise VerificationError("join images collided")
-    parts = tuple(map(_frozen, buckets))
+    # popped, each set is freed as soon as it is frozen
+    parts = tuple(_frozen(buckets.pop(0)) for _ in range(n))
     check_disjoint(parts)
     if t >= 0:
         first = t_subspace_counts(parts[0], t)
@@ -439,5 +421,5 @@ def _eval_node(
             composed = compose_partitions(lifted, second, cell.chain, t1 + t2 + 1)
             for bucket, part in zip(buckets, composed):
                 bucket |= part
-        return tuple(map(_frozen, buckets))
+        return tuple(_frozen(buckets.pop(0)) for _ in range(p.n))
     raise ValueError(f"unhandled plan node kind {node.kind!r}")

@@ -142,9 +142,12 @@ def _child_shapes(
     """The (t, k, v) of each child a node of this kind needs, in order.
 
     Children share the node's q and N; decompose cell i's two factors come
-    at positions 2i and 2i+1.  A bad offset or strength list raises.
+    at positions 2i and 2i+1.  A bad offset or strength list raises, and
+    so does either one on a node that is not a decompose node.
     """
     t, k, v = params.t, params.k, params.v
+    if kind != "decompose" and (s is not None or cell_strengths is not None):
+        raise ValueError(f"{kind} node takes no offset s or cell strengths")
     if kind == "derived":
         return [(t + 1, k + 1, v + 1)]
     if kind == "residual":

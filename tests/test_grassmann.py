@@ -319,11 +319,25 @@ def test_orthogonal_complement_of_hyperplanes(v):
         assert orthogonal_complement(perp) == hyperplane
 
 
+def greedy_transversal(sup: Subspace, sub: Subspace) -> tuple[int, ...]:
+    """Each row of sup, in order, that is outside the span of sub and the rows kept so far."""
+    transversal = []
+    cur = list(sub.rows)
+    cur_rref = rref_raw(cur).rows
+    for r in sup.rows:
+        if reduce_vector(r, cur_rref):
+            transversal.append(r)
+            cur.append(r)
+            cur_rref = rref_raw(cur).rows
+    return tuple(transversal)
+
+
 @settings(max_examples=300, deadline=None)
 @given(flags())
 def test_quotient_frame_lifts_projections_back(flag):
     sub, mid, sup = flag
     frame = QuotientFrame(sup, sub)
+    assert frame.transversal == greedy_transversal(sup, sub)
     image = frame.project(mid)
     assert frame.dim == sup.dim - sub.dim and image.dim == mid.dim - sub.dim
     assert frame.lift_preimage(image) == mid

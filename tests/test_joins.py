@@ -3,6 +3,8 @@
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdesigns import joins
 from qdesigns.designs import (
@@ -17,7 +19,6 @@ from qdesigns.designs import (
 from qdesigns.grassmann import (
     QuotientFrame,
     Subspace,
-    contains,
     enumerate_grassmannian,
     full_space,
     gaussian_binomial,
@@ -80,6 +81,18 @@ class TestJoinChain:
         assert chain.v == 5
 
 
+@st.composite
+def join_operands(draw):
+    """K1 <= U1 <= U2 <= K2 in one GF(2)^v, v <= 6, each spanned by random vectors."""
+    v = draw(st.integers(1, 6))
+    vectors = st.lists(st.integers(0, (1 << v) - 1), max_size=v)
+    u1 = span(v, draw(vectors))
+    u2 = span(v, u1.rows + tuple(draw(vectors)))
+    k1 = span(v, draw(st.lists(st.sampled_from(u1.vectors()), max_size=u1.dim)))
+    k2 = span(v, u2.rows + tuple(draw(vectors)))
+    return k1, k2, u1, u2
+
+
 class TestAvoidingJoin:
     def test_zero_to_full_in_dim3(self):
         chain = join_chain(standard_flag_subspace(3, 1), standard_flag_subspace(3, 1))
@@ -87,37 +100,27 @@ class TestAvoidingJoin:
         assert len(out) == 4
         assert all(s.dim == 2 for s in out)
 
-    def test_matches_brute_force_predicate(self):
-        chain = join_chain(standard_flag_subspace(3, 1), standard_flag_subspace(3, 1))
-        k1, k2 = zero_subspace(3), full_space(3)
-        brute = {
-            s
-            for s in enumerate_grassmannian(3, 2)
-            if intersect(s, chain.u1) == k1
-            and subspace_sum(s, chain.u2) == k2
-            and subspace_sum(s, chain.u1) == subspace_sum(s, chain.u2)
-        }
-        assert avoiding_join(k1, k2, chain) == brute
-
     def test_degenerate_operands_give_u2(self):
         u = standard_flag_subspace(3, 1)
         chain = join_chain(u, u)
         assert avoiding_join(u, u, chain) == frozenset([u])
 
-    def test_proper_flag_brute_force(self):
-        # strict U1 < U2, checked against predicate filtering in GF(2)^5
-        chain = join_chain(standard_flag_subspace(5, 1), standard_flag_subspace(5, 3))
-        k1 = zero_subspace(5)
-        k2 = span(5, [1, 2, 4, 8])
-        assert contains(k2, chain.u2)
-        out = avoiding_join(k1, k2, chain)
-        assert len(out) == 1 << ((1 - 0) * (4 - 1))
+    @settings(max_examples=300, deadline=None)
+    @given(join_operands())
+    @example((zero_subspace(3), full_space(3), span(3, [1]), span(3, [1])))
+    @example((zero_subspace(5), span(5, [1, 2, 4, 8]), span(5, [1]), span(5, [1, 2, 4])))
+    def test_proper_flag_brute_force(self, operands):
+        # checked against filtering by the defining predicate; every member
+        # has dimension dim K1 + dim K2 - dim U1, so only that one is searched
+        k1, k2, u1, u2 = operands
+        out = avoiding_join(k1, k2, join_chain(u1, u2))
+        assert len(out) == 1 << ((u1.dim - k1.dim) * (k2.dim - u1.dim))
         brute = {
             s
-            for s in enumerate_grassmannian(5, 3)
-            if intersect(s, chain.u1) == k1
-            and subspace_sum(s, chain.u2) == k2
-            and subspace_sum(s, chain.u1) == subspace_sum(s, chain.u2)
+            for s in enumerate_grassmannian(u1.v, k1.dim + k2.dim - u1.dim)
+            if intersect(s, u1) == k1
+            and subspace_sum(s, u2) == k2
+            and subspace_sum(s, u1) == subspace_sum(s, u2)
         }
         assert out == brute
 

@@ -351,6 +351,15 @@ def test_parse_plan_names_the_line_and_the_bad_token(line, message):
         parse_plan("# a comment\n" + line + "\n")
 
 
+def test_offset_and_strengths_only_on_decompose_nodes():
+    with pytest.raises(ValueError, match="leaf_table node takes no offset s or cell strengths"):
+        parse_plan("leaf_table q=2 N=3 t=2 k=3 v=8 s=5 strengths=9:9\n")
+    leaf = PlanNode("leaf_table", LSParams(2, 3, 2, 3, 8))
+    for bad in (dict(s=0), dict(cell_strengths=((0, 0),))):
+        with pytest.raises(ValueError, match="dual node takes no"):
+            PlanNode("dual", LSParams(2, 3, 2, 5, 8), children=(leaf,), **bad)
+
+
 def test_serialize_decompose_mentions_strengths():
     text = serialize_plan(plan_series(3, 14))
     assert "strengths=-1:2,0:1,1:0,2:-1" in text.splitlines()[0]
