@@ -14,7 +14,6 @@ from .designs import (
     derived_large_set,
     dual_large_set,
     residual_large_set,
-    t_equivalent,
     verify_design,
     verify_large_set,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "residual_large_set",
     "solve_exact",
     "span",
-    "t_equivalent",
     "trivial_group",
     "verify_design",
     "verify_large_set",

@@ -39,7 +39,6 @@ __all__ = [
     "read_design",
     "read_large_set",
     "residual_large_set",
-    "t_equivalent",
     "t_subspace_counts",
     "verify_design",
     "verify_large_set",
@@ -220,13 +219,6 @@ def verify_design(d: Design) -> int:
     return d.lam
 
 
-def t_equivalent(b1: Iterable[Subspace], b2: Iterable[Subspace], t: int) -> bool:
-    """Whether two block sets cover every t-subspace equally often."""
-    if t < 0:
-        return True
-    return t_subspace_counts(b1, t) == t_subspace_counts(b2, t)
-
-
 def large_set_lambda(v: int, k: int, t: int, n: int) -> int:
     """Per-design lambda of a large set with N members; errors if N does not divide."""
     if n < 1:
@@ -377,7 +369,10 @@ def _parse_header(line: str, path) -> dict[str, int]:
         if "=" not in part:
             raise ValueError(f"{path}: bad header token {part!r}")
         key, _, val = part.partition("=")
-        fields[key] = int(val)
+        try:
+            fields[key] = int(val)
+        except ValueError:
+            raise ValueError(f"{path}: bad header token {part!r}") from None
     return fields
 
 

@@ -12,18 +12,12 @@ from typing import Iterable, NamedTuple, Sequence
 __all__ = [
     "BitMatrix",
     "RrefResult",
-    "dot",
     "eliminate_tracked",
     "identity",
-    "kernel",
-    "left_kernel_raw",
     "mat_mul",
-    "mat_pow",
     "rank_raw",
-    "rref",
     "rref_raw",
     "span_table",
-    "transpose",
     "vec_mat",
 ]
 
@@ -38,9 +32,6 @@ class BitMatrix(NamedTuple):
     def nrows(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
 
 class RrefResult(NamedTuple):
     rows: tuple[int, ...]  # nonzero rows, sorted by pivot column
@@ -49,11 +40,6 @@ class RrefResult(NamedTuple):
 
 def identity(n: int) -> BitMatrix:
     return BitMatrix(n, tuple(1 << i for i in range(n)))
-
-
-def dot(a: int, b: int) -> int:
-    """Standard bilinear form: parity of the shared support."""
-    return (a & b).bit_count() & 1
 
 
 def vec_mat(v: int, rows: Sequence[int]) -> int:
@@ -79,32 +65,6 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
         raise ValueError(f"shape mismatch: {a.ncols} cols vs {b.nrows} rows")
     brows = b.rows
     return BitMatrix(b.ncols, tuple(vec_mat(r, brows) for r in a.rows))
-
-
-def mat_pow(m: BitMatrix, e: int) -> BitMatrix:
-    if m.ncols != m.nrows:
-        raise ValueError("power of a non-square matrix")
-    if e < 0:
-        raise ValueError("negative power")
-    acc = identity(m.ncols)
-    base = m
-    while e:
-        if e & 1:
-            acc = mat_mul(acc, base)
-        base = mat_mul(base, base)
-        e >>= 1
-    return acc
-
-
-def transpose(m: BitMatrix) -> BitMatrix:
-    out = [0] * m.ncols
-    for i, r in enumerate(m.rows):
-        bit = 1 << i
-        while r:
-            low = r & -r
-            out[low.bit_length() - 1] |= bit
-            r ^= low
-    return BitMatrix(m.nrows, tuple(out))
 
 
 def rref_raw(rows: Iterable[int]) -> RrefResult:
@@ -136,10 +96,6 @@ def rank_raw(rows: Iterable[int]) -> int:
     return len(rref_raw(rows).rows)
 
 
-def rref(m: BitMatrix) -> RrefResult:
-    return rref_raw(m.rows)
-
-
 def eliminate_tracked(rows: Iterable[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
     """Gauss-Jordan elimination that tracks which input rows make up each row.
 
@@ -165,13 +121,3 @@ def eliminate_tracked(rows: Iterable[int]) -> tuple[dict[int, tuple[int, int]], 
         else:
             dependent.append(combo)
     return by_pivot, dependent
-
-
-def left_kernel_raw(rows: Sequence[int]) -> tuple[int, ...]:
-    """RREF basis of {c : XOR of rows[i] over bits i of c == 0}."""
-    return rref_raw(eliminate_tracked(rows)[1]).rows
-
-
-def kernel(m: BitMatrix) -> BitMatrix:
-    """Basis of the left kernel {x : x m = 0}, as rows of a BitMatrix."""
-    return BitMatrix(m.nrows, left_kernel_raw(m.rows))

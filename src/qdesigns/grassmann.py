@@ -16,7 +16,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .gf2 import eliminate_tracked, left_kernel_raw, rref_raw, span_table, vec_mat
+from .gf2 import eliminate_tracked, rref_raw, span_table, vec_mat
 
 __all__ = [
     "QuotientFrame",
@@ -27,13 +27,10 @@ __all__ = [
     "gaussian_binomial",
     "grassmannian_rank",
     "grassmannian_unrank",
-    "intersect",
     "orthogonal_complement",
     "reduce_vector",
     "span",
     "standard_flag_subspace",
-    "subspace_sum",
-    "zero_subspace",
 ]
 
 
@@ -131,10 +128,6 @@ def span(v: int, rows: Iterable[int]) -> Subspace:
     return Subspace(v, rref_raw(rows).rows)
 
 
-def zero_subspace(v: int) -> Subspace:
-    return Subspace(v, ())
-
-
 def full_space(v: int) -> Subspace:
     return Subspace(v, tuple(1 << i for i in range(v)))
 
@@ -152,24 +145,6 @@ def contains(outer: Subspace, inner: Subspace) -> bool:
         raise ValueError("ambient dimensions differ")
     rows = outer.rows
     return all(reduce_vector(r, rows) == 0 for r in inner.rows)
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.v != b.v:
-        raise ValueError("ambient dimensions differ")
-    return Subspace(a.v, rref_raw(a.rows + b.rows).rows)
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection of row spaces via the left kernel of the stacked basis."""
-    if a.v != b.v:
-        raise ValueError("ambient dimensions differ")
-    stacked = a.rows + b.rows
-    na = len(a.rows)
-    vecs = []
-    for combo in left_kernel_raw(stacked):
-        vecs.append(vec_mat(combo & ((1 << na) - 1), a.rows))
-    return Subspace(a.v, rref_raw(vecs).rows)
 
 
 @lru_cache(maxsize=None)
@@ -383,15 +358,9 @@ class QuotientFrame:
             raise ArithmeticError("projection lost rank unexpectedly")
         return out
 
-    def lift_vector(self, y: int) -> int:
-        """A representative in sup of the class with quotient coordinates y."""
-        if y < 0 or y >> self.dim:
-            raise ValueError(f"coordinates {y} do not fit in dimension {self.dim}")
-        return vec_mat(y, self.transversal)
-
     def lift_preimage(self, sbar: Subspace) -> Subspace:
         """Full preimage in GF(2)^v of a subspace of the quotient."""
         if sbar.v != self.dim:
             raise ValueError("quotient subspace has the wrong ambient dimension")
-        rows = [self.lift_vector(r) for r in sbar.rows] + list(self.sub.rows)
+        rows = [vec_mat(r, self.transversal) for r in sbar.rows] + list(self.sub.rows)
         return Subspace(self.sup.v, rref_raw(rows).rows)

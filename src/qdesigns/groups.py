@@ -11,7 +11,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .gf2 import BitMatrix, identity, mat_mul, rank_raw, rref_raw, span_table, vec_mat
 from .grassmann import (
@@ -28,13 +28,11 @@ __all__ = [
     "OrbitPartition",
     "act",
     "close_group",
-    "element_order",
     "orbit_of",
     "orbit_partition",
     "parse_generator_text",
     "read_generator_file",
     "trivial_group",
-    "write_generator_file",
 ]
 
 GroupElement = BitMatrix
@@ -101,16 +99,6 @@ def trivial_group(v: int) -> Group:
     if v < 0:
         raise ValueError("dimension must be non-negative")
     return Group(v, (), (identity(v),))
-
-
-def element_order(g: GroupElement) -> int:
-    ident = identity(g.ncols)
-    p = g
-    n = 1
-    while p != ident:
-        p = mat_mul(p, g)
-        n += 1
-    return n
 
 
 def act(s: Subspace, g: GroupElement) -> Subspace:
@@ -246,16 +234,3 @@ def parse_generator_text(text: str) -> list[GroupElement]:
 def read_generator_file(path) -> list[GroupElement]:
     with open(path, "r", encoding="ascii") as fh:
         return parse_generator_text(fh.read())
-
-
-def write_generator_file(path, generators: Iterable[GroupElement]) -> None:
-    blocks = []
-    for g in generators:
-        blocks.append(
-            "\n".join(
-                "".join("1" if (r >> j) & 1 else "0" for j in range(g.ncols))
-                for r in g.rows
-            )
-        )
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n\n".join(blocks) + "\n")

@@ -87,6 +87,18 @@ def join_chain(u1: Subspace, u2: Subspace) -> JoinChain:
     return JoinChain(u1, u2, QuotientFrame(full_space(u1.v), u2))
 
 
+def _complement(sup: Subspace, sub: Subspace) -> tuple[int, ...]:
+    """RREF rows of ``sup`` spanning a complement of ``sub <= sup``.
+
+    A nonzero sum of RREF rows has the least of their pivots (lowest set
+    bits) as its lowest bit.  So a subspace's pivots are the lowest bits
+    of its nonzero vectors, sub's pivots are among sup's, and no sum of
+    the sup rows whose pivot sub lacks lies in sub.
+    """
+    pivots = sum(r & -r for r in sub.rows)
+    return tuple(r for r in sup.rows if not r & -r & pivots)
+
+
 def avoiding_join(k1: Subspace, k2: Subspace, chain: JoinChain) -> frozenset[Subspace]:
     """All K meeting U1 exactly in ``k1``, with K + U2 = ``k2`` = K + U1.
 
@@ -104,8 +116,8 @@ def avoiding_join(k1: Subspace, k2: Subspace, chain: JoinChain) -> frozenset[Sub
     # A member K meets each coset c + U1, c in a complement of U1 in K2, in
     # c + x + K1 for exactly one x of a complement of K1 in U1.
     u1 = chain.u1
-    base = QuotientFrame(k2, u1).transversal
-    shifts = span_table(QuotientFrame(u1, k1).transversal)
+    base = _complement(k2, u1)
+    shifts = span_table(_complement(u1, k1))
     out = {
         span(chain.v, k1.rows + tuple(c ^ x for c, x in zip(base, offset)))
         for offset in itertools.product(shifts, repeat=len(base))
@@ -151,14 +163,13 @@ def join_sets(
 
     globals1 = [span(chain.v, [vec_mat(r, u1.rows) for r in s.rows]) for s in b1]
     globals2 = [top.lift_preimage(s) for s in b2]
-    out: set[Subspace] = set()
-    for g1 in globals1:
-        for g2 in globals2:
-            out |= avoiding_join(g1, g2, chain)
+    out = frozenset(itertools.chain.from_iterable(
+        avoiding_join(g1, g2, chain) for g1 in globals1 for g2 in globals2
+    ))
     expect = len(b1) * len(b2) * (1 << ((u1.dim - k1) * (k2 - u1.dim)))
     if len(out) != expect:
         raise VerificationError(f"joined set has {len(out)} members, expected {expect}")
-    return _frozen(out)
+    return out
 
 
 @dataclass(frozen=True)

@@ -30,12 +30,11 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from .designs import (
     Design, LargeSet, large_set, t_subspace_counts, verify_design, verify_large_set,
 )
-from .grassmann import Subspace, gaussian_binomial, span
+from .grassmann import Subspace, gaussian_binomial
 from .groups import Group, OrbitPartition, orbit_partition
 
 __all__ = [
     "BudgetExceeded",
-    "KMDump",
     "KMSystem",
     "LargeSetSearchResult",
     "Selection",
@@ -44,7 +43,6 @@ __all__ = [
     "build_km",
     "design_from_selection",
     "iterated_large_set_search",
-    "read_km_dump",
     "selection_blocks",
     "solve_exact",
     "write_km_system",
@@ -473,36 +471,11 @@ def iterated_large_set_search(
 # files use.
 
 
-class KMDump(NamedTuple):
-    tau: int
-    kappa: int
-    lambda_max: int
-    matrix: tuple[tuple[int, ...], ...]
-    t_reps: tuple[Subspace, ...]
-    k_reps: tuple[Subspace, ...]
-
-
 def _write_reps(path: Path, v: int, d: int, reps: Sequence[Subspace]) -> None:
     lines = [f"v={v} dim={d} count={len(reps)}"]
     for s in reps:
         lines.append(" ".join(str(r) for r in s.rows) if s.rows else "0")
     path.write_text("\n".join(lines) + "\n")
-
-
-def _read_reps(path: Path) -> tuple[int, int, tuple[Subspace, ...]]:
-    lines = path.read_text().splitlines()
-    fields = dict(part.split("=") for part in lines[0].split())
-    v, d, count = int(fields["v"]), int(fields["dim"]), int(fields["count"])
-    if len(lines) <= count:
-        raise ValueError(f"{path} lists {len(lines) - 1} representatives, count={count}")
-    reps = []
-    for line in lines[1 : count + 1]:
-        rows = [int(x) for x in line.split()]
-        reps.append(span(v, [r for r in rows if r]))
-    for s in reps:
-        if s.dim != d:
-            raise ValueError(f"representative in {path} has dimension {s.dim}, not {d}")
-    return v, d, tuple(reps)
 
 
 def write_km_system(system: KMSystem, path) -> None:
@@ -515,22 +488,3 @@ def write_km_system(system: KMSystem, path) -> None:
                 system.t_orbits.representatives)
     _write_reps(p.with_name(p.name + ".kreps"), system.v, system.k,
                 system.k_orbits.representatives)
-
-
-def read_km_dump(path) -> KMDump:
-    p = Path(path)
-    lines = p.read_text().splitlines()
-    tau, kappa, lam_max = (int(x) for x in lines[0].split())
-    matrix = tuple(
-        tuple(int(x) for x in line.split()) for line in lines[1 : tau + 1]
-    )
-    if len(matrix) != tau or any(len(row) != kappa for row in matrix):
-        raise ValueError(f"matrix block in {p} does not match header {tau}x{kappa}")
-    _, _, t_reps = _read_reps(p.with_name(p.name + ".treps"))
-    _, _, k_reps = _read_reps(p.with_name(p.name + ".kreps"))
-    if (len(t_reps), len(k_reps)) != (tau, kappa):
-        raise ValueError(
-            f"sidecars of {p} list {len(t_reps)} and {len(k_reps)} representatives"
-            f" for a {tau}x{kappa} matrix"
-        )
-    return KMDump(tau, kappa, lam_max, matrix, t_reps, k_reps)

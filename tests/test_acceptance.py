@@ -21,10 +21,8 @@ from qdesigns.designs import (
 from qdesigns.grassmann import (
     enumerate_grassmannian,
     full_space,
-    intersect,
     span,
     standard_flag_subspace,
-    subspace_sum,
 )
 from qdesigns.groups import act, close_group, orbit_partition, trivial_group
 from qdesigns.joins import (
@@ -44,6 +42,7 @@ from qdesigns.planner import (
     realizable_by_series,
 )
 
+from oracles import intersection, subspace_sum
 from test_planner import GRID_ROWS, clause_form
 
 
@@ -202,7 +201,7 @@ def test_criterion_06_decomposition_and_join_oracles():
                         brute = {
                             s
                             for s in enumerate_grassmannian(v, k1.dim + k2.dim - u1d)
-                            if intersect(s, chain.u1) == k1
+                            if intersection(s, chain.u1) == k1
                             and subspace_sum(s, chain.u2) == k2
                             and subspace_sum(s, chain.u1) == subspace_sum(s, chain.u2)
                         }

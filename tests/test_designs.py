@@ -20,7 +20,6 @@ from qdesigns.designs import (
     read_design,
     read_large_set,
     residual_large_set,
-    t_equivalent,
     t_subspace_counts,
     verify_design,
     verify_large_set,
@@ -37,8 +36,9 @@ from qdesigns.grassmann import (
     gaussian_binomial,
     span,
     standard_flag_subspace,
-    zero_subspace,
 )
+
+from oracles import zero_subspace
 
 
 def sort_pack_counts(blocks, v: int, t: int) -> dict[int, int]:
@@ -227,24 +227,6 @@ def test_t_subspace_counts_trivial_cover():
     counts = t_subspace_counts(blocks, 1)
     assert len(counts) == gaussian_binomial(4, 1)
     assert set(counts.values()) == {gaussian_binomial(3, 1)}
-
-
-def test_t_equivalent_reflexive_and_negative():
-    blocks = list(enumerate_grassmannian(4, 2))
-    assert t_equivalent(blocks, blocks, 1)
-    assert t_equivalent(blocks[:5], blocks[:5], 2)
-    assert not t_equivalent(blocks[:5], blocks[5:10], 0) or len(blocks[:5]) == len(blocks[5:10])
-    assert t_equivalent([], [], 3)
-    assert t_equivalent(blocks[:3], blocks[10:], -1)
-
-
-def test_t_equivalent_detects_imbalance():
-    blocks = sorted(enumerate_grassmannian(4, 2), key=lambda s: s.rows)
-    a = blocks[:17]
-    b = blocks[17:34]
-    # same size, so 0-equivalent, but not 1-equivalent for this naive split
-    assert t_equivalent(a, b, 0)
-    assert not t_equivalent(a, b, 1)
 
 
 def test_large_set_lambda_divisibility():
@@ -480,6 +462,17 @@ def test_large_set_manifest_rejects_q_other_than_2(tmp_path):
     manifest.write_text(manifest.read_text().replace("q=2", "q=3"))
     with pytest.raises(ValueError, match=re.escape(f"{manifest}: only q=2")):
         read_large_set(manifest)
+
+
+@pytest.mark.parametrize("token", ["v=x", "v=", "v=4.0"])
+def test_header_value_errors_name_the_file(tmp_path, token):
+    manifest = tmp_path / "ls.txt"
+    write_large_set(manifest, chunked_large_set(4, 2, 5))
+    member = tmp_path / "ls_design1.txt"
+    for path, reader in ((manifest, read_large_set), (member, read_design)):
+        path.write_text(path.read_text().replace("v=4", token, 1))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: bad header token {token!r}")):
+            reader(path)
 
 
 def test_large_set_file_header_mismatch(tmp_path):

@@ -9,18 +9,12 @@ from hypothesis import strategies as st
 from qdesigns.gf2 import (
     BitMatrix,
     RrefResult,
-    dot,
     eliminate_tracked,
     identity,
-    kernel,
-    left_kernel_raw,
     mat_mul,
-    mat_pow,
     rank_raw,
-    rref,
     rref_raw,
     span_table,
-    transpose,
     vec_mat,
 )
 
@@ -32,18 +26,12 @@ def random_matrix(rng: random.Random, nrows: int, ncols: int) -> BitMatrix:
 def test_identity_and_entry():
     m = identity(4)
     assert m.nrows == m.ncols == 4
-    assert [[m.entry(i, j) for j in range(4)] for i in range(4)] == [
+    assert [[m.rows[i] >> j & 1 for j in range(4)] for i in range(4)] == [
         [1, 0, 0, 0],
         [0, 1, 0, 0],
         [0, 0, 1, 0],
         [0, 0, 0, 1],
     ]
-
-
-def test_dot_parity():
-    assert dot(0b101, 0b100) == 1
-    assert dot(0b101, 0b111) == 0
-    assert dot(0, 0b1111) == 0
 
 
 def test_vec_mat_selects_rows():
@@ -119,51 +107,6 @@ def test_matmul_shape_mismatch():
         mat_mul(identity(3), identity(4))
 
 
-def test_mat_pow():
-    rng = random.Random(3)
-    m = random_matrix(rng, 5, 5)
-    assert mat_pow(m, 0) == identity(5)
-    assert mat_pow(m, 1) == m
-    assert mat_pow(m, 5) == mat_mul(m, mat_mul(m, mat_mul(m, mat_mul(m, m))))
-
-
-def test_transpose_involution_and_product():
-    rng = random.Random(4)
-    for _ in range(50):
-        a = random_matrix(rng, 4, 6)
-        b = random_matrix(rng, 6, 3)
-        assert transpose(transpose(a)) == a
-        assert transpose(mat_mul(a, b)) == mat_mul(transpose(b), transpose(a))
-
-
-def test_kernel_rank_nullity_and_annihilation():
-    rng = random.Random(5)
-    for _ in range(100):
-        nrows = rng.randrange(1, 8)
-        ncols = rng.randrange(1, 8)
-        m = random_matrix(rng, nrows, ncols)
-        ker = kernel(m)
-        assert ker.nrows == nrows - rank_raw(m.rows)
-        for c in ker.rows:
-            assert vec_mat(c, m.rows) == 0
-        # kernel rows are themselves in rref (canonical)
-        assert rref_raw(ker.rows).rows == ker.rows
-
-
-def test_left_kernel_exhaustive_small():
-    rng = random.Random(6)
-    for _ in range(30):
-        nrows = rng.randrange(1, 6)
-        ncols = rng.randrange(1, 6)
-        rows = [rng.randrange(1 << ncols) for _ in range(nrows)]
-        basis = left_kernel_raw(rows)
-        members = {0}
-        for b in basis:
-            members |= {x ^ b for x in members}
-        brute = {c for c in range(1 << nrows) if vec_mat(c, rows) == 0}
-        assert members == brute
-
-
 def gauss_jordan(rows, ncols):
     """Reference RREF: column by column, pivot rows swapped into place."""
     m = list(rows)
@@ -210,7 +153,3 @@ def test_eliminate_tracked_combinations(case):
         assert all(other & mask == 0 for m, (other, _) in by_pivot.items() if m != mask)
     assert all(c and vec_mat(c, rows) == 0 for c in dependent)
 
-
-def test_rref_wrapper_matches_raw():
-    m = BitMatrix(4, (0b1010, 0b0110, 0b1100))
-    assert rref(m) == rref_raw(m.rows)

@@ -22,11 +22,8 @@ from qdesigns.grassmann import (
     enumerate_grassmannian,
     full_space,
     gaussian_binomial,
-    intersect,
     span,
     standard_flag_subspace,
-    subspace_sum,
-    zero_subspace,
 )
 from qdesigns.joins import (
     MissingLeafError,
@@ -40,6 +37,8 @@ from qdesigns.joins import (
     materialize_cell,
 )
 from qdesigns.planner import LSParams, PlanNode, plan_series
+
+from oracles import intersection, subspace_sum, zero_subspace
 
 
 def params(t: int, k: int, v: int) -> LSParams:
@@ -106,7 +105,7 @@ class TestAvoidingJoin:
         brute = {
             s
             for s in enumerate_grassmannian(3, 2)
-            if intersect(s, chain.u1) == k1
+            if intersection(s, chain.u1) == k1
             and subspace_sum(s, chain.u2) == k2
             and subspace_sum(s, chain.u1) == subspace_sum(s, chain.u2)
         }
@@ -129,7 +128,7 @@ class TestAvoidingJoin:
         brute = {
             s
             for s in enumerate_grassmannian(u1.v, k1.dim + k2.dim - u1.dim)
-            if intersect(s, u1) == k1
+            if intersection(s, u1) == k1
             and subspace_sum(s, u2) == k2
             and subspace_sum(s, u1) == subspace_sum(s, u2)
         }
@@ -226,8 +225,8 @@ class TestDecomposition:
             lower = standard_flag_subspace(v, s + i)
             upper = standard_flag_subspace(v, s + i + 1)
             for sub in materialize_cell(cell):
-                assert intersect(sub, upper).dim == i
-                assert intersect(sub, lower).dim == i
+                assert intersection(sub, upper).dim == i
+                assert intersection(sub, lower).dim == i
 
     def test_bad_offsets(self):
         with pytest.raises(ValueError):
@@ -270,7 +269,7 @@ class TestCompose:
         # the 18 members are exactly the 2-subspaces meeting U2 in a line
         u2 = chain.u2
         expect = {
-            s for s in enumerate_grassmannian(4, 2) if intersect(s, u2).dim == 1
+            s for s in enumerate_grassmannian(4, 2) if intersection(s, u2).dim == 1
         }
         all_members = set().union(*out)
         assert all_members == expect

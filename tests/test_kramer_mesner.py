@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qdesigns import kramer_mesner
 from qdesigns.designs import verify_design, verify_large_set
 from qdesigns.gf2 import BitMatrix, rank_raw, vec_mat
-from qdesigns.grassmann import enumerate_grassmannian, gaussian_binomial, intersect, span
+from qdesigns.grassmann import enumerate_grassmannian, gaussian_binomial, span
 from qdesigns.groups import close_group, trivial_group
 from qdesigns.kramer_mesner import (
     BudgetExceeded,
@@ -20,11 +20,12 @@ from qdesigns.kramer_mesner import (
     build_km,
     design_from_selection,
     iterated_large_set_search,
-    read_km_dump,
     selection_blocks,
     solve_exact,
     write_km_system,
 )
+
+from oracles import intersection
 
 # order-7 companion matrix of x^3 + x + 1, transitive on nonzero vectors
 SHIFT3 = BitMatrix(3, (0b010, 0b100, 0b011))
@@ -359,7 +360,7 @@ def test_solve_spread_of_pg32():
     for a in blocks:
         for b in blocks:
             if a != b:
-                assert intersect(a, b).dim == 0
+                assert intersection(a, b).dim == 0
     verify_design(design_from_selection(sys, res.selection, 1, verify=False))
 
 
@@ -512,29 +513,15 @@ def test_dump_round_trip(tmp_path):
     sys = build_km(4, 1, 2, trivial_group(4))
     path = tmp_path / "system.km"
     write_km_system(sys, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "15 35 7"
-    dump = read_km_dump(path)
-    assert (dump.tau, dump.kappa, dump.lambda_max) == (15, 35, 7)
-    assert dump.matrix == sys.matrix
-    assert dump.t_reps == tuple(sys.t_orbits.representatives)
-    assert dump.k_reps == tuple(sys.k_orbits.representatives)
-
-
-def test_dump_rejects_truncated_sidecar(tmp_path):
-    sys = build_km(4, 1, 2, trivial_group(4))
-    path = tmp_path / "system.km"
-    write_km_system(sys, path)
-    kreps = tmp_path / "system.km.kreps"
-    lines = kreps.read_text().splitlines()
-    assert lines[0] == "v=4 dim=2 count=35"
-    kreps.write_text("\n".join(lines[:10]) + "\n")  # 9 of 35 representatives
-    with pytest.raises(ValueError, match="lists 9 representatives, count=35"):
-        read_km_dump(path)
-    # a count that matches its lines but not the matrix
-    kreps.write_text("\n".join(["v=4 dim=2 count=9"] + lines[1:10]) + "\n")
-    with pytest.raises(ValueError, match="15x35 matrix"):
-        read_km_dump(path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "15 35 7"
+    assert [tuple(map(int, line.split())) for line in lines[1:]] == list(sys.matrix)
+    for suffix, dim, orbits in (("treps", 1, sys.t_orbits), ("kreps", 2, sys.k_orbits)):
+        header, *reps = (tmp_path / f"system.km.{suffix}").read_text().splitlines()
+        assert header == f"v=4 dim={dim} count={orbits.n_orbits}"
+        assert [tuple(map(int, line.split())) for line in reps] == [
+            s.rows for s in orbits.representatives
+        ]
 
 
 def test_selection_blocks_expands_orbits():
