@@ -366,9 +366,9 @@ TRANSFORMS = {
 def _parse_header(line: str, path) -> dict[str, int]:
     fields = {}
     for part in line.split():
-        if "=" not in part:
-            raise ValueError(f"{path}: bad header token {part!r}")
-        key, _, val = part.partition("=")
+        key, _, val = part.partition("=")  # no "=" leaves val empty, which int() refuses
+        if key in fields:
+            raise ValueError(f"{path}: header repeats {key}=")
         try:
             fields[key] = int(val)
         except ValueError:

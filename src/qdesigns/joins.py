@@ -19,9 +19,11 @@ materializing an actual large set.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from operator import and_, neg
+from typing import Iterable, Iterator, Sequence
 
 from .designs import (
     TRANSFORMS,
@@ -42,6 +44,7 @@ from .grassmann import (
     enumerate_grassmannian,
     full_space,
     gaussian_binomial,
+    reduce_vector,
     span,
     standard_flag_subspace,
 )
@@ -114,27 +117,38 @@ def avoiding_join(k1: Subspace, k2: Subspace, chain: JoinChain) -> frozenset[Sub
         raise ValueError("second operand must contain u2")
 
     # A member K meets each coset c + U1, c in a complement of U1 in K2, in
-    # c + x + K1 for exactly one x of a complement of K1 in U1.
+    # c + x + K1 for exactly one x of a complement of K1 in U1 (see _grow).
     u1 = chain.u1
-    base = _complement(k2, u1)
-    shifts = span_table(_complement(u1, k1))
-    out = {
-        span(chain.v, k1.rows + tuple(c ^ x for c, x in zip(base, offset)))
-        for offset in itertools.product(shifts, repeat=len(base))
-    }
-
+    shifts = _complement(u1, k1)
+    nodes: Iterable[Sequence[int]] = [k1.rows]
+    for c in _complement(k2, u1):
+        nodes = _grow(nodes, c, shifts)
+    out = frozenset(Subspace(chain.v, rows) for rows in nodes)
     expect = 1 << ((u1.dim - k1.dim) * (k2.dim - u1.dim))
     if len(out) != expect:
         raise VerificationError(f"avoiding join has {len(out)} members, expected {expect}")
-    want_dim = k1.dim + k2.dim - u1.dim
-    for s in out:
-        if s.dim != want_dim:
-            raise VerificationError(
-                f"avoiding join member has dimension {s.dim}, expected {want_dim}", witness=s
-            )
-    return _frozen(out)
+    return out
 
 
+def _grow(nodes: Iterable[Sequence[int]], c: int, shifts: Sequence[int]) -> Iterator[list[int]]:
+    """The RREF rows of each node plus one row c + x, for each x in span(shifts).
+
+    Reduction by RREF rows is linear, so c and the shifts are reduced once per node.
+    """
+    for rows in nodes:
+        head = reduce_vector(c, rows)
+        pivots = sum(map(and_, rows, map(neg, rows)))  # the rows' lowest bits
+        for x in span_table([reduce_vector(g, rows) for g in shifts]):
+            new = head ^ x
+            if not new:
+                raise VerificationError("avoiding join row depends on the rows before it")
+            low = new & -new
+            grown = [r ^ new if r & low else r for r in rows]
+            grown.insert((pivots & (low - 1)).bit_count(), new)
+            yield grown
+
+
+@_nogc
 def join_sets(
     b1: Iterable[Subspace], b2: Iterable[Subspace], chain: JoinChain
 ) -> frozenset[Subspace]:
@@ -190,16 +204,6 @@ class DecompositionCell:
     second_grassmannian: tuple[int, int]
     chain: JoinChain
 
-    @property
-    def size(self) -> int:
-        (a1, d1), (a2, d2) = self.first_grassmannian, self.second_grassmannian
-        # join multiplicity is 2^((u1 - k1) * (k2 - u1)) = 2^((s + 1) * (k - i))
-        return (
-            gaussian_binomial(a1, d1)
-            * gaussian_binomial(a2, d2)
-            * (1 << ((self.s + 1) * d2))
-        )
-
 
 def grassmann_decomposition(v: int, k: int, s: int) -> list[DecompositionCell]:
     """Cells splitting the k-subspaces of GF(2)^v along a flag, offset s.
@@ -215,15 +219,9 @@ def grassmann_decomposition(v: int, k: int, s: int) -> list[DecompositionCell]:
     cells = []
     for i in range(k + 1):
         u = standard_flag_subspace(v, s + i + 1)
-        cells.append(
-            DecompositionCell(
-                i=i,
-                s=s,
-                first_grassmannian=(s + i, i),
-                second_grassmannian=(v - s - i - 1, k - i),
-                chain=join_chain(u, u),
-            )
-        )
+        cells.append(DecompositionCell(
+            i=i, s=s, first_grassmannian=(s + i, i),
+            second_grassmannian=(v - s - i - 1, k - i), chain=join_chain(u, u)))
     return cells
 
 
@@ -355,18 +353,13 @@ class MissingLeafError(LookupError):
 DEFAULT_SIZE_GUARD = 10_000_000
 
 
-def _missing_leaves(plan: PlanNode, known: dict[LSParams, LargeSet]) -> list[LSParams]:
-    missing = []
-
-    def walk(node: PlanNode) -> None:
-        if node.kind == "leaf_table" and node.params not in known:
-            if node.params not in missing:
-                missing.append(node.params)
+def _postorder(node: PlanNode, seen: dict[int, PlanNode]) -> dict[int, PlanNode]:
+    """Each node object of the plan once, by id, after its children."""
+    if id(node) not in seen:
         for child in node.children:
-            walk(child)
-
-    walk(plan)
-    return missing
+            _postorder(child, seen)
+        seen[id(node)] = node
+    return seen
 
 
 def execute_plan(
@@ -378,43 +371,51 @@ def execute_plan(
 
     ``leaves`` supplies the external leaves; each one serves the
     leaf_table nodes whose parameters are its own LS_2[N](t,k,v).  Nodes
-    that would enumerate a Grassmannian larger than ``size_guard`` raise.
-    The root is verified as a large set before it is returned.
+    that would enumerate a Grassmannian larger than ``size_guard`` raise
+    before anything is built.  Each node object is evaluated once, and
+    the root is verified as a large set before it is returned.
     """
     known = {LSParams(2, ls.n, ls.t, ls.k, ls.v): ls for ls in leaves}
-    missing = _missing_leaves(plan, known)
+    nodes = _postorder(plan, {}).values()
+    missing = [n.params for n in nodes if n.kind == "leaf_table" and n.params not in known]
     if missing:
-        raise MissingLeafError(missing)
+        raise MissingLeafError(list(dict.fromkeys(missing)))
+    for n in nodes:
+        total = gaussian_binomial(n.params.v, n.params.k)
+        if n.kind in ("leaf_trivial", "decompose") and total > size_guard:
+            raise ValueError(
+                f"{n.kind} node for {n.params} would materialize {total} subspaces; "
+                f"raise the size guard to proceed"
+            )
 
+    # each node's parts are dropped once the last parent has read them
+    reads = Counter(id(c) for n in nodes for c in n.children)
+    parts: dict[int, tuple[frozenset[Subspace], ...]] = {}
+    for n in nodes:
+        parts[id(n)] = _eval_node(n, [parts[id(c)] for c in n.children], known)
+        for c in n.children:
+            reads[id(c)] -= 1
+            if not reads[id(c)]:
+                del parts[id(c)]
     p = plan.params
-    out = large_set(p.v, p.k, p.t, _eval_node(plan, known, size_guard))
+    out = large_set(p.v, p.k, p.t, parts.pop(id(plan)))
     if plan.kind != "hyperplane_extend":  # extend_by_hyperplane verified it
         verify_large_set(out)
     return out
 
 
 def _eval_node(
-    node: PlanNode, known: dict[LSParams, LargeSet], size_guard: int
+    node: PlanNode, children: list[tuple], known: dict[LSParams, LargeSet]
 ) -> tuple[frozenset[Subspace], ...]:
-    """The node's N parts, each a frozenset of k-subspaces of GF(2)^v."""
+    """The node's N parts, each a frozenset of k-subspaces of GF(2)^v, from its children's."""
     p = node.params
     if node.kind == "leaf_table":
         return tuple(d.blocks for d in known[p].designs)
-    if node.kind in ("leaf_trivial", "decompose"):
-        total = gaussian_binomial(p.v, p.k)
-        if total > size_guard:
-            raise ValueError(
-                f"{node.kind} node for {p} would materialize {total} subspaces; "
-                f"raise the size guard to proceed"
-            )
-    children = [_eval_node(c, known, size_guard) for c in node.children]
     if node.kind == "leaf_trivial":
         return (frozenset(enumerate_grassmannian(p.v, p.k)),) + (frozenset(),) * (p.n - 1)
     if node.kind in TRANSFORMS or node.kind == "hyperplane_extend":
-        operands = [
-            large_set(c.params.v, c.params.k, c.params.t, parts)
-            for c, parts in zip(node.children, children)
-        ]
+        operands = [large_set(c.params.v, c.params.k, c.params.t, parts)
+                    for c, parts in zip(node.children, children)]
         if node.kind == "hyperplane_extend":
             out = extend_by_hyperplane(*operands)
         else:

@@ -475,6 +475,17 @@ def test_header_value_errors_name_the_file(tmp_path, token):
             reader(path)
 
 
+def test_repeated_header_key_names_the_file_and_key(tmp_path):
+    manifest = tmp_path / "ls.txt"
+    write_large_set(manifest, chunked_large_set(4, 2, 5))
+    member = tmp_path / "ls_design1.txt"
+    for path, reader in ((manifest, read_large_set), (member, read_design)):
+        header, _, rest = path.read_text().partition("\n")
+        path.write_text(f"{header} v=5\n{rest}")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: header repeats v=")):
+            reader(path)
+
+
 def test_large_set_file_header_mismatch(tmp_path):
     ls = chunked_large_set(4, 2, 5)
     manifest = tmp_path / "ls.txt"

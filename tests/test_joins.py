@@ -1,9 +1,10 @@
 """Tests for the join construction and the plan executor."""
 
+import gc
 import sys
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qdesigns import joins
@@ -16,6 +17,7 @@ from qdesigns.designs import (
     t_subspace_counts,
     verify_large_set,
 )
+from qdesigns.gf2 import vec_mat
 from qdesigns.grassmann import (
     QuotientFrame,
     Subspace,
@@ -38,7 +40,7 @@ from qdesigns.joins import (
 )
 from qdesigns.planner import LSParams, PlanNode, plan_series
 
-from oracles import intersection, subspace_sum, zero_subspace
+from oracles import avoiding_join_by_spans, intersection, subspace_sum, zero_subspace
 
 
 def params(t: int, k: int, v: int) -> LSParams:
@@ -58,6 +60,12 @@ def line_large_set() -> LargeSet:
         Design(2, 1, 0, 1, frozenset([s])) for s in lines_of_plane()
     )
     return LargeSet(2, 1, 0, 3, designs)
+
+
+def cell_size(cell: joins.DecompositionCell) -> int:
+    """Factor pairs times the 2^((u1 - k1) * (k2 - u1)) = 2^((s + 1) * (k - i)) joins of each."""
+    (a1, d1), (a2, d2) = cell.first_grassmannian, cell.second_grassmannian
+    return gaussian_binomial(a1, d1) * gaussian_binomial(a2, d2) << (cell.s + 1) * d2
 
 
 def trivial_large_set(v: int, k: int) -> LargeSet:
@@ -89,6 +97,20 @@ def join_operands(draw):
     u2 = span(v, u1.rows + tuple(draw(vectors)))
     k1 = span(v, draw(st.lists(st.sampled_from(u1.vectors()), max_size=u1.dim)))
     k2 = span(v, u2.rows + tuple(draw(vectors)))
+    return k1, k2, u1, u2
+
+
+@st.composite
+def proper_flag_operands(draw):
+    """K1 <= U1 < U2 <= K2 in one GF(2)^v, v <= 8, with at most 2^10 join members."""
+    v = draw(st.integers(2, 8))
+    vector = st.integers(0, (1 << v) - 1)
+    u1 = span(v, draw(st.lists(vector, max_size=v - 1)))
+    outside = draw(st.sampled_from([x for x in range(1 << v) if x not in u1]))
+    u2 = span(v, u1.rows + (outside,) + tuple(draw(st.lists(vector, max_size=2))))
+    k1 = span(v, draw(st.lists(st.sampled_from(u1.vectors()), max_size=u1.dim)))
+    k2 = span(v, u2.rows + tuple(draw(st.lists(vector, max_size=2))))
+    assume((u1.dim - k1.dim) * (k2.dim - u1.dim) <= 10)
     return k1, k2, u1, u2
 
 
@@ -134,6 +156,24 @@ class TestAvoidingJoin:
         }
         assert out == brute
 
+    @pytest.mark.parametrize("s", range(4))
+    def test_matches_one_span_per_member_on_cells(self, s):
+        # every (k1, k2) pair that materialize_cell joins, read as join_sets reads it
+        for cell in grassmann_decomposition(7, 3, s):
+            (a1, d1), (a2, d2) = cell.first_grassmannian, cell.second_grassmannian
+            u1, top = cell.chain.u1, cell.chain.top
+            for f in enumerate_grassmannian(a1, d1):
+                k1 = span(7, [vec_mat(r, u1.rows) for r in f.rows])
+                for g in enumerate_grassmannian(a2, d2):
+                    k2 = top.lift_preimage(g)
+                    assert avoiding_join(k1, k2, cell.chain) == avoiding_join_by_spans(k1, k2, u1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(proper_flag_operands())
+    def test_proper_flags_match_one_span_per_member(self, operands):
+        k1, k2, u1, u2 = operands
+        assert avoiding_join(k1, k2, join_chain(u1, u2)) == avoiding_join_by_spans(k1, k2, u1)
+
     def test_operand_validation(self):
         chain = join_chain(standard_flag_subspace(4, 1), standard_flag_subspace(4, 2))
         with pytest.raises(ValueError):
@@ -170,6 +210,36 @@ class TestJoinSets:
                 seen |= img
         assert len(seen) == len(join_sets(b1, b2, chain))
 
+    def test_no_collection_inside_join_sets(self):
+        # like test_catalog's bulk-call test, on the largest cell of [7 3]_2:
+        # 1,395 avoiding joins make 11,160 blocks
+        cell = grassmann_decomposition(7, 3, 0)[0]
+        (a1, d1), (a2, d2) = cell.first_grassmannian, cell.second_grassmannian
+        b1 = [Subspace(a1 + 1, s.rows) for s in enumerate_grassmannian(a1, d1)]
+        b2 = list(enumerate_grassmannian(a2, d2))
+        collections = []
+
+        def watch(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        was_on = gc.isenabled()
+        gc.enable()
+        try:
+            gc.callbacks.append(watch)
+            try:
+                members = join_sets(b1, b2, cell.chain)
+            finally:
+                gc.callbacks.remove(watch)
+            assert collections == [] and gc.isenabled()
+            assert len(members) == cell_size(cell)
+            gc.collect()
+            assert materialize_cell(cell) == members
+            assert gc.collect() == 0  # the join leaves no reference cycles behind
+        finally:
+            if not was_on:
+                gc.disable()
+
     def test_coordinate_validation(self):
         chain = join_chain(standard_flag_subspace(4, 2), standard_flag_subspace(4, 2))
         with pytest.raises(ValueError):
@@ -184,8 +254,8 @@ class TestJoinSets:
 class TestDecomposition:
     def test_cell_sizes_dim6(self):
         cells = grassmann_decomposition(6, 3, 1)
-        assert [c.size for c in cells] == [960, 336, 84, 15]
-        assert sum(c.size for c in cells) == gaussian_binomial(6, 3)
+        assert [cell_size(c) for c in cells] == [960, 336, 84, 15]
+        assert sum(cell_size(c) for c in cells) == gaussian_binomial(6, 3)
 
     def test_materialized_cells_partition_dim6(self):
         cells = grassmann_decomposition(6, 3, 1)
@@ -193,7 +263,7 @@ class TestDecomposition:
         total = 0
         for cell in cells:
             mat = materialize_cell(cell)
-            assert len(mat) == cell.size
+            assert len(mat) == cell_size(cell)
             total += len(mat)
             union |= mat
         assert total == len(union) == gaussian_binomial(6, 3)
@@ -238,8 +308,8 @@ class TestDecomposition:
 
     def test_full_dim8_offset3(self):
         cells = grassmann_decomposition(8, 4, 3)
-        assert [c.size for c in cells] == [65536, 61440, 39680, 22320, 11811]
-        assert sum(c.size for c in cells) == 200787
+        assert [cell_size(c) for c in cells] == [65536, 61440, 39680, 22320, 11811]
+        assert sum(cell_size(c) for c in cells) == 200787
 
 
 class TestPartitionedSet:
@@ -406,6 +476,30 @@ def small_plan() -> PlanNode:
     )
 
 
+def mixed_plan() -> PlanNode:
+    """(0,3,6) by offset-1 decomposition; the dim-4 factors are built
+    in-plan as duals of the (0,1,4) decomposition result."""
+    dual_node = PlanNode("dual", params(0, 3, 4), children=(small_plan(),))
+    leaf_t = lambda t, k, v: PlanNode("leaf_trivial", params(t, k, v))
+    leaf = PlanNode("leaf_table", params(0, 1, 2))
+    return PlanNode(
+        "decompose",
+        params(0, 3, 6),
+        s=1,
+        cell_strengths=((-1, 0), (0, -1), (-1, 0), (0, -1)),
+        children=(
+            leaf_t(-1, 0, 1),
+            dual_node,
+            leaf,
+            leaf_t(-1, 2, 3),
+            leaf_t(-1, 2, 3),
+            leaf,
+            dual_node,
+            leaf_t(-1, 0, 1),
+        ),
+    )
+
+
 class TestExecutePlan:
     def test_leaf_passthrough(self):
         plan = PlanNode("leaf_table", params(0, 1, 2))
@@ -418,30 +512,36 @@ class TestExecutePlan:
         assert verify_large_set(ls).lam == 5
 
     def test_mixed_kind_tree(self):
-        # (0,3,6) by offset-1 decomposition; the dim-4 factors are built
-        # in-plan as duals of the (0,1,4) decomposition result
-        inner = small_plan()
-        dual_node = PlanNode("dual", params(0, 3, 4), children=(inner,))
-        leaf_t = lambda t, k, v: PlanNode("leaf_trivial", params(t, k, v))
-        leaf = PlanNode("leaf_table", params(0, 1, 2))
-        plan = PlanNode(
-            "decompose",
-            params(0, 3, 6),
-            s=1,
-            cell_strengths=((-1, 0), (0, -1), (-1, 0), (0, -1)),
-            children=(
-                leaf_t(-1, 0, 1),
-                dual_node,
-                leaf,
-                leaf_t(-1, 2, 3),
-                leaf_t(-1, 2, 3),
-                leaf,
-                dual_node,
-                leaf_t(-1, 0, 1),
-            ),
-        )
-        ls = execute_plan(plan, [line_large_set()])
+        ls = execute_plan(mixed_plan(), [line_large_set()])
         assert (ls.v, ls.k, ls.t, ls.n) == (6, 3, 0, 3)
+        assert verify_large_set(ls).lam == 465
+
+    def test_shared_leaf_built_once(self, monkeypatch):
+        # small_plan's one leaf_trivial object is a factor of cells 0 and 1
+        calls = []
+
+        def counting(v, k):
+            calls.append((v, k))
+            return enumerate_grassmannian(v, k)
+
+        monkeypatch.setattr(joins, "enumerate_grassmannian", counting)
+        ls = execute_plan(small_plan(), [line_large_set()])
+        assert calls == [(1, 0)]
+        assert verify_large_set(ls).lam == 5
+
+    def test_shared_subplan_built_once(self, monkeypatch):
+        # mixed_plan's one dual node, over a decompose subplan, is a factor
+        # of cells 0 and 3
+        calls = []
+        dual = joins.TRANSFORMS["dual"]
+
+        def counting(ls, verify):
+            calls.append((ls.k, ls.v))
+            return dual(ls, verify=verify)
+
+        monkeypatch.setitem(joins.TRANSFORMS, "dual", counting)
+        ls = execute_plan(mixed_plan(), [line_large_set()])
+        assert calls == [(1, 4)]
         assert verify_large_set(ls).lam == 465
 
     def test_missing_leaves_reported_upfront(self):
