@@ -26,7 +26,6 @@ from .joins import (
     extend_by_hyperplane,
     grassmann_decomposition,
     join_chain,
-    join_sets,
 )
 from .kramer_mesner import build_km, iterated_large_set_search, solve_exact
 from .planner import (
@@ -61,7 +60,6 @@ __all__ = [
     "grassmann_decomposition",
     "iterated_large_set_search",
     "join_chain",
-    "join_sets",
     "orbit_partition",
     "plan_series",
     "realizable_by_series",

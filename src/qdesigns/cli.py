@@ -363,8 +363,8 @@ def _load_registry(directory: Optional[str], use_builtin: bool, run: _Run) -> li
 
 
 def _cmd_construct(args) -> int:
+    plan = plan_series(args.k, args.v)  # rejects the target before _Run makes the directory
     run = _Run(args, "construct", k=args.k, v=args.v, size_guard=args.size_guard)
-    plan = plan_series(args.k, args.v)
     registry = _load_registry(args.registry, args.builtin, run)
     write_plan_file(os.path.join(args.out, "plan.txt"), plan)
     run.output("plan.txt")

@@ -224,15 +224,19 @@ def enumerate_grassmannian(v: int, k: int) -> Iterator[Subspace]:
     if k < 0 or k > v:
         return
     for _, base, cells in _pivot_sets(v, k):
-        for assignment in range(1 << len(cells)):
-            rows = list(base)
-            bits = assignment
-            while bits:
-                low = bits & -bits
-                i, mask = cells[low.bit_length() - 1]
-                rows[i] |= mask
-                bits ^= low
-            yield Subspace(v, rows)
+        for bits in range(1 << len(cells)):
+            yield Subspace(v, _filled(base, cells, bits))
+
+
+def _filled(base: tuple[int, ...], cells: tuple[tuple[int, int], ...], bits: int) -> list[int]:
+    """The rows of a pivot set with free cell j set for each set bit j of ``bits``."""
+    rows = list(base)
+    while bits:
+        low = bits & -bits
+        i, mask = cells[low.bit_length() - 1]
+        rows[i] |= mask
+        bits ^= low
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -295,14 +299,7 @@ def grassmannian_unrank(v: int, k: int, rank: int) -> Subspace:
         raise ValueError(f"rank {rank} outside [0, [{v} {k}]_2)")
     sets = _pivot_sets(v, k)
     offset, base, cells = sets[bisect_right(sets, rank, key=itemgetter(0)) - 1]
-    rows = list(base)
-    bits = rank - offset
-    while bits:
-        low = bits & -bits
-        i, mask = cells[low.bit_length() - 1]
-        rows[i] |= mask
-        bits ^= low
-    return Subspace(v, rows)
+    return Subspace(v, _filled(base, cells, rank - offset))
 
 
 class QuotientFrame:

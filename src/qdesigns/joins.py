@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import and_, neg
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .designs import (
     TRANSFORMS,
@@ -56,7 +56,6 @@ __all__ = [
     "MissingLeafError",
     "join_chain",
     "avoiding_join",
-    "join_sets",
     "grassmann_decomposition",
     "materialize_cell",
     "compose_partitions",
@@ -148,44 +147,6 @@ def _grow(nodes: Iterable[Sequence[int]], c: int, shifts: Sequence[int]) -> Iter
             yield grown
 
 
-@_nogc
-def join_sets(
-    b1: Iterable[Subspace], b2: Iterable[Subspace], chain: JoinChain
-) -> frozenset[Subspace]:
-    """Union of joins over all pairs, operands given in local coordinates.
-
-    Members of ``b1`` live in GF(2)^dim(U1) (they are read through U1's
-    basis); members of ``b2`` live in the quotient coordinates of V/U2.
-    Distinct pairs yield disjoint join families, so the result size is
-    exactly |b1| * |b2| * 2^((u1 - k1) * (k2 - u1)).
-    """
-    b1 = list(b1)
-    b2 = list(b2)
-    if not b1 or not b2:
-        return frozenset()
-    u1, top = chain.u1, chain.top
-    if any(s.v != u1.dim for s in b1):
-        raise ValueError("first operands must use u1's local coordinates")
-    if any(s.v != top.dim for s in b2):
-        raise ValueError("second operands must use the top quotient's coordinates")
-    k1 = b1[0].dim
-    if any(s.dim != k1 for s in b1):
-        raise ValueError("first operands must share a dimension")
-    k2 = b2[0].dim + chain.u2.dim
-    if any(s.dim + chain.u2.dim != k2 for s in b2):
-        raise ValueError("second operands must share a dimension")
-
-    globals1 = [span(chain.v, [vec_mat(r, u1.rows) for r in s.rows]) for s in b1]
-    globals2 = [top.lift_preimage(s) for s in b2]
-    out = frozenset(itertools.chain.from_iterable(
-        avoiding_join(g1, g2, chain) for g1 in globals1 for g2 in globals2
-    ))
-    expect = len(b1) * len(b2) * (1 << ((u1.dim - k1) * (k2 - u1.dim)))
-    if len(out) != expect:
-        raise VerificationError(f"joined set has {len(out)} members, expected {expect}")
-    return out
-
-
 @dataclass(frozen=True)
 class DecompositionCell:
     """One cell of the flag decomposition of a Grassmannian.
@@ -231,47 +192,73 @@ def materialize_cell(cell: DecompositionCell) -> frozenset[Subspace]:
     a2, d2 = cell.second_grassmannian
     # First factors live one dimension below U1; pad the ambient space so
     # the flag prefix of dimension a1 inside U1 carries them.
-    b1 = [Subspace(a1 + 1, s.rows) for s in enumerate_grassmannian(a1, d1)]
-    b2 = list(enumerate_grassmannian(a2, d2))
-    return join_sets(b1, b2, cell.chain)
+    first = (Subspace(a1 + 1, s.rows) for s in enumerate_grassmannian(a1, d1))
+    return compose_partitions([first], [enumerate_grassmannian(a2, d2)], cell.chain, -1)[0]
 
 
+def _lifted(
+    parts: Iterable[Iterable[Subspace]], dim: int, lift: Callable[[Subspace], Subspace], what: str
+) -> list[list[Subspace]]:
+    """Each part's operands in ambient coordinates, once their local ones are checked."""
+    local = [list(part) for part in parts]
+    if any(s.v != dim for part in local for s in part):
+        raise ValueError(f"{what} operands must use {dim}-dimensional local coordinates")
+    if len({s.dim for part in local for s in part}) > 1:
+        raise ValueError(f"{what} operands must share a dimension")
+    return [[lift(s) for s in part] for part in local]
+
+
+@_nogc
 def compose_partitions(
-    parts1: Sequence[frozenset[Subspace]],
-    parts2: Sequence[frozenset[Subspace]],
+    parts1: Sequence[Iterable[Subspace]],
+    parts2: Sequence[Iterable[Subspace]],
     chain: JoinChain,
     t: int,
 ) -> tuple[frozenset[Subspace], ...]:
     """Join two partitions part-by-part, adding indices modulo n.
 
-    Part m of the result collects the joins of part i of ``parts1`` with
-    part j of ``parts2`` over all i + j = m (mod n).  Operands use the
-    local coordinates of join_sets.  ``t`` is the strength t1 + t2 + 1
-    the parts should share (t = -1 claims none).  It is checked, not
-    assumed; a failure here means the composition convention is wrong
-    for the operands, so it raises rather than returning a bad partition.
-    The parts are also checked to be pairwise disjoint: counting within
-    each part cannot see a subspace that lands in two parts.
+    Part m of the result is the union of the avoiding joins of every
+    member of part i of ``parts1`` with every member of part j of
+    ``parts2``, over all i + j = m (mod n).  Members of ``parts1`` live
+    in GF(2)^dim(U1) (they are read through U1's basis); members of
+    ``parts2`` live in the quotient coordinates of V/U2.  Each is lifted
+    into GF(2)^v once.  Distinct pairs yield disjoint join families, so
+    part m has exactly sum_i |part i| * |part j| * 2^((u1 - k1) * (k2 - u1))
+    members.  ``t`` is the strength t1 + t2 + 1 the parts should share
+    (t = -1 claims none).  It is checked, not assumed; a failure here
+    means the composition convention is wrong for the operands, so it
+    raises rather than returning a bad partition.  The parts are also
+    checked to be pairwise disjoint: counting within each part cannot
+    see a subspace that lands in two parts.
     """
     n = len(parts1)
     if len(parts2) != n:
         raise ValueError("operands must have the same number of parts")
-    buckets: list[set[Subspace]] = [set() for _ in range(n)]
-    placed = 0
-    for i, part1 in enumerate(parts1):
-        for j, part2 in enumerate(parts2):
-            joined = join_sets(part1, part2, chain)
-            buckets[(i + j) % n] |= joined
-            placed += len(joined)
-    if sum(len(b) for b in buckets) != placed:
-        raise VerificationError("join images collided")
-    # popped, each set is freed as soon as it is frozen
-    parts = tuple(_frozen(buckets.pop(0)) for _ in range(n))
+    u1, top = chain.u1, chain.top
+    first = _lifted(
+        parts1, u1.dim, lambda s: span(chain.v, [vec_mat(r, u1.rows) for r in s.rows]), "first"
+    )
+    second = _lifted(parts2, top.dim, top.lift_preimage, "second")
+    # a side with no operands makes every count 0; u1.dim keeps the shift >= 0
+    k1 = next((s.dim for part in first for s in part), u1.dim)
+    k2 = next((s.dim for part in second for s in part), u1.dim)
+    per_pair = 1 << ((u1.dim - k1) * (k2 - u1.dim))
+    parts = tuple(
+        frozenset(itertools.chain.from_iterable(
+            avoiding_join(g1, g2, chain)
+            for i in range(n) for g1 in first[i] for g2 in second[(m - i) % n]
+        ))
+        for m in range(n)
+    )
+    for m, part in enumerate(parts):
+        expect = per_pair * sum(len(first[i]) * len(second[(m - i) % n]) for i in range(n))
+        if len(part) != expect:
+            raise VerificationError(f"part {m} has {len(part)} members, expected {expect}")
     check_disjoint(parts)
     if t >= 0:
-        first = t_subspace_counts(parts[0], t)
+        counts = t_subspace_counts(parts[0], t)
         for i in range(1, n):
-            if t_subspace_counts(parts[i], t) != first:
+            if t_subspace_counts(parts[i], t) != counts:
                 raise VerificationError(
                     f"composition failed the {t}-equivalence check (wrong part-index"
                     f" convention or operands): parts 0 and {i} are not {t}-equivalent"
@@ -429,8 +416,8 @@ def _eval_node(
             cells, node.cell_strengths, children[::2], children[1::2]
         ):
             a1 = cell.first_grassmannian[0]
-            lifted = [frozenset(Subspace(a1 + 1, s.rows) for s in part) for part in first]
-            composed = compose_partitions(lifted, second, cell.chain, t1 + t2 + 1)
+            padded = [(Subspace(a1 + 1, s.rows) for s in part) for part in first]
+            composed = compose_partitions(padded, second, cell.chain, t1 + t2 + 1)
             for bucket, part in zip(buckets, composed):
                 bucket |= part
         return tuple(_frozen(buckets.pop(0)) for _ in range(p.n))

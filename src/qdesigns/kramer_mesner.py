@@ -364,6 +364,9 @@ def design_from_selection(
 
 
 def _check_seed(system: KMSystem, lam: int, chosen: frozenset[int]) -> None:
+    bad = [j for j in chosen if not 0 <= j < system.n_cols]
+    if bad:
+        raise ValueError(f"seed column out of range: {sorted(bad)}")
     for i in range(system.n_rows):
         got = sum(system.matrix[i][j] for j in chosen)
         if got != lam:

@@ -369,6 +369,15 @@ class TestKmLsSearch:
         params = manifest(tmp_path / "r")["parameters"]
         assert (params["status"], params["nodes"]) == ("exhausted", 55)
 
+    def test_seed_columns_outside_the_system(self, tmp_path):
+        # column -1 is rejected, not read as the system's last column
+        code = main(
+            ["km", "ls-search", "--v", "4", "--k", "2", "--t", "1",
+             "--N", "7", "--group", "trivial", "--seed-columns=-1 0 7 9 14",
+             "--out", str(tmp_path / "r")]
+        )
+        assert code == 4
+
     def test_bad_seed_file(self, tmp_path):
         code = main(
             ["km", "ls-search", "--v", "4", "--k", "2", "--t", "1",
@@ -405,6 +414,7 @@ class TestConstruct:
     def test_unrealizable_target(self, tmp_path):
         assert main(["construct", "--k", "3", "--v", "9",
                      "--out", str(tmp_path / "c")]) == 4
+        assert not (tmp_path / "c").exists()  # rejected before the run starts
 
     def test_force_size_is_rejected(self, tmp_path):
         # a larger --size-guard is the one way past the size limit

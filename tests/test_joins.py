@@ -35,7 +35,6 @@ from qdesigns.joins import (
     extend_by_hyperplane,
     grassmann_decomposition,
     join_chain,
-    join_sets,
     materialize_cell,
 )
 from qdesigns.planner import LSParams, PlanNode, plan_series
@@ -158,7 +157,7 @@ class TestAvoidingJoin:
 
     @pytest.mark.parametrize("s", range(4))
     def test_matches_one_span_per_member_on_cells(self, s):
-        # every (k1, k2) pair that materialize_cell joins, read as join_sets reads it
+        # every (k1, k2) pair that materialize_cell joins, lifted as compose_partitions lifts it
         for cell in grassmann_decomposition(7, 3, s):
             (a1, d1), (a2, d2) = cell.first_grassmannian, cell.second_grassmannian
             u1, top = cell.chain.u1, cell.chain.top
@@ -185,17 +184,20 @@ class TestAvoidingJoin:
 
 
 class TestJoinSets:
+    """Joins of whole operand sets: compose_partitions with one part per side."""
+
     def test_cardinality_formula(self):
         chain = join_chain(standard_flag_subspace(4, 2), standard_flag_subspace(4, 2))
         b1 = list(enumerate_grassmannian(2, 1))
         b2 = list(enumerate_grassmannian(2, 1))
-        out = join_sets(b1, b2, chain)
+        (out,) = compose_partitions([b1], [b2], chain, -1)
         assert len(out) == 3 * 3 * (1 << ((2 - 1) * (3 - 2)))
         assert all(s.v == 4 and s.dim == 2 for s in out)
 
     def test_empty_operand(self):
         chain = join_chain(standard_flag_subspace(4, 2), standard_flag_subspace(4, 2))
-        assert join_sets([], list(enumerate_grassmannian(2, 1)), chain) == frozenset()
+        out = compose_partitions([[]], [enumerate_grassmannian(2, 1)], chain, -1)
+        assert out == (frozenset(),)
 
     def test_pairwise_disjoint_images_in_dim5(self):
         # distinct operand pairs cannot produce the same subspace
@@ -205,18 +207,20 @@ class TestJoinSets:
         seen = set()
         for s1 in b1:
             for s2 in b2:
-                img = join_sets([s1], [s2], chain)
+                (img,) = compose_partitions([[s1]], [[s2]], chain, -1)
                 assert not (seen & img)
                 seen |= img
-        assert len(seen) == len(join_sets(b1, b2, chain))
+        assert len(seen) == len(compose_partitions([b1], [b2], chain, -1)[0])
 
-    def test_no_collection_inside_join_sets(self):
+    def test_no_collection_inside_compose_partitions(self):
         # like test_catalog's bulk-call test, on the largest cell of [7 3]_2:
-        # 1,395 avoiding joins make 11,160 blocks
+        # 1,395 avoiding joins make 11,160 blocks.  No tracked object may be
+        # allocated outside the paused call while the watch is on: with the
+        # collector back on, the first one sets off a collection
         cell = grassmann_decomposition(7, 3, 0)[0]
         (a1, d1), (a2, d2) = cell.first_grassmannian, cell.second_grassmannian
-        b1 = [Subspace(a1 + 1, s.rows) for s in enumerate_grassmannian(a1, d1)]
-        b2 = list(enumerate_grassmannian(a2, d2))
+        parts1 = [[Subspace(a1 + 1, s.rows) for s in enumerate_grassmannian(a1, d1)]]
+        parts2 = [list(enumerate_grassmannian(a2, d2))]
         collections = []
 
         def watch(phase, info):
@@ -226,12 +230,14 @@ class TestJoinSets:
         was_on = gc.isenabled()
         gc.enable()
         try:
+            gc.collect()
             gc.callbacks.append(watch)
             try:
-                members = join_sets(b1, b2, cell.chain)
+                out = compose_partitions(parts1, parts2, cell.chain, -1)
             finally:
                 gc.callbacks.remove(watch)
             assert collections == [] and gc.isenabled()
+            (members,) = out  # unpacking allocates, so it waits for the watch to end
             assert len(members) == cell_size(cell)
             gc.collect()
             assert materialize_cell(cell) == members
@@ -242,13 +248,18 @@ class TestJoinSets:
 
     def test_coordinate_validation(self):
         chain = join_chain(standard_flag_subspace(4, 2), standard_flag_subspace(4, 2))
-        with pytest.raises(ValueError):
-            join_sets(list(enumerate_grassmannian(3, 1)), [zero_subspace(2)], chain)
-        with pytest.raises(ValueError):
-            join_sets([zero_subspace(2)], list(enumerate_grassmannian(3, 1)), chain)
+        with pytest.raises(ValueError, match="first operands"):
+            compose_partitions([enumerate_grassmannian(3, 1)], [[zero_subspace(2)]], chain, -1)
+        with pytest.raises(ValueError, match="second operands"):
+            compose_partitions([[zero_subspace(2)]], [enumerate_grassmannian(3, 1)], chain, -1)
         mixed = [span(2, [1]), zero_subspace(2)]
-        with pytest.raises(ValueError):
-            join_sets(mixed, [zero_subspace(2)], chain)
+        with pytest.raises(ValueError, match="first operands must share"):
+            compose_partitions([mixed], [[zero_subspace(2)]], chain, -1)
+        with pytest.raises(ValueError, match="second operands must share"):
+            compose_partitions([[zero_subspace(2)]], [mixed], chain, -1)
+        # one dimension across all parts, not only within each
+        with pytest.raises(ValueError, match="first operands must share"):
+            compose_partitions([mixed[:1], mixed[1:]], [[zero_subspace(2)], []], chain, -1)
 
 
 class TestDecomposition:
@@ -542,6 +553,22 @@ class TestExecutePlan:
         monkeypatch.setitem(joins.TRANSFORMS, "dual", counting)
         ls = execute_plan(mixed_plan(), [line_large_set()])
         assert calls == [(1, 4)]
+        assert verify_large_set(ls).lam == 465
+
+    def test_each_operand_lifted_once(self, monkeypatch):
+        # mixed_plan's decompose nodes lift 30 distinct (frame, operand)
+        # pairs; each compose_partitions call lifts each one once, not once
+        # per part it is paired with
+        calls = []
+        lift = QuotientFrame.lift_preimage
+
+        def counting(frame, s):
+            calls.append((frame.sup, frame.sub, s))
+            return lift(frame, s)
+
+        monkeypatch.setattr(QuotientFrame, "lift_preimage", counting)
+        ls = execute_plan(mixed_plan(), [line_large_set()])
+        assert len(calls) == len(set(calls)) == 30
         assert verify_large_set(ls).lam == 465
 
     def test_missing_leaves_reported_upfront(self):

@@ -487,6 +487,15 @@ def test_iterated_rejects_bad_seeds():
         iterated_large_set_search(sys, 7, seed_selections=[seed, seed])
 
 
+def test_iterated_rejects_seed_columns_outside_the_system():
+    # column -1 must not be read as the last column, nor 35 past the end
+    sys = build_km(4, 1, 2, trivial_group(4))
+    with pytest.raises(ValueError, match=r"out of range: \[-1\]"):
+        iterated_large_set_search(sys, 7, seed_selections=[{-1, 0, 7, 9, 14}])
+    with pytest.raises(ValueError, match=r"out of range: \[35\]"):
+        iterated_large_set_search(sys, 7, seed_selections=[{0, 7, 9, 14, 35}])
+
+
 def test_seeded_tables_force_third_round():
     # with two of the three shipped solutions fixed, the third is the
     # complement and propagation finds it without branching
