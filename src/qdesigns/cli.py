@@ -94,8 +94,9 @@ class _Run:
 
     The constructor checks the output location: a directory output must
     be empty, and a file output may replace neither that file nor a
-    manifest.json in its directory.  --force allows both.  finish() ends
-    every run: it writes the manifest and reports the outcome.
+    manifest.json in its directory.  --force allows both.  path() makes the
+    directory at the first write, so a run rejected before it leaves none.
+    finish() ends every run: it writes the manifest and reports the outcome.
     """
 
     def __init__(self, args: argparse.Namespace, subcommand: str,
@@ -111,7 +112,6 @@ class _Run:
                 f"output directory {self.dir} is not empty")
         if clash and not args.force:
             raise CliError(EXIT_IO, f"{clash} (use --force)")
-        os.makedirs(self.dir, exist_ok=True)
         self.record = {
             "subcommand": subcommand,
             "parameters": params,
@@ -124,6 +124,11 @@ class _Run:
         if self.deterministic:
             params["deterministic"] = True
         self.t0 = time.monotonic()
+
+    def path(self, name: str) -> str:
+        """Where to write name in the output directory, which this makes if it is missing."""
+        os.makedirs(self.dir, exist_ok=True)
+        return os.path.join(self.dir, name)
 
     def param(self, **kwargs) -> None:
         self.record["parameters"].update(kwargs)
@@ -153,14 +158,14 @@ class _Run:
                               prefix: str = "") -> None:
         """name plus <prefix>design1.txt .. <prefix>designN.txt, all recorded as outputs."""
         rels = [f"{prefix}design{i + 1}.txt" for i in range(ls.n)]
-        write_large_set(os.path.join(self.dir, name), ls, rels)
+        write_large_set(self.path(name), ls, rels)
         self.output(*rels, name)
 
     def finish(self, code: int, message: str) -> int:
         """Write the manifest and report the outcome; exit 4 goes out as a CliError."""
         if not self.deterministic:
             self.record["wall_time_s"] = round(time.monotonic() - self.t0, 3)
-        with open(os.path.join(self.dir, "manifest.json"), "w", encoding="ascii") as fh:
+        with open(self.path("manifest.json"), "w", encoding="ascii") as fh:
             json.dump(self.record, fh, indent=2, sort_keys=True)
             fh.write("\n")
         if code == EXIT_IO:
@@ -204,7 +209,7 @@ def _cmd_decode(args) -> int:
     if args.design is not None:
         d = catalog.builtin_design(args.design, verify=False)
         rel = f"design{args.design}.txt"
-        write_design(os.path.join(args.out, rel), d)
+        write_design(run.path(rel), d)
         run.output(rel)
         if not args.no_verify:
             verify_design(d)
@@ -267,8 +272,8 @@ def _cmd_transform(args) -> int:
 
 def _cmd_km_build(args) -> int:
     run, system = _km_run(args, "km build", True)
-    write_km_system(system, args.out)
     rel = os.path.basename(args.out)
+    write_km_system(system, run.path(rel))
     run.output(rel, rel + ".treps", rel + ".kreps")
     run.param(group_order=system.group.order, rows=system.n_rows, cols=system.n_cols,
               lambda_max=system.lambda_max)
@@ -289,8 +294,8 @@ def _cmd_km_solve(args) -> int:
         return run.finish(EXIT_VERIFIED_FAIL,
                           f"no design with lambda={args.lam} admits this group (proved)")
     design = design_from_selection(system, result.selection, args.lam, verify=True)
-    write_design(os.path.join(args.out, "design.txt"), design)
-    with open(os.path.join(args.out, "selection.txt"), "w", encoding="ascii") as fh:
+    write_design(run.path("design.txt"), design)
+    with open(run.path("selection.txt"), "w", encoding="ascii") as fh:
         fh.write(" ".join(str(j) for j in sorted(result.selection.chosen)) + "\n")
     run.output("design.txt", "selection.txt")
     run.design_verdict("design.txt", design)
@@ -363,10 +368,10 @@ def _load_registry(directory: Optional[str], use_builtin: bool, run: _Run) -> li
 
 
 def _cmd_construct(args) -> int:
-    plan = plan_series(args.k, args.v)  # rejects the target before _Run makes the directory
+    plan = plan_series(args.k, args.v)
     run = _Run(args, "construct", k=args.k, v=args.v, size_guard=args.size_guard)
     registry = _load_registry(args.registry, args.builtin, run)
-    write_plan_file(os.path.join(args.out, "plan.txt"), plan)
+    write_plan_file(run.path("plan.txt"), plan)
     run.output("plan.txt")
     try:
         ls = execute_plan(plan, registry, size_guard=args.size_guard)

@@ -12,16 +12,19 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import and_, eq, itemgetter, lt, neg, or_, xor
-from typing import Iterable, Optional, Sequence
+from functools import lru_cache, partial, reduce
+from itertools import chain, compress, groupby, islice, repeat
+from operator import and_, eq, itemgetter, lt, neg, not_, or_, rshift
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .grassmann import (
     Subspace,
+    _complements,
+    _from_columns,
     _nogc,
+    _span_columns,
     enumerate_grassmannian,
     gaussian_binomial,
-    orthogonal_complement,
     span,
 )
 
@@ -84,7 +87,7 @@ class LargeSetReport:
     grassmannian_size: int
 
 
-_COUNT_BATCH = 1 << 16  # span-table entries per batch in t_subspace_counts
+_COUNT_BATCH = 1 << 16  # span-table entries per chunk of _chunks
 
 
 @lru_cache(maxsize=None)
@@ -125,23 +128,34 @@ def _rref_columns(cols: Sequence[Sequence[int]]) -> bool:
     )
 
 
-def _count_batch(counts: Counter, batch: list[Subspace], k: int, t: int) -> None:
-    """Adds the t-subspaces of a batch of k-blocks to counts, column by column.
+def _chunks(blocks: Iterable[Subspace]) -> Iterator[list[Subspace]]:
+    """The blocks in lists of one dimension k, each of at most max(_COUNT_BATCH >> k, 1) blocks.
 
-    Column x of the span tables holds entry x of every block's table
-    (column 2^i is row i), built by one map over two earlier columns.
+    A cut of the stream that mixes dimensions is split by dimension and cut again.
     """
+    it = iter(blocks)
+    for first in it:
+        chunk = [first, *islice(it, max(_COUNT_BATCH >> (len(first) - 1), 1) - 1)]
+        if len(set(map(len, chunk))) == 1:
+            yield chunk
+        else:
+            for _, part in groupby(sorted(chunk, key=len), len):
+                yield from _chunks(part)
+
+
+def _batched(kernel: Callable[..., Iterable[Subspace]], blocks: Iterable[Subspace], *args) -> Iterator[Subspace]:
+    """kernel(chunk, *args) on each chunk of _chunks(blocks), chained."""
+    return chain.from_iterable(kernel(chunk, *args) for chunk in _chunks(blocks))
+
+
+def _count_batch(counts: Counter, batch: list[Subspace], t: int) -> None:
+    """Adds the t-subspaces of a chunk of blocks to counts, from span-table columns."""
     cols = list(zip(*batch))[1:]  # column 0 holds every block's v
     if not _rref_columns(cols):
         block = next(b for b in batch if not _is_rref(b.rows))
         raise VerificationError(f"block rows are not in RREF: {block}", witness=block)
-    if k < t:
-        return
-    table: list = [None] * (1 << k)
-    for x in range(1, 1 << k):
-        low = x & -x
-        table[x] = cols[low.bit_length() - 1] if x == low else list(map(xor, table[x ^ low], table[low]))
-    for c_rows in _local_t_subspace_rows(k, t):
+    table = _span_columns(cols)
+    for c_rows in _local_t_subspace_rows(len(cols), t):  # none when k < t
         counts.update(zip(*[table[c] for c in c_rows]))
 
 
@@ -158,24 +172,15 @@ def t_subspace_counts(blocks: Iterable[Subspace], t: int) -> dict[tuple[int, ...
     since its t-subspaces could be split over several keys.  At t = 0 the
     one key is () and its count is the number of blocks.
 
-    Blocks are counted in batches of one dimension, up to _COUNT_BATCH
-    table entries each, so no list of all keys is ever held.
+    Blocks are counted a chunk at a time (see _chunks), so no list of all
+    keys is ever held.
     """
     if t == 0:
         n = sum(1 for _ in blocks)
         return {(): n} if n else {}
     counts: Counter[tuple[int, ...]] = Counter()
-    pending: dict[int, list[Subspace]] = {}  # dimension -> blocks not yet counted
-    for block in blocks:
-        k = len(block) - 1
-        batch = pending.setdefault(k, [])
-        batch.append(block)
-        if len(batch) << k >= _COUNT_BATCH:
-            _count_batch(counts, batch, k, t)
-            batch.clear()
-    for k, batch in pending.items():
-        if batch:
-            _count_batch(counts, batch, k, t)
+    for batch in _chunks(blocks):
+        _count_batch(counts, batch, t)
     return counts
 
 
@@ -297,7 +302,21 @@ def verify_large_set(ls: LargeSet) -> LargeSetReport:
 
 
 # ---------------------------------------------------------------------------
-# transforms
+# transforms: each runs a kernel over the row columns of every chunk
+
+
+def _through_e0(chunk: list[Subspace], v: int) -> Iterator[Subspace]:
+    """The chunk's blocks whose first row is 1, with that row dropped and the others shifted by one."""
+    kept = list(compress(chunk, map((1).__eq__, map(itemgetter(1), chunk))))
+    return _from_columns(v, [map(rshift, c, repeat(1)) for c in list(zip(*kept))[2:]], len(kept))
+
+
+def _within(chunk: list[Subspace], v: int) -> Iterator[Subspace]:
+    """The chunk's blocks whose rows have no bit v or higher, as blocks of GF(2)^v."""
+    cols = list(zip(*chunk))[1:]
+    union = reduce(partial(map, or_), cols, repeat(0, len(chunk)))
+    keep = list(map(not_, map(rshift, union, repeat(v))))
+    return _from_columns(v, [compress(c, keep) for c in cols], sum(keep))
 
 
 @_nogc
@@ -311,10 +330,7 @@ def derived_large_set(ls: LargeSet, verify: bool = True) -> LargeSet:
     if ls.t < 1:
         raise ValueError("derived transform needs t >= 1")
     v = ls.v - 1
-    out = large_set(v, ls.k - 1, ls.t - 1, (
-        (Subspace(v, [r >> 1 for r in b[2:]]) for b in d.blocks if b[1] == 1)  # b[1]: first row
-        for d in ls.designs
-    ))
+    out = large_set(v, ls.k - 1, ls.t - 1, (_batched(_through_e0, d.blocks, v) for d in ls.designs))
     if verify:
         verify_large_set(out)
     return out
@@ -330,9 +346,7 @@ def residual_large_set(ls: LargeSet, verify: bool = True) -> LargeSet:
     if ls.t < 1:
         raise ValueError("residual transform needs t >= 1")
     v = ls.v - 1
-    out = large_set(v, ls.k, ls.t - 1, (
-        (Subspace(v, b.rows) for b in d.blocks if not max(b.rows) >> v) for d in ls.designs
-    ))
+    out = large_set(v, ls.k, ls.t - 1, (_batched(_within, d.blocks, v) for d in ls.designs))
     if verify:
         verify_large_set(out)
     return out
@@ -340,10 +354,8 @@ def residual_large_set(ls: LargeSet, verify: bool = True) -> LargeSet:
 
 @_nogc
 def dual_large_set(ls: LargeSet, verify: bool = True) -> LargeSet:
-    """Orthogonal complements of all blocks: (t, v-k, v)."""
-    out = large_set(ls.v, ls.v - ls.k, ls.t, (
-        map(orthogonal_complement, d.blocks) for d in ls.designs
-    ))
+    """Orthogonal complements of all blocks (see grassmann._complements): (t, v-k, v)."""
+    out = large_set(ls.v, ls.v - ls.k, ls.t, (_batched(_complements, d.blocks) for d in ls.designs))
     for d, image in zip(ls.designs, out.designs):
         if len(image.blocks) != len(d.blocks):
             raise VerificationError("complement map collapsed two blocks")

@@ -12,8 +12,8 @@ import gc
 from bisect import bisect_right
 from functools import lru_cache, wraps
 from inspect import isgeneratorfunction
-from itertools import combinations
-from operator import itemgetter
+from itertools import combinations, repeat
+from operator import add, and_, itemgetter, lshift, rshift, xor
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .gf2 import eliminate_tracked, rref_raw, span_table, vec_mat
@@ -147,47 +147,71 @@ def contains(outer: Subspace, inner: Subspace) -> bool:
     return all(reduce_vector(r, rows) == 0 for r in inner.rows)
 
 
-@lru_cache(maxsize=None)
-def _byte_spread(v: int) -> list[int]:
-    """Entry x has bit f*v set for each bit f of the byte x."""
-    return span_table([1 << (f * v) for f in range(8)])
+def _span_columns(cols: Sequence[Sequence[int]]) -> list:
+    """Entry x >= 1 of every block's span table from its row columns, which are entries 2^i."""
+    table: list = [None] * (1 << len(cols))
+    for x in range(1, len(table)):
+        low = x & -x
+        table[x] = cols[low.bit_length() - 1] if x == low else list(map(xor, table[x ^ low], table[low]))
+    return table
+
+
+def _from_columns(v: int, cols: Sequence[Iterable[int]], n: int) -> Iterator[Subspace]:
+    """The n blocks of GF(2)^v whose rows are the columns' entries, already in RREF."""
+    return map(tuple.__new__, repeat(Subspace), zip(repeat(v, n), *cols))
+
+
+# entry x < 256 has bit 8*(f + 1) + t for each bit f of x, 2^t being x's highest bit
+_TOP_SPREAD = [s << (7 + x.bit_length()) for x, s in enumerate(span_table([1 << 8 * f for f in range(8)]))]
+
+
+def _complements(chunk: Sequence[Subspace]) -> Iterator[Subspace]:
+    """Orthogonal complements of blocks that share v and k, made over whole row columns.
+
+    Each block's rows are first reduced on their highest bits: sorted, a
+    k-subspace's nonzero vectors fall into runs of length 1, 2, 4, ... that
+    share a highest bit, each led (at entry 2^j - 1) by the reduced row of
+    that bit.  Beyond k = 6 elimination costs less: r becomes min(r, r + x)
+    for each earlier x.  For reduced rows h_j, u_f = e_f + sum of top(h_j)
+    over the h_j with bit f is orthogonal to each h_j, zero when f is a
+    highest bit and of lowest bit f otherwise: the nonzero u_f, by f, are
+    the complement's RREF.  One int per block holds v, then each u_f, in
+    fields a byte wide when v <= 8.
+    """
+    v, k, n = chunk[0][0], len(chunk[0]) - 1, len(chunk)
+    if not v:
+        return iter(chunk)  # the zero space of GF(2)^0, its own complement
+    cols = list(zip(*chunk))[1:]
+    if k > 6:
+        reduced: list[list[int]] = []
+        for r in cols:
+            for x in reduced:
+                r = list(map(min, r, map(xor, r, x)))
+            reduced = [list(map(min, x, map(xor, x, r))) for x in reduced] + [r]
+        cols = reduced
+    elif k > 1:
+        runs = itemgetter(*[(1 << j) - 1 for j in range(k)])
+        cols = list(zip(*map(runs, map(sorted, zip(*_span_columns(cols)[1:])))))
+    w = max(v, 8)
+    packed = repeat(v | sum(1 << (f + w * (f + 1)) for f in range(v)), n)  # v, then each e_f
+    for h in cols:
+        if v <= 8:
+            term = map(_TOP_SPREAD.__getitem__, h)
+        else:  # bit f of h to bit f*w: w - 1 zeros between binary digits, then times top(h)
+            term = map(int, map(("0" * (w - 1)).join, map(format, h, repeat("b"))), repeat(2))
+            term = map(lshift, term, map(add, map(int.bit_length, h), repeat(w - 1)))
+        packed = map(xor, packed, term)
+    if w == 8:
+        fields = map(int.to_bytes, packed, repeat(v + 1), repeat("little"))
+    else:
+        packed, mask = list(packed), (1 << w) - 1
+        fields = zip(*[map(and_, map(rshift, packed, repeat(f * w)), repeat(mask)) for f in range(v + 1)])
+    return map(tuple.__new__, repeat(Subspace), map(filter, repeat(None), fields))
 
 
 def orthogonal_complement(s: Subspace) -> Subspace:
-    """All vectors orthogonal to s under the standard bilinear form.
-
-    The RREF is read off without elimination of the complement.  First
-    the k rows of s are reduced on their highest bits (each row's highest
-    bit is zero in the others) in O(k^2) steps.  For every column f that
-    is not such a highest bit, the complement's RREF has the row e_f plus
-    e_h for each reduced row with highest bit h and bit f set.  Field f
-    (v bits wide) of one packed int collects those e_h.
-    """
-    v, rows = s.v, []
-    for r in s.rows:
-        for x in rows:  # x's highest bit is in no other reduced row
-            if r >> (x.bit_length() - 1) & 1:
-                r ^= x
-        h = r.bit_length() - 1  # a new highest bit: clear it from the others
-        rows = [x ^ r if x >> h & 1 else x for x in rows]
-        rows.append(r)
-    spread = _byte_spread(v)
-    fields = pivots = 0
-    for r in rows:
-        h = 1 << (r.bit_length() - 1)
-        pivots |= h
-        while r:  # put h into field f for each bit f of r, a byte of r at a time
-            fields |= spread[r & 255] * h
-            r >>= 8
-            h <<= 8 * v
-    mask = (1 << v) - 1
-    free = mask ^ pivots
-    out = []
-    while free:
-        low = free & -free
-        out.append(fields >> (v * (low.bit_length() - 1)) & mask | low)
-        free ^= low
-    return Subspace(v, out)
+    """All vectors orthogonal to s under the standard bilinear form (see _complements)."""
+    return next(_complements([s]))
 
 
 class _PivotSet(NamedTuple):

@@ -21,15 +21,18 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import and_, neg
+from functools import partial, reduce
+from itertools import groupby, repeat
+from operator import and_, mul, neg, or_, xor
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .designs import (
     TRANSFORMS,
     LargeSet,
     VerificationError,
+    _batched,
     _frozen,
+    _within,
     check_disjoint,
     large_set,
     t_subspace_counts,
@@ -39,6 +42,7 @@ from .gf2 import span_table, vec_mat
 from .grassmann import (
     QuotientFrame,
     Subspace,
+    _from_columns,
     _nogc,
     contains,
     enumerate_grassmannian,
@@ -266,25 +270,25 @@ def compose_partitions(
     return parts
 
 
-@lru_cache(maxsize=None)
-def _hyperplane_lifts(v: int, pivots: int) -> tuple[tuple[int, int, int], ...]:
-    """How to lift a block inside the hyperplane x_{v-1} = 0 with these pivot columns.
+def _lifts(chunk: list[Subspace], v: int) -> Iterator[Iterator[Subspace]]:
+    """The lifts into GF(2)^v of a chunk's blocks inside the hyperplane x_{v-1} = 0, in batches.
 
-    One triple (w, lowest bit of w, number of pivots below it) per lift:
-    w is e_{v-1} plus a vector of the span of the unit vectors at the
-    block's non-pivot columns below v - 1, which is a complement of the
-    block inside the hyperplane.  w has no bit in a pivot column, so the
-    lifted block's RREF is the block's rows, with w added to each row
-    that has w's lowest bit, and w inserted among them by that bit.
+    A block with pivot columns P lifts once for each w = e_{v-1} + x, x in the span of
+    the unit vectors at the columns below v - 1 outside P.  w has no bit in P, so the
+    lift's RREF is the block's rows, with w added to each row that has w's lowest bit,
+    and w inserted by that bit: one map per row column for all blocks that share P.
     """
-    outside = 1 << (v - 1)
-    units = [1 << f for f in range(v - 1) if not pivots >> f & 1]
-    out = []
-    for shift in span_table(units):
-        w = outside | shift
-        low = w & -w
-        out.append((w, low, (pivots & (low - 1)).bit_count()))
-    return tuple(out)
+    cols = list(zip(*chunk))[1:]
+    pivots = list(reduce(partial(map, or_), (map(and_, c, map(neg, c)) for c in cols), repeat(0, len(chunk))))
+    for mask, members in groupby(sorted(range(len(chunk)), key=pivots.__getitem__), pivots.__getitem__):
+        members = list(members)
+        group = [list(map(c.__getitem__, members)) for c in cols]
+        for x in span_table([1 << f for f in range(v - 1) if not mask >> f & 1]):
+            w = 1 << (v - 1) | x
+            low = w & -w
+            rows = [map(xor, c, map(mul, map(and_, c, repeat(low)), repeat(w // low))) for c in group]
+            rows.insert((mask & (low - 1)).bit_count(), repeat(w))
+            yield _from_columns(v, rows, len(members))
 
 
 @_nogc
@@ -294,7 +298,7 @@ def extend_by_hyperplane(ls_small_k: LargeSet, ls_same_k: LargeSet) -> LargeSet:
     The second operand's blocks are reread inside the hyperplane of the
     first v - 1 coordinates; each block B of the first operand lifts to
     the k-subspaces that meet the hyperplane exactly in B, each spanned
-    by B and one vector outside the hyperplane (see _hyperplane_lifts).
+    by B and one vector outside the hyperplane (see _lifts).
     Pairing is part i with part i.  The result is verified before it is
     returned.
     """
@@ -308,17 +312,11 @@ def extend_by_hyperplane(ls_small_k: LargeSet, ls_same_k: LargeSet) -> LargeSet:
         raise ValueError("first operand's block dimension must be one less")
 
     v_out = ls_small_k.v + 1
-    parts = []
-    for small_d, same_d in zip(ls_small_k.designs, ls_same_k.designs):
-        blocks = {Subspace(v_out, b.rows) for b in same_d.blocks}
-        for b in small_d.blocks:
-            rows = b.rows
-            for w, low, at in _hyperplane_lifts(v_out, sum(r & -r for r in rows)):
-                lifted = [r ^ w if r & low else r for r in rows]
-                lifted.insert(at, w)
-                blocks.add(Subspace(v_out, lifted))
-        parts.append(_frozen(blocks))
-    out = large_set(v_out, ls_same_k.k, ls_same_k.t, parts)
+    out = large_set(v_out, ls_same_k.k, ls_same_k.t, (
+        itertools.chain(_batched(_within, same_d.blocks, v_out),
+                        itertools.chain.from_iterable(_batched(_lifts, small_d.blocks, v_out)))
+        for small_d, same_d in zip(ls_small_k.designs, ls_same_k.designs)
+    ))
     try:
         verify_large_set(out)
     except VerificationError as e:

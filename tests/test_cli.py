@@ -172,6 +172,14 @@ class TestTransform:
         )
         assert code == 4  # t=0 input cannot be derived
 
+    def test_rejected_transform_leaves_no_output_directory(self, tmp_path, capsys):
+        src = tmp_path / "in.ls"
+        write_large_set(src, lines_ls())
+        out = tmp_path / "d" / "o.ls"
+        assert main(["transform", "--op", "derived", "--in", str(src), "--out", str(out)]) == 4
+        assert "derived transform needs t >= 1" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     def test_missing_input(self, tmp_path):
         code = main(
             ["transform", "--op", "dual", "--in", str(tmp_path / "no.ls"),
@@ -377,6 +385,17 @@ class TestKmLsSearch:
              "--out", str(tmp_path / "r")]
         )
         assert code == 4
+
+    def test_rejected_seed_columns_leave_no_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        code = main(
+            ["km", "ls-search", "--v", "4", "--k", "2", "--t", "1",
+             "--N", "7", "--group", "trivial", "--seed-columns=-1 0 7 9 14",
+             "--out", str(out)]
+        )
+        assert code == 4
+        assert "seed column out of range" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_seed_file(self, tmp_path):
         code = main(

@@ -39,6 +39,7 @@ from qdesigns.grassmann import (
 )
 
 from oracles import zero_subspace
+from test_grassmann import elimination_complement
 
 
 def sort_pack_counts(blocks, v: int, t: int) -> dict[int, int]:
@@ -194,8 +195,8 @@ def test_t_subspace_counts_matches_sort_pack_oracle(case):
 
 
 def test_t_subspace_counts_in_small_batches(monkeypatch):
-    # batches of 8 span-table entries: one 3- or 4-block, two 2-blocks or
-    # four 1-blocks, filled in turn as dimensions interleave
+    # chunks of 8 span-table entries: one 3- or 4-block, two 2-blocks or
+    # four 1-blocks; the dimensions interleave, so cuts are split by dimension
     monkeypatch.setattr(designs, "_COUNT_BATCH", 8)
     rng = random.Random(5)
     v = 6
@@ -311,12 +312,16 @@ def five_chunks_of_gr52() -> LargeSet:
     return LargeSet(v, k, 1, n, tuple(Design(v, k, 1, 0, p) for p in parts))
 
 
-@pytest.mark.parametrize("ls", [
-    five_chunks_of_gr52(),
-    LargeSet(6, 3, 2, 1, (trivial_design(6, 3, 2),)),
-], ids=["five_chunks", "n1"])
-def test_derived_and_residual_match_quotient_frame_oracle(ls):
+@pytest.mark.parametrize("ls,chunk", [
+    pytest.param(five_chunks_of_gr52(), None, id="five_chunks"),
+    pytest.param(LargeSet(6, 3, 2, 1, (trivial_design(6, 3, 2),)), None, id="n1"),
+    pytest.param(five_chunks_of_gr52(), 3, id="five_chunks-chunks_of_3"),
+    pytest.param(LargeSet(6, 3, 2, 1, (trivial_design(6, 3, 2),)), 4, id="n1-chunks_of_4"),
+])
+def test_derived_and_residual_match_quotient_frame_oracle(ls, chunk, monkeypatch):
     # oracle: a contains filter, then elimination into QuotientFrame coordinates
+    if chunk:  # blocks per chunk; parts of 31 and 1395 blocks end in a partial chunk
+        monkeypatch.setattr(designs, "_COUNT_BATCH", chunk << ls.k)
     v = ls.v
     point, hyperplane = span(v, [1]), standard_flag_subspace(v, v - 1)
     through = QuotientFrame(full_space(v), point)
@@ -332,6 +337,37 @@ def test_derived_and_residual_match_quotient_frame_oracle(ls):
     ]
     assert sum(len(d.blocks) for d in der.designs) == gaussian_binomial(v - 1, ls.k - 1)
     assert sum(len(d.blocks) for d in res.designs) == gaussian_binomial(v - 1, ls.k)
+
+
+def whole_grassmannian(v: int, k: int) -> LargeSet:
+    return LargeSet(v, k, 0, 1, (trivial_design(v, k, 0),))
+
+
+@pytest.mark.parametrize("chunk", [None, 3], ids=["default_chunks", "chunks_of_3"])
+def test_dual_matches_elimination_oracle_on_whole_grassmannians(chunk, monkeypatch):
+    # every 0 <= k <= v <= 6, the zero space and the full space included
+    for v in range(7):
+        for k in range(v + 1):
+            if chunk:
+                monkeypatch.setattr(designs, "_COUNT_BATCH", chunk << k)
+            ls = whole_grassmannian(v, k)
+            out = dual_large_set(ls)  # verified: a large set with N = 1 again
+            assert (out.v, out.k, out.t, out.n) == (v, v - k, 0, 1)
+            assert out.designs[0].blocks == {elimination_complement(b) for b in ls.designs[0].blocks}
+
+
+@pytest.mark.parametrize("chunk", [None, 3], ids=["default_chunks", "chunks_of_3"])
+def test_dual_of_a_part_mixing_dimensions(chunk, monkeypatch):
+    if chunk:
+        monkeypatch.setattr(designs, "_COUNT_BATCH", chunk << 3)
+    v = 5
+    lines, planes = list(enumerate_grassmannian(v, 2)), list(enumerate_grassmannian(v, 3))
+    part = frozenset(lines[::3] + planes[::5])  # interleaved once iterated
+    ls = LargeSet(v, 2, 0, 1, (Design(v, 2, 0, gaussian_binomial(v, 2), part),))
+    out = dual_large_set(ls, verify=False)
+    assert out.designs[0].blocks == {elimination_complement(b) for b in part}
+    with pytest.raises(VerificationError, match="block has wrong shape"):
+        dual_large_set(ls)
 
 
 def test_design_file_roundtrip(tmp_path):

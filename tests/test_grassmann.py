@@ -5,7 +5,7 @@ import gc
 import pickle
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, groupby
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,7 @@ from qdesigns.gf2 import rref_raw
 from qdesigns.grassmann import (
     QuotientFrame,
     Subspace,
+    _complements,
     _nogc,
     contains,
     enumerate_grassmannian,
@@ -299,6 +300,27 @@ def test_orthogonal_complement_matches_elimination_for_large_v(case):
     v, rows = case
     s = span(v, rows)
     assert orthogonal_complement(s) == elimination_complement(s)
+
+
+@st.composite
+def wide_batches(draw):
+    """Random subspaces of one GF(2)^v, 7 <= v <= 12, so rows may be wider than a byte."""
+    v = draw(st.integers(7, 12))
+    rows = st.lists(st.integers(0, (1 << v) - 1), max_size=v)
+    return v, [span(v, r) for r in draw(st.lists(rows, min_size=1, max_size=40))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_batches())
+def test_complement_kernel_on_wide_batches(case):
+    # the kernel takes blocks of one dimension, as the chunks of a design reach it
+    v, batch = case
+    for _, group in groupby(sorted(batch, key=len), len):
+        blocks = list(group)
+        perps = list(_complements(blocks))
+        assert perps == [elimination_complement(s) for s in blocks]
+        assert list(_complements(perps)) == blocks
+        assert all(s.dim + p.dim == v for s, p in zip(blocks, perps))
 
 
 @pytest.mark.parametrize("v", [20, 32])

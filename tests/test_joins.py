@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qdesigns import joins
+from qdesigns import designs, joins
 from qdesigns.designs import (
     Design,
     LargeSet,
@@ -452,8 +452,17 @@ class TestExtendByHyperplane:
         out = extend_by_hyperplane(small, same)
         assert [d.blocks for d in out.designs] == quotient_frame_lifts(small, same)
 
-    @pytest.mark.parametrize("v,k,n", [(3, 2, 7), (4, 2, 5)])
-    def test_chunked_operands_match_quotient_frame_lifts(self, v, k, n):
+    @pytest.mark.parametrize("v,k,n,count_batch", [
+        pytest.param(3, 2, 7, None, id="3-2-7"),
+        pytest.param(4, 2, 5, None, id="4-2-5"),
+        # chunks of 2 first-operand blocks and 1 second-operand block: the
+        # chunks cut through pivot groups, and parts end in partial chunks
+        pytest.param(4, 2, 5, 4, id="4-2-5-small_chunks"),
+        pytest.param(5, 3, 5, 8, id="5-3-5-small_chunks"),
+    ])
+    def test_chunked_operands_match_quotient_frame_lifts(self, v, k, n, count_batch, monkeypatch):
+        if count_batch:
+            monkeypatch.setattr(designs, "_COUNT_BATCH", count_batch)
         small, same = chunked_large_set(v, k - 1, n), chunked_large_set(v, k, n)
         out = extend_by_hyperplane(small, same)
         assert [d.blocks for d in out.designs] == quotient_frame_lifts(small, same)
