@@ -176,7 +176,8 @@ def _complements(chunk: Sequence[Subspace]) -> Iterator[Subspace]:
     over the h_j with bit f is orthogonal to each h_j, zero when f is a
     highest bit and of lowest bit f otherwise: the nonzero u_f, by f, are
     the complement's RREF.  One int per block holds v, then each u_f, in
-    fields a byte wide when v <= 8.
+    fields a byte wide when v <= 8.  Both fast branches and the k cut-off
+    are measured in BENCH_16.json, under kernel_branches.
     """
     v, k, n = chunk[0][0], len(chunk[0]) - 1, len(chunk)
     if not v:

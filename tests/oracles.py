@@ -5,7 +5,8 @@ rows, a sum is spanned by both bases together, and an intersection is
 spanned by the vectors both spans share.  None uses an elimination
 that tracks combinations, so they check the package independently.
 The avoiding join is built the slow way, one full elimination per
-member, from complements chosen by comparing dimensions.
+member, from complements chosen by comparing dimensions, and the
+orthogonal complement from one orthogonal row per non-pivot column.
 """
 
 from itertools import product
@@ -32,6 +33,25 @@ def complement_rows(sup: Subspace, sub: Subspace) -> list[int]:
         if span(sup.v, sub.rows + tuple(rows) + (r,)).dim > sub.dim + len(rows):
             rows.append(r)
     return rows
+
+
+def elimination_complement(s: Subspace) -> Subspace:
+    """Oracle for orthogonal_complement: one row per non-pivot column f, then RREF.
+
+    The row is e_f plus e_p for each basis row with pivot p and bit f set,
+    which is orthogonal to every basis row; the rows are then eliminated.
+    """
+    piv = [(r & -r).bit_length() - 1 for r in s.rows]
+    out = []
+    for f in range(s.v):
+        if f in piv:
+            continue
+        x = 1 << f
+        for p, r in zip(piv, s.rows):
+            if (r >> f) & 1:
+                x |= 1 << p
+        out.append(x)
+    return span(s.v, out)
 
 
 def avoiding_join_by_spans(k1: Subspace, k2: Subspace, u1: Subspace) -> frozenset[Subspace]:

@@ -38,8 +38,7 @@ from qdesigns.grassmann import (
     standard_flag_subspace,
 )
 
-from oracles import zero_subspace
-from test_grassmann import elimination_complement
+from oracles import elimination_complement, zero_subspace
 
 
 def sort_pack_counts(blocks, v: int, t: int) -> dict[int, int]:

@@ -29,7 +29,7 @@ from qdesigns.grassmann import (
     standard_flag_subspace,
 )
 
-from oracles import intersection, subspace_sum, zero_subspace
+from oracles import elimination_complement, intersection, subspace_sum, zero_subspace
 
 
 def brute_subspace_count(v: int, k: int) -> int:
@@ -252,25 +252,6 @@ def test_orthogonal_complement_is_an_involution(single):
     perp = orthogonal_complement(s)
     assert s.dim + perp.dim == s.v
     assert orthogonal_complement(perp) == s
-
-
-def elimination_complement(s: Subspace) -> Subspace:
-    """Oracle for orthogonal_complement: one row per non-pivot column f, then RREF.
-
-    The row is e_f plus e_p for each basis row with pivot p and bit f set,
-    which is orthogonal to every basis row; the rows are then eliminated.
-    """
-    piv = [(r & -r).bit_length() - 1 for r in s.rows]
-    out = []
-    for f in range(s.v):
-        if f in piv:
-            continue
-        x = 1 << f
-        for p, r in zip(piv, s.rows):
-            if (r >> f) & 1:
-                x |= 1 << p
-        out.append(x)
-    return Subspace(s.v, rref_raw(out).rows)
 
 
 def test_orthogonal_complement_matches_elimination_for_v_up_to_6():
