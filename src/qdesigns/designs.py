@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .grassmann import (
     Subspace,
+    VerificationError,
     _complements,
     _from_columns,
     _nogc,
@@ -48,14 +49,6 @@ __all__ = [
     "write_design",
     "write_large_set",
 ]
-
-
-class VerificationError(Exception):
-    """A claimed design property failed an exhaustive check."""
-
-    def __init__(self, message: str, witness: Optional[Subspace] = None):
-        super().__init__(message)
-        self.witness = witness
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,9 @@ from functools import lru_cache, wraps
 from inspect import isgeneratorfunction
 from itertools import combinations, repeat
 from operator import add, and_, itemgetter, lshift, rshift, xor
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .gf2 import eliminate_tracked, rref_raw, span_table, vec_mat
+from .gf2 import eliminate_tracked, rref_raw, span_table
 
 __all__ = [
     "QuotientFrame",
@@ -161,6 +161,61 @@ def _from_columns(v: int, cols: Sequence[Iterable[int]], n: int) -> Iterator[Sub
     return map(tuple.__new__, repeat(Subspace), zip(repeat(v, n), *cols))
 
 
+class VerificationError(Exception):
+    """A claimed design property failed an exhaustive check."""
+
+    def __init__(self, message: str, witness: Optional[Subspace] = None):
+        super().__init__(message)
+        self.witness = witness
+
+
+@lru_cache(maxsize=None)
+def _bit_reversal_table(v: int) -> list[int]:
+    """Entry x is x with its v coordinates in reverse order."""
+    return span_table([1 << (v - 1 - i) for i in range(v)])
+
+
+def _reversed_bits(v: int, col: Iterable[int]) -> Iterator[int]:
+    """The column's vectors with their v coordinates in reverse order: by table up to v = 16."""
+    if v <= 16:
+        return map(_bit_reversal_table(v).__getitem__, col)
+    return map(int, map(itemgetter(slice(None, None, -1)), map(format, col, repeat(f"0{v}b"))), repeat(2))
+
+
+def _top_reduced(cols: Sequence[Sequence[int]]) -> list:
+    """The blocks' row columns reduced on their highest bits, each block's rows in rising order.
+
+    Sorted, a k-subspace's nonzero vectors fall into runs of length 1, 2,
+    4, ... that share a highest bit, each led (at entry 2^j - 1) by the
+    reduced row of that bit.  Beyond k = 6 elimination costs less: r
+    becomes min(r, r + x) for each earlier x.  Dependent rows leave a zero
+    in the first column.
+    """
+    if len(cols) > 6:
+        reduced: list[list[int]] = []
+        for r in cols:
+            for x in reduced:
+                r = list(map(min, r, map(xor, r, x)))
+            reduced = [list(map(min, x, map(xor, x, r))) for x in reduced] + [r]
+        return list(zip(*map(sorted, zip(*reduced))))
+    if len(cols) > 1:
+        runs = itemgetter(*[(1 << j) - 1 for j in range(len(cols))])
+        return list(zip(*map(runs, map(sorted, zip(*_span_columns(cols)[1:])))))
+    return list(cols)
+
+
+def _canonical(v: int, cols: Sequence[Iterable[int]], n: int) -> Iterator[Subspace]:
+    """The n blocks of GF(2)^v spanned by k row columns of independent rows, in any basis and order.
+
+    Reversing the coordinates turns lowest bits into highest ones, so
+    _top_reduced finds the RREF rows there, highest pivot first.
+    """
+    top = _top_reduced([list(_reversed_bits(v, c)) for c in cols])
+    if top and 0 in top[0]:  # only an avoiding join's rows can be dependent
+        raise VerificationError("avoiding join row depends on the rows before it")
+    return _from_columns(v, [_reversed_bits(v, c) for c in reversed(top)], n)
+
+
 # entry x < 256 has bit 8*(f + 1) + t for each bit f of x, 2^t being x's highest bit
 _TOP_SPREAD = [s << (7 + x.bit_length()) for x, s in enumerate(span_table([1 << 8 * f for f in range(8)]))]
 
@@ -168,31 +223,18 @@ _TOP_SPREAD = [s << (7 + x.bit_length()) for x, s in enumerate(span_table([1 << 
 def _complements(chunk: Sequence[Subspace]) -> Iterator[Subspace]:
     """Orthogonal complements of blocks that share v and k, made over whole row columns.
 
-    Each block's rows are first reduced on their highest bits: sorted, a
-    k-subspace's nonzero vectors fall into runs of length 1, 2, 4, ... that
-    share a highest bit, each led (at entry 2^j - 1) by the reduced row of
-    that bit.  Beyond k = 6 elimination costs less: r becomes min(r, r + x)
-    for each earlier x.  For reduced rows h_j, u_f = e_f + sum of top(h_j)
-    over the h_j with bit f is orthogonal to each h_j, zero when f is a
-    highest bit and of lowest bit f otherwise: the nonzero u_f, by f, are
-    the complement's RREF.  One int per block holds v, then each u_f, in
-    fields a byte wide when v <= 8.  Both fast branches and the k cut-off
-    are measured in BENCH_16.json, under kernel_branches.
+    Each block's rows are first reduced on their highest bits (see
+    _top_reduced).  For reduced rows h_j, u_f = e_f + sum of top(h_j) over
+    the h_j with bit f is orthogonal to each h_j, zero when f is a highest
+    bit and of lowest bit f otherwise: the nonzero u_f, by f, are the
+    complement's RREF.  One int per block holds v, then each u_f, in fields
+    a byte wide when v <= 8.  Both fast branches and the k cut-off are
+    measured in BENCH_16.json, under kernel_branches.
     """
-    v, k, n = chunk[0][0], len(chunk[0]) - 1, len(chunk)
+    v, n = chunk[0][0], len(chunk)
     if not v:
         return iter(chunk)  # the zero space of GF(2)^0, its own complement
-    cols = list(zip(*chunk))[1:]
-    if k > 6:
-        reduced: list[list[int]] = []
-        for r in cols:
-            for x in reduced:
-                r = list(map(min, r, map(xor, r, x)))
-            reduced = [list(map(min, x, map(xor, x, r))) for x in reduced] + [r]
-        cols = reduced
-    elif k > 1:
-        runs = itemgetter(*[(1 << j) - 1 for j in range(k)])
-        cols = list(zip(*map(runs, map(sorted, zip(*_span_columns(cols)[1:])))))
+    cols = _top_reduced(list(zip(*chunk))[1:])
     w = max(v, 8)
     packed = repeat(v | sum(1 << (f + w * (f + 1)) for f in range(v)), n)  # v, then each e_f
     for h in cols:
@@ -379,10 +421,3 @@ class QuotientFrame:
         if out.dim != s.dim - self.sub.dim:
             raise ArithmeticError("projection lost rank unexpectedly")
         return out
-
-    def lift_preimage(self, sbar: Subspace) -> Subspace:
-        """Full preimage in GF(2)^v of a subspace of the quotient."""
-        if sbar.v != self.dim:
-            raise ValueError("quotient subspace has the wrong ambient dimension")
-        rows = [vec_mat(r, self.transversal) for r in sbar.rows] + list(self.sub.rows)
-        return Subspace(self.sup.v, rref_raw(rows).rows)

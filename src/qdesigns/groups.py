@@ -9,13 +9,14 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import itemgetter
 from typing import Optional, Sequence
 
 from .gf2 import BitMatrix, identity, mat_mul, rank_raw, rref_raw, span_table, vec_mat
 from .grassmann import (
     Subspace,
+    _canonical,
     _ranker,
     gaussian_binomial,
     grassmannian_rank,
@@ -109,34 +110,18 @@ def act(s: Subspace, g: GroupElement) -> Subspace:
     return Subspace(s.v, rref_raw([vec_mat(r, grows) for r in s.rows]).rows)
 
 
-@lru_cache(maxsize=None)
-def _bit_reversal_table(v: int) -> list[int]:
-    """Entry x is x with its v coordinates in reverse order."""
-    return span_table([1 << (v - 1 - i) for i in range(v)])
-
-
 def orbit_of(s: Subspace, group: Group) -> set[Subspace]:
     """Orbit of s: its image under every element of the group.
 
-    With vector-image tables, an image's RREF is read off its members
-    without elimination.  Sorted by bit-reversed value, the members of a
-    k-subspace fall into runs of length 1, 2, 4, ... that share a pivot
-    (lowest set bit), highest pivot first, and each run starts with the
-    reduced row of its pivot: the RREF rows sit at positions 2^(k-1), ...,
-    2, 1.
+    With vector-image tables, the images' rows are read from the tables,
+    one row column over all elements, and made canonical together.
     """
     if s.v != group.v:
         raise ValueError("subspace and group dimensions differ")
-    v, rows = s.v, s.rows
     tables = group.element_image_tables
     if tables is None:
         return {act(s, g) for g in group.elements}
-    if len(rows) < 2:  # no row or a single nonzero row is already RREF
-        return {Subspace(v, tuple(tab[r] for r in rows)) for tab in tables}
-    members = itemgetter(*span_table(rows))
-    rref_rows = itemgetter(*(1 << j for j in reversed(range(len(rows)))))
-    reversed_bits = _bit_reversal_table(v).__getitem__
-    return {Subspace(v, rref_rows(sorted(members(tab), key=reversed_bits))) for tab in tables}
+    return set(_canonical(s.v, [map(itemgetter(r), tables) for r in s.rows], len(tables)))
 
 
 @dataclass

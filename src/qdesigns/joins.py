@@ -24,13 +24,14 @@ from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import groupby, repeat
 from operator import and_, mul, neg, or_, xor
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .designs import (
     TRANSFORMS,
     LargeSet,
     VerificationError,
     _batched,
+    _chunks,
     _frozen,
     _within,
     check_disjoint,
@@ -42,6 +43,7 @@ from .gf2 import span_table, vec_mat
 from .grassmann import (
     QuotientFrame,
     Subspace,
+    _canonical,
     _from_columns,
     _nogc,
     contains,
@@ -49,7 +51,6 @@ from .grassmann import (
     full_space,
     gaussian_binomial,
     reduce_vector,
-    span,
     standard_flag_subspace,
 )
 from .planner import LSParams, PlanNode
@@ -105,50 +106,39 @@ def _complement(sup: Subspace, sub: Subspace) -> tuple[int, ...]:
     return tuple(r for r in sup.rows if not r & -r & pivots)
 
 
-def avoiding_join(k1: Subspace, k2: Subspace, chain: JoinChain) -> frozenset[Subspace]:
-    """All K meeting U1 exactly in ``k1``, with K + U2 = ``k2`` = K + U1.
+def avoiding_join(k1s: Iterable[Subspace], k2s: Iterable[Subspace], chain: JoinChain) -> frozenset[Subspace]:
+    """Every K meeting U1 exactly in some K1 of ``k1s``, with K + U2 = K2 = K + U1 for some K2 of ``k2s``.
 
-    ``k1`` must sit inside U1 and ``k2`` must contain U2.  Every member
-    has dimension dim K1 + dim K2 - dim U1, and there are exactly
-    2^((u1 - dim K1) * (dim K2 - u1)) of them.
+    Each K1 must sit inside U1 and each K2 must contain U2; each side's
+    operands share a dimension.  Each pair (K1, K2) gives exactly
+    2^((u1 - dim K1) * (dim K2 - u1)) members, of dimension
+    dim K1 + dim K2 - u1, and distinct pairs give disjoint families.
     """
-    if k1.v != chain.v or k2.v != chain.v:
-        raise ValueError("operands must live in the chain's ambient space")
-    if not contains(chain.u1, k1):
+    k1s, k2s, u1, v = list(k1s), list(k2s), chain.u1, chain.v
+    if any(s.v != v for s in k1s + k2s) or len({s.dim for s in k1s}) > 1 or len({s.dim for s in k2s}) > 1:
+        raise ValueError("operands must live in the chain's ambient space and share a dimension per side")
+    if any(reduce_vector(r, u1.rows) for r in {r for k1 in k1s for r in k1.rows}):
         raise ValueError("first operand must be contained in u1")
-    if not contains(k2, chain.u2):
+    if not all(contains(k2, chain.u2) for k2 in k2s):
         raise ValueError("second operand must contain u2")
-
-    # A member K meets each coset c + U1, c in a complement of U1 in K2, in
-    # c + x + K1 for exactly one x of a complement of K1 in U1 (see _grow).
-    u1 = chain.u1
-    shifts = _complement(u1, k1)
-    nodes: Iterable[Sequence[int]] = [k1.rows]
-    for c in _complement(k2, u1):
-        nodes = _grow(nodes, c, shifts)
-    out = frozenset(Subspace(chain.v, rows) for rows in nodes)
-    expect = 1 << ((u1.dim - k1.dim) * (k2.dim - u1.dim))
+    if not (k1s and k2s):
+        return frozenset()
+    # A member meets each coset c_j + U1, c_j over a complement of U1 in K2,
+    # in c_j + x_j + K1 for exactly one x_j of a complement of K1 in U1: its
+    # rows are K1's and each c_j + x_j.  Headed by v like a block, the
+    # members' rows are cut into chunks by _chunks, then made canonical.
+    shifts = (span_table(_complement(u1, k1)) if k2s[0].dim > u1.dim else () for k1 in k1s)
+    members = itertools.chain.from_iterable(
+        itertools.product((v,), *zip(k1.rows), *[[c ^ x for x in xs] for c in _complement(k2, u1)])
+        for k1, xs in zip(k1s, shifts) for k2 in k2s
+    )
+    out = frozenset(itertools.chain.from_iterable(
+        _canonical(v, list(zip(*chunk))[1:], len(chunk)) for chunk in _chunks(members)
+    ))
+    expect = len(k1s) * len(k2s) << ((u1.dim - k1s[0].dim) * (k2s[0].dim - u1.dim))
     if len(out) != expect:
         raise VerificationError(f"avoiding join has {len(out)} members, expected {expect}")
     return out
-
-
-def _grow(nodes: Iterable[Sequence[int]], c: int, shifts: Sequence[int]) -> Iterator[list[int]]:
-    """The RREF rows of each node plus one row c + x, for each x in span(shifts).
-
-    Reduction by RREF rows is linear, so c and the shifts are reduced once per node.
-    """
-    for rows in nodes:
-        head = reduce_vector(c, rows)
-        pivots = sum(map(and_, rows, map(neg, rows)))  # the rows' lowest bits
-        for x in span_table([reduce_vector(g, rows) for g in shifts]):
-            new = head ^ x
-            if not new:
-                raise VerificationError("avoiding join row depends on the rows before it")
-            low = new & -new
-            grown = [r ^ new if r & low else r for r in rows]
-            grown.insert((pivots & (low - 1)).bit_count(), new)
-            yield grown
 
 
 @dataclass(frozen=True)
@@ -201,15 +191,23 @@ def materialize_cell(cell: DecompositionCell) -> frozenset[Subspace]:
 
 
 def _lifted(
-    parts: Iterable[Iterable[Subspace]], dim: int, lift: Callable[[Subspace], Subspace], what: str
+    parts: Iterable[Iterable[Subspace]], basis: Sequence[int], extra: Sequence[int], v: int, what: str
 ) -> list[list[Subspace]]:
-    """Each part's operands in ambient coordinates, once their local ones are checked."""
+    """Each part's operands, once their local coordinates are checked, read into GF(2)^v.
+
+    Each distinct row is mapped through the basis rows once; the extra rows are added.
+    """
     local = [list(part) for part in parts]
-    if any(s.v != dim for part in local for s in part):
-        raise ValueError(f"{what} operands must use {dim}-dimensional local coordinates")
+    if any(s.v != len(basis) for part in local for s in part):
+        raise ValueError(f"{what} operands must use {len(basis)}-dimensional local coordinates")
     if len({s.dim for part in local for s in part}) > 1:
         raise ValueError(f"{what} operands must share a dimension")
-    return [[lift(s) for s in part] for part in local]
+    image = {x: vec_mat(x, basis) for x in {x for part in local for s in part for x in s.rows}}.__getitem__
+    return [list(itertools.chain.from_iterable(
+        _canonical(v, [map(image, c) for c in list(zip(*chunk))[1:]]
+                   + [repeat(r, len(chunk)) for r in extra], len(chunk))
+        for chunk in _chunks(part)
+    )) for part in local]
 
 
 @_nogc
@@ -238,26 +236,15 @@ def compose_partitions(
     n = len(parts1)
     if len(parts2) != n:
         raise ValueError("operands must have the same number of parts")
-    u1, top = chain.u1, chain.top
-    first = _lifted(
-        parts1, u1.dim, lambda s: span(chain.v, [vec_mat(r, u1.rows) for r in s.rows]), "first"
-    )
-    second = _lifted(parts2, top.dim, top.lift_preimage, "second")
-    # a side with no operands makes every count 0; u1.dim keeps the shift >= 0
-    k1 = next((s.dim for part in first for s in part), u1.dim)
-    k2 = next((s.dim for part in second for s in part), u1.dim)
-    per_pair = 1 << ((u1.dim - k1) * (k2 - u1.dim))
-    parts = tuple(
-        frozenset(itertools.chain.from_iterable(
-            avoiding_join(g1, g2, chain)
-            for i in range(n) for g1 in first[i] for g2 in second[(m - i) % n]
-        ))
-        for m in range(n)
-    )
-    for m, part in enumerate(parts):
-        expect = per_pair * sum(len(first[i]) * len(second[(m - i) % n]) for i in range(n))
-        if len(part) != expect:
-            raise VerificationError(f"part {m} has {len(part)} members, expected {expect}")
+    first = _lifted(parts1, chain.u1.rows, (), chain.v, "first")
+    second = _lifted(parts2, chain.top.transversal, chain.u2.rows, chain.v, "second")
+    parts = []
+    for m in range(n):  # pieces of one part overlap iff the part is smaller than their sum
+        pieces = [avoiding_join(first[i], second[(m - i) % n], chain) for i in range(n)]
+        parts.append(pieces[0] if n == 1 else frozenset().union(*pieces))
+        expect = sum(map(len, pieces))
+        if len(parts[m]) != expect:
+            raise VerificationError(f"part {m} has {len(parts[m])} members, expected {expect}")
     check_disjoint(parts)
     if t >= 0:
         counts = t_subspace_counts(parts[0], t)
@@ -267,7 +254,7 @@ def compose_partitions(
                     f"composition failed the {t}-equivalence check (wrong part-index"
                     f" convention or operands): parts 0 and {i} are not {t}-equivalent"
                 )
-    return parts
+    return tuple(parts)
 
 
 def _lifts(chunk: list[Subspace], v: int) -> Iterator[Iterator[Subspace]]:

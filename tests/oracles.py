@@ -7,11 +7,14 @@ that tracks combinations, so they check the package independently.
 The avoiding join is built the slow way, one full elimination per
 member, from complements chosen by comparing dimensions, and the
 orthogonal complement from one orthogonal row per non-pivot column.
+A quotient frame's preimage is spanned by the transversal images of
+the quotient rows together with the factored-out rows.
 """
 
 from itertools import product
 
-from qdesigns.grassmann import Subspace, span
+from qdesigns.gf2 import vec_mat
+from qdesigns.grassmann import QuotientFrame, Subspace, span
 
 
 def zero_subspace(v: int) -> Subspace:
@@ -62,3 +65,10 @@ def avoiding_join_by_spans(k1: Subspace, k2: Subspace, u1: Subspace) -> frozense
         span(u1.v, k1.rows + tuple(c ^ x for c, x in zip(base, offset)))
         for offset in product(shifts, repeat=len(base))
     )
+
+
+def lift_preimage(frame: QuotientFrame, sbar: Subspace) -> Subspace:
+    """Full preimage in GF(2)^v of a subspace of the frame's quotient."""
+    if sbar.v != frame.dim:
+        raise ValueError("quotient subspace has the wrong ambient dimension")
+    return span(frame.sup.v, [vec_mat(r, frame.transversal) for r in sbar.rows] + list(frame.sub.rows))

@@ -195,7 +195,7 @@ def test_criterion_06_decomposition_and_join_oracles():
                         if s.dim >= u2d and _contains_flag(s, chain.u2)
                     ]
                     for k2 in k2s[:cap]:
-                        got = avoiding_join(k1, k2, chain)
+                        got = avoiding_join([k1], [k2], chain)
                         expect_n = 1 << ((u1d - k1.dim) * (k2.dim - u1d))
                         assert len(got) == expect_n
                         brute = {

@@ -5,16 +5,20 @@ import gc
 import pickle
 import random
 import sys
+from functools import reduce
 from itertools import combinations, groupby
+from operator import xor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdesigns.gf2 import rref_raw
 from qdesigns.grassmann import (
     QuotientFrame,
     Subspace,
+    VerificationError,
+    _canonical,
     _complements,
     _nogc,
     contains,
@@ -29,7 +33,7 @@ from qdesigns.grassmann import (
     standard_flag_subspace,
 )
 
-from oracles import elimination_complement, intersection, subspace_sum, zero_subspace
+from oracles import elimination_complement, intersection, lift_preimage, subspace_sum, zero_subspace
 
 
 def brute_subspace_count(v: int, k: int) -> int:
@@ -207,7 +211,7 @@ def test_quotient_frame_roundtrip():
         mid = span(v, list(sub.rows) + [rng.choice(supv) for _ in range(2)])
         image = frame.project(mid)
         assert image.dim == mid.dim - sub.dim
-        assert frame.lift_preimage(image) == mid
+        assert lift_preimage(frame, image) == mid
 
 
 def test_quotient_frame_projection_kernel_is_sub():
@@ -304,6 +308,63 @@ def test_complement_kernel_on_wide_batches(case):
         assert all(s.dim + p.dim == v for s, p in zip(blocks, perps))
 
 
+@st.composite
+def row_batches(draw):
+    """1-4 blocks of one GF(2)^v, v <= 20, each given by k independent rows, 0 <= k <= v.
+
+    Rows with distinct lowest bits are independent; adding one row to
+    another keeps them so and keeps their span, and the order is random.
+    """
+    v = draw(st.integers(1, 20))
+    k = draw(st.integers(0, v))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = [1 << p | draw(st.integers(0, (1 << v) - 1)) >> (p + 1) << (p + 1)
+                for p in draw(st.permutations(range(v)))[:k]]
+        for i, j in draw(st.lists(st.tuples(st.integers(0, v - 1), st.integers(0, v - 1)), max_size=2 * k)):
+            if i != j and max(i, j) < k:
+                rows[i] ^= rows[j]
+        blocks.append(rows)
+    return v, blocks
+
+
+def columns(blocks: list[list[int]]) -> list[list[int]]:
+    return [list(c) for c in zip(*blocks)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_batches())
+@example((5, [[], []]))  # k = 0
+@example((0, [[], []]))  # the zero space of GF(2)^0
+@example((20, [[1 << i | 1 << 19 for i in range(19)] + [1 << 19]]))  # the full space, not in RREF
+@example((20, [[1 << i for i in reversed(range(20))]]))  # the full space, pivots falling
+@example((17, [[1 << 16, 1 << 16 | 1], [3, 1 << 16]]))  # past the table of reversed bits
+def test_canonical_kernel_matches_span(batch):
+    v, blocks = batch
+    assert list(_canonical(v, columns(blocks), len(blocks))) == [span(v, rows) for rows in blocks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_batches(), st.data())
+def test_canonical_kernel_rejects_dependent_rows(batch, data):
+    # one block gains a sum of some of its rows (zero for none) at some place;
+    # the others gain an independent row, so that all still share a dimension
+    v, blocks = batch
+    rows = blocks[0]
+    extra = reduce(xor, data.draw(st.lists(st.sampled_from(rows), unique=True)) if rows else [], 0)
+    at = data.draw(st.integers(0, len(rows)))
+    bad = rows[:at] + [extra] + rows[at:]
+    others = []
+    if len(rows) < v:
+        for r in blocks[1:]:
+            outside = next(x for x in (1 << i for i in range(v)) if reduce_vector(x, span(v, r).rows))
+            others.append(r + [outside])
+    batch = others[:]
+    batch.insert(data.draw(st.integers(0, len(others))), bad)
+    with pytest.raises(VerificationError, match="depends on the rows before it"):
+        list(_canonical(v, columns(batch), len(batch)))
+
+
 @pytest.mark.parametrize("v", [20, 32])
 def test_orthogonal_complement_of_hyperplanes(v):
     # in the second hyperplane every basis row shares the highest bit, v - 1
@@ -335,7 +396,7 @@ def test_quotient_frame_lifts_projections_back(flag):
     assert frame.transversal == greedy_transversal(sup, sub)
     image = frame.project(mid)
     assert frame.dim == sup.dim - sub.dim and image.dim == mid.dim - sub.dim
-    assert frame.lift_preimage(image) == mid
+    assert lift_preimage(frame, image) == mid
 
 
 def test_reduce_vector():

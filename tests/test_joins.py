@@ -21,12 +21,14 @@ from qdesigns.gf2 import vec_mat
 from qdesigns.grassmann import (
     QuotientFrame,
     Subspace,
+    contains,
     enumerate_grassmannian,
     full_space,
     gaussian_binomial,
     span,
     standard_flag_subspace,
 )
+from qdesigns.groups import trivial_group
 from qdesigns.joins import (
     MissingLeafError,
     avoiding_join,
@@ -37,9 +39,10 @@ from qdesigns.joins import (
     join_chain,
     materialize_cell,
 )
+from qdesigns.kramer_mesner import build_km, iterated_large_set_search
 from qdesigns.planner import LSParams, PlanNode, plan_series
 
-from oracles import avoiding_join_by_spans, intersection, subspace_sum, zero_subspace
+from oracles import avoiding_join_by_spans, intersection, lift_preimage, subspace_sum, zero_subspace
 
 
 def params(t: int, k: int, v: int) -> LSParams:
@@ -116,7 +119,7 @@ def proper_flag_operands(draw):
 class TestAvoidingJoin:
     def test_zero_to_full_in_dim3(self):
         chain = join_chain(standard_flag_subspace(3, 1), standard_flag_subspace(3, 1))
-        out = avoiding_join(zero_subspace(3), full_space(3), chain)
+        out = avoiding_join([zero_subspace(3)], [full_space(3)], chain)
         assert len(out) == 4
         assert all(s.dim == 2 for s in out)
 
@@ -130,12 +133,12 @@ class TestAvoidingJoin:
             and subspace_sum(s, chain.u2) == k2
             and subspace_sum(s, chain.u1) == subspace_sum(s, chain.u2)
         }
-        assert avoiding_join(k1, k2, chain) == brute
+        assert avoiding_join([k1], [k2], chain) == brute
 
     def test_degenerate_operands_give_u2(self):
         u = standard_flag_subspace(3, 1)
         chain = join_chain(u, u)
-        assert avoiding_join(u, u, chain) == frozenset([u])
+        assert avoiding_join([u], [u], chain) == frozenset([u])
 
     @settings(max_examples=300, deadline=None)
     @given(join_operands())
@@ -144,7 +147,7 @@ class TestAvoidingJoin:
         # checked against filtering by the defining predicate; every member
         # has dimension dim K1 + dim K2 - dim U1, so only that one is searched
         k1, k2, u1, u2 = operands
-        out = avoiding_join(k1, k2, join_chain(u1, u2))
+        out = avoiding_join([k1], [k2], join_chain(u1, u2))
         assert len(out) == 1 << ((u1.dim - k1.dim) * (k2.dim - u1.dim))
         brute = {
             s
@@ -164,23 +167,83 @@ class TestAvoidingJoin:
             for f in enumerate_grassmannian(a1, d1):
                 k1 = span(7, [vec_mat(r, u1.rows) for r in f.rows])
                 for g in enumerate_grassmannian(a2, d2):
-                    k2 = top.lift_preimage(g)
-                    assert avoiding_join(k1, k2, cell.chain) == avoiding_join_by_spans(k1, k2, u1)
+                    k2 = lift_preimage(top, g)
+                    assert avoiding_join([k1], [k2], cell.chain) == avoiding_join_by_spans(k1, k2, u1)
 
     @settings(max_examples=150, deadline=None)
     @given(proper_flag_operands())
     def test_proper_flags_match_one_span_per_member(self, operands):
         k1, k2, u1, u2 = operands
-        assert avoiding_join(k1, k2, join_chain(u1, u2)) == avoiding_join_by_spans(k1, k2, u1)
+        assert avoiding_join([k1], [k2], join_chain(u1, u2)) == avoiding_join_by_spans(k1, k2, u1)
 
     def test_operand_validation(self):
         chain = join_chain(standard_flag_subspace(4, 1), standard_flag_subspace(4, 2))
         with pytest.raises(ValueError):
-            avoiding_join(span(4, [2]), full_space(4), chain)  # not inside u1
+            avoiding_join([span(4, [2])], [full_space(4)], chain)  # not inside u1
         with pytest.raises(ValueError):
-            avoiding_join(zero_subspace(4), span(4, [1]), chain)  # misses u2
+            avoiding_join([zero_subspace(4)], [span(4, [1])], chain)  # misses u2
         with pytest.raises(ValueError):
-            avoiding_join(zero_subspace(3), full_space(3), chain)  # wrong ambient
+            avoiding_join([zero_subspace(3)], [full_space(3)], chain)  # wrong ambient
+
+
+def lifted_cell_operands(cell: joins.DecompositionCell) -> tuple[list[Subspace], list[Subspace]]:
+    """Every operand that materialize_cell joins, lifted as compose_partitions lifts it."""
+    (a1, d1), (a2, d2) = cell.first_grassmannian, cell.second_grassmannian
+    v, u1, top = cell.chain.v, cell.chain.u1, cell.chain.top
+    k1s = [span(v, [vec_mat(r, u1.rows) for r in f.rows]) for f in enumerate_grassmannian(a1, d1)]
+    return k1s, [lift_preimage(top, g) for g in enumerate_grassmannian(a2, d2)]
+
+
+class TestJoinBatches:
+    """avoiding_join on operand sets, cut into kernel chunks far smaller than in use."""
+
+    @pytest.fixture(params=[3, 40])
+    def cap(self, request, monkeypatch):
+        # chunks of max(cap >> k, 1) members of dimension k: one member per
+        # chunk at cap 3 once k >= 2, and chunks that cut pairs apart at 40
+        sizes = []
+        canonical = joins._canonical
+
+        def counting(v, cols, n):
+            sizes.append(n)
+            return canonical(v, cols, n)
+
+        monkeypatch.setattr(designs, "_COUNT_BATCH", request.param)
+        monkeypatch.setattr(joins, "_canonical", counting)
+        return request.param, sizes
+
+    def check(self, cap, k1s, k2s, chain):
+        limit, sizes = cap
+        out = avoiding_join(k1s, k2s, chain)
+        spans = (avoiding_join_by_spans(k1, k2, chain.u1) for k1 in k1s for k2 in k2s)
+        assert out == frozenset().union(*spans)
+        k = k1s[0].dim + k2s[0].dim - chain.u1.dim
+        assert sum(sizes) == len(out) and max(sizes) <= max(limit >> k, 1)
+
+    @pytest.mark.parametrize("s", range(4))
+    def test_cells_match_one_span_per_member(self, cap, s):
+        for cell in grassmann_decomposition(7, 3, s):
+            cap[1].clear()
+            self.check(cap, *lifted_cell_operands(cell), cell.chain)
+
+    def test_proper_flag(self, cap):
+        # U1 < U2: lines of U1 joined with the 5-spaces through U2
+        chain = join_chain(standard_flag_subspace(6, 2), standard_flag_subspace(6, 4))
+        k1s = [span(6, s.rows) for s in enumerate_grassmannian(2, 1)]
+        k2s = [s for s in enumerate_grassmannian(6, 5) if contains(s, chain.u2)]
+        assert (len(k1s), len(k2s)) == (3, 3)
+        self.check(cap, k1s, k2s, chain)
+        assert len(avoiding_join(k1s, k2s, chain)) == 3 * 3 * 8
+
+    def test_empty_side(self):
+        chain = join_chain(standard_flag_subspace(4, 2), standard_flag_subspace(4, 2))
+        assert avoiding_join([], [full_space(4)], chain) == frozenset()
+        assert avoiding_join([zero_subspace(4)], [], chain) == frozenset()
+
+    def test_mixed_dimensions_rejected(self):
+        chain = join_chain(standard_flag_subspace(4, 2), standard_flag_subspace(4, 2))
+        with pytest.raises(ValueError, match="share a dimension"):
+            avoiding_join([zero_subspace(4), span(4, [1])], [full_space(4)], chain)
 
 
 class TestJoinSets:
@@ -569,16 +632,40 @@ class TestExecutePlan:
         # pairs; each compose_partitions call lifts each one once, not once
         # per part it is paired with
         calls = []
-        lift = QuotientFrame.lift_preimage
+        lifted = joins._lifted
 
-        def counting(frame, s):
-            calls.append((frame.sup, frame.sub, s))
-            return lift(frame, s)
+        def counting(parts, basis, extra, v, what):
+            parts = [list(part) for part in parts]
+            if what == "second":  # the operands read through the frame of V/U2
+                calls.extend((basis, extra, s) for part in parts for s in part)
+            return lifted(parts, basis, extra, v, what)
 
-        monkeypatch.setattr(QuotientFrame, "lift_preimage", counting)
+        monkeypatch.setattr(joins, "_lifted", counting)
         ls = execute_plan(mixed_plan(), [line_large_set()])
         assert len(calls) == len(set(calls)) == 30
         assert verify_large_set(ls).lam == 465
+
+    def test_decompose_at_positive_strength(self):
+        # LS_2[7](1,2,7) from two searched leaves, LS_2[7](1,2,4) and
+        # LS_2[7](0,1,3); each cell's parts are checked 1-equivalent
+        searches = [
+            iterated_large_set_search(build_km(v, t, k, trivial_group(v)), 7)
+            for t, k, v in ((1, 2, 4), (0, 1, 3))
+        ]
+        assert [(r.status, r.nodes) for r in searches] == [("solved", 11), ("solved", 6)]
+        node = lambda kind, t, k, v: PlanNode(kind, LSParams(2, 7, t, k, v))
+        trivial = node("leaf_trivial", -1, 0, 2)
+        ls124, ls013 = node("leaf_table", 1, 2, 4), node("leaf_table", 0, 1, 3)
+        plan = PlanNode(
+            "decompose",
+            LSParams(2, 7, 1, 2, 7),
+            s=2,
+            cell_strengths=((-1, 1), (0, 0), (1, -1)),
+            children=(trivial, ls124, ls013, ls013, ls124, trivial),
+        )
+        ls = execute_plan(plan, [r.large_set for r in searches])
+        assert verify_large_set(ls).lam == 9
+        assert [len(d.blocks) for d in ls.designs] == [381] * 7
 
     def test_missing_leaves_reported_upfront(self):
         plan = plan_series(4, 9)
