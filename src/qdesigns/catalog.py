@@ -140,7 +140,6 @@ def build_design_from_reps(
     reps: Iterable[BitMatrix | QuadrupleRecord | Sequence[int]],
     group: Group,
     expected_lambda: int,
-    t: int = STRENGTH,
     verify: bool = True,
 ) -> Design:
     """Expand orbit representatives into a full design and check it.
@@ -168,7 +167,7 @@ def build_design_from_reps(
             )
     if k is None:
         raise ValueError("no representatives given")
-    design = Design(group.v, k, t, expected_lambda, _frozen(blocks))
+    design = Design(group.v, k, STRENGTH, expected_lambda, _frozen(blocks))
     if verify:
         verify_design(design)
     return design

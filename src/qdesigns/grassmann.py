@@ -12,9 +12,9 @@ import gc
 from bisect import bisect_right
 from functools import lru_cache, wraps
 from inspect import isgeneratorfunction
-from itertools import combinations, repeat
+from itertools import chain, combinations, product, repeat
 from operator import add, and_, itemgetter, lshift, rshift, xor
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .gf2 import eliminate_tracked, rref_raw, span_table
 
@@ -257,95 +257,65 @@ def orthogonal_complement(s: Subspace) -> Subspace:
     return next(_complements([s]))
 
 
-class _PivotSet(NamedTuple):
-    """One pivot-column set of the enumeration and the ranks it covers."""
-
-    offset: int  # rank of its first subspace
-    base: tuple[int, ...]  # unit rows at the pivots
-    cells: tuple[tuple[int, int], ...]  # free cells (row, column bit), row-major
-
-
 @lru_cache(maxsize=None)
-def _pivot_sets(v: int, k: int) -> tuple[_PivotSet, ...]:
+def _pivot_sets(v: int, k: int) -> tuple[tuple[int, tuple[list[int], ...], tuple[int, ...]], ...]:
+    """Each pivot-column set of the enumeration, in order, as (offset, rows, shifts).
+
+    offset is the rank of its first subspace; per row, rows holds its values
+    indexed by its free-cell bits and shifts where those bits start in rank - offset.
+    """
     out = []
     offset = 0
     for pivots in combinations(range(v), k):
-        pivot_mask = 0
+        rows, shifts, shift = [], [], 0
         for p in pivots:
-            pivot_mask |= 1 << p
-        # free cells in row-major order: (row i, column j) with j > pivots[i],
-        # j not itself a pivot column
-        cells = tuple(
-            (i, 1 << j)
-            for i, p in enumerate(pivots)
-            for j in range(p + 1, v)
-            if not (pivot_mask >> j) & 1
-        )
-        out.append(_PivotSet(offset, tuple(1 << p for p in pivots), cells))
-        offset += 1 << len(cells)
+            # the row's free cells: columns after its pivot that are not pivot columns
+            free = [1 << j for j in range(p + 1, v) if j not in pivots]
+            rows.append([1 << p | x for x in span_table(free)])
+            shifts.append(shift)
+            shift += len(free)
+        out.append((offset, tuple(rows), tuple(shifts)))
+        offset += 1 << shift
     return tuple(out)
 
 
 def enumerate_grassmannian(v: int, k: int) -> Iterator[Subspace]:
     """All k-subspaces of GF(2)^v in a fixed documented order."""
     if k < 0 or k > v:
-        return
-    for _, base, cells in _pivot_sets(v, k):
-        for bits in range(1 << len(cells)):
-            yield Subspace(v, _filled(base, cells, bits))
-
-
-def _filled(base: tuple[int, ...], cells: tuple[tuple[int, int], ...], bits: int) -> list[int]:
-    """The rows of a pivot set with free cell j set for each set bit j of ``bits``."""
-    rows = list(base)
-    while bits:
-        low = bits & -bits
-        i, mask = cells[low.bit_length() - 1]
-        rows[i] |= mask
-        bits ^= low
-    return rows
+        return iter(())
+    # product varies its last factor fastest, so rows go in last first and come out reversed
+    return chain.from_iterable(
+        map(tuple.__new__, repeat(Subspace), map(reversed, product(*reversed(rows), (v,))))
+        for _, rows, _ in _pivot_sets(v, k)
+    )
 
 
 @lru_cache(maxsize=None)
 def _ranker(v: int, k: int) -> Callable[[Sequence[int]], int]:
     """grassmannian_rank for one (v, k), with its tables bound.
 
-    For each pivot set and row i with pivot p, a table indexed by the row's
-    bits above p gives the row's free bits placed at their cell positions,
-    or -1 when the row has a bit in a later pivot column (not reduced).
+    Each pivot mask maps to its set's offset and, per row, a dict from the
+    row's values to their free-cell bits already shifted into place.
     """
-    tables: dict[int, tuple[int, tuple[tuple[int, list[int]], ...]]] = {}
-    for offset, base, cells in _pivot_sets(v, k):
-        pivot_mask = sum(base)
-        parts = []
-        for i, b in enumerate(base):
-            shift = b.bit_length()
-            weight = {mask: 1 << pos for pos, (ci, mask) in enumerate(cells) if ci == i}
-            table = [0]
-            for j in range(shift, v):
-                # -1 | x is -1, so an entry with a later pivot bit stays -1
-                add = -1 if (pivot_mask >> j) & 1 else weight[1 << j]
-                table += [x | add for x in table]
-            parts.append((shift, table))
-        tables[pivot_mask] = (offset, tuple(parts))
+    tables = {}
+    for offset, rows, shifts in _pivot_sets(v, k):
+        places = tuple({r: x << shift for x, r in enumerate(row)} for row, shift in zip(rows, shifts))
+        tables[sum(row[0] for row in rows)] = (offset, places)
 
     def rank(rows: Sequence[int]) -> int:
+        # without this, zip would rank extra rows away
         if len(rows) != k:
             raise ValueError(f"{len(rows)} rows given for a {k}-subspace")
         pivots = 0
         for r in rows:
-            low = r & -r
-            # pivots must rise (the new lowest bit above all earlier ones);
-            # zero, negative and too-wide rows fail here too
-            if low <= pivots or r >> v:
-                raise ValueError(f"rows {list(rows)} are not an RREF basis in GF(2)^{v}")
-            pivots |= low
-        offset, parts = tables[pivots]
-        for r, (shift, table) in zip(rows, parts):
-            free = table[r >> shift]
-            if free < 0:
-                raise ValueError(f"rows {list(rows)} are not reduced")
-            offset += free
+            pivots |= r & -r
+        # rows out of order, unreduced, repeated, zero, negative or too wide miss a key
+        try:
+            offset, places = tables[pivots]
+            for r, place in zip(rows, places):
+                offset += place[r]
+        except KeyError:
+            raise ValueError(f"rows {list(rows)} are not an RREF basis in GF(2)^{v}") from None
         return offset
 
     return rank
@@ -365,8 +335,8 @@ def grassmannian_unrank(v: int, k: int, rank: int) -> Subspace:
     if not 0 <= rank < gaussian_binomial(v, k):
         raise ValueError(f"rank {rank} outside [0, [{v} {k}]_2)")
     sets = _pivot_sets(v, k)
-    offset, base, cells = sets[bisect_right(sets, rank, key=itemgetter(0)) - 1]
-    return Subspace(v, _filled(base, cells, rank - offset))
+    offset, rows, shifts = sets[bisect_right(sets, rank, key=itemgetter(0)) - 1]
+    return Subspace(v, [row[(rank - offset) >> shift & len(row) - 1] for row, shift in zip(rows, shifts)])
 
 
 class QuotientFrame:

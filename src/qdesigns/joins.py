@@ -94,15 +94,14 @@ def join_chain(u1: Subspace, u2: Subspace) -> JoinChain:
     return JoinChain(u1, u2, QuotientFrame(full_space(u1.v), u2))
 
 
-def _complement(sup: Subspace, sub: Subspace) -> tuple[int, ...]:
-    """RREF rows of ``sup`` spanning a complement of ``sub <= sup``.
+def _complement(sup: Subspace, pivots: int) -> tuple[int, ...]:
+    """RREF rows of ``sup`` spanning a complement of ``sub <= sup``, given sub's pivot mask.
 
     A nonzero sum of RREF rows has the least of their pivots (lowest set
     bits) as its lowest bit.  So a subspace's pivots are the lowest bits
     of its nonzero vectors, sub's pivots are among sup's, and no sum of
     the sup rows whose pivot sub lacks lies in sub.
     """
-    pivots = sum(r & -r for r in sub.rows)
     return tuple(r for r in sup.rows if not r & -r & pivots)
 
 
@@ -127,9 +126,11 @@ def avoiding_join(k1s: Iterable[Subspace], k2s: Iterable[Subspace], chain: JoinC
     # in c_j + x_j + K1 for exactly one x_j of a complement of K1 in U1: its
     # rows are K1's and each c_j + x_j.  Headed by v like a block, the
     # members' rows are cut into chunks by _chunks, then made canonical.
-    shifts = (span_table(_complement(u1, k1)) if k2s[0].dim > u1.dim else () for k1 in k1s)
+    u1_pivots = sum(r & -r for r in u1.rows)
+    k1_pivots = (sum(r & -r for r in k1.rows) for k1 in k1s)
+    shifts = (span_table(_complement(u1, p)) if k2s[0].dim > u1.dim else () for p in k1_pivots)
     members = itertools.chain.from_iterable(
-        itertools.product((v,), *zip(k1.rows), *[[c ^ x for x in xs] for c in _complement(k2, u1)])
+        itertools.product((v,), *zip(k1.rows), *[[c ^ x for x in xs] for c in _complement(k2, u1_pivots)])
         for k1, xs in zip(k1s, shifts) for k2 in k2s
     )
     out = frozenset(itertools.chain.from_iterable(

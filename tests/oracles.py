@@ -8,10 +8,13 @@ The avoiding join is built the slow way, one full elimination per
 member, from complements chosen by comparing dimensions, and the
 orthogonal complement from one orthogonal row per non-pivot column.
 A quotient frame's preimage is spanned by the transversal images of
-the quotient rows together with the factored-out rows.
+the quotient rows together with the factored-out rows.  The
+Grassmannian is listed block by block in its documented order, one free
+cell at a time.
 """
 
-from itertools import product
+from itertools import combinations, product
+from typing import Iterator
 
 from qdesigns.gf2 import vec_mat
 from qdesigns.grassmann import QuotientFrame, Subspace, span
@@ -72,3 +75,21 @@ def lift_preimage(frame: QuotientFrame, sbar: Subspace) -> Subspace:
     if sbar.v != frame.dim:
         raise ValueError("quotient subspace has the wrong ambient dimension")
     return span(frame.sup.v, [vec_mat(r, frame.transversal) for r in sbar.rows] + list(frame.sub.rows))
+
+
+def grassmannian_by_free_cells(v: int, k: int) -> Iterator[Subspace]:
+    """Every k-subspace of GF(2)^v in the order enumerate_grassmannian documents.
+
+    Pivot-column sets come in lexicographic order.  Within one, the free
+    cells (row i, column j) with j after row i's pivot and not itself a
+    pivot column, listed row by row, are counted in binary with the first
+    cell least significant.
+    """
+    for pivots in combinations(range(v), k):
+        cells = [(i, j) for i, p in enumerate(pivots) for j in range(p + 1, v) if j not in pivots]
+        for bits in range(1 << len(cells)):
+            rows = [1 << p for p in pivots]
+            for n, (i, j) in enumerate(cells):
+                if bits >> n & 1:
+                    rows[i] |= 1 << j
+            yield Subspace(v, rows)

@@ -6,7 +6,7 @@ import pickle
 import random
 import sys
 from functools import reduce
-from itertools import combinations, groupby
+from itertools import combinations, groupby, islice, zip_longest
 from operator import xor
 
 import pytest
@@ -33,7 +33,14 @@ from qdesigns.grassmann import (
     standard_flag_subspace,
 )
 
-from oracles import elimination_complement, intersection, lift_preimage, subspace_sum, zero_subspace
+from oracles import (
+    elimination_complement,
+    grassmannian_by_free_cells,
+    intersection,
+    lift_preimage,
+    subspace_sum,
+    zero_subspace,
+)
 
 
 def brute_subspace_count(v: int, k: int) -> int:
@@ -135,6 +142,21 @@ def test_rank_is_the_enumeration_position():
 
 
 @pytest.mark.parametrize(
+    "v, k, n",
+    [(v, k, None) for v in range(8) for k in range(v + 1)] + [(9, 4, 5000), (10, 3, 5000)],
+)
+def test_enumeration_rank_and_unrank_match_free_cell_oracle(v, k, n):
+    """The first n blocks (all when n is None) in the oracle's order, block for block."""
+    got = islice(enumerate_grassmannian(v, k), n)
+    want = islice(grassmannian_by_free_cells(v, k), n)
+    for position, (s, w) in enumerate(zip_longest(got, want)):
+        assert s == w and type(s) is Subspace
+        assert grassmannian_rank(v, k, w.rows) == position
+        assert grassmannian_unrank(v, k, position) == w
+    assert position + 1 == (n or gaussian_binomial(v, k))
+
+
+@pytest.mark.parametrize(
     "v, k, rows",
     [
         (4, 2, (0b0010, 0b0001)),  # swapped: pivots fall
@@ -147,6 +169,7 @@ def test_rank_is_the_enumeration_position():
         (4, 2, (0b0001,)),  # wrong dimension
         (4, 2, (0b0001, 0b0010, 0b0100)),  # wrong dimension
         (4, 0, (0b0001,)),  # wrong dimension
+        (4, 2, (0b0001, 0b0010, 0b0011)),  # wrong dimension: the first two rows alone are canonical
     ],
 )
 def test_rank_rejects_non_canonical_rows(v, k, rows):
