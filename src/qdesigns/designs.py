@@ -89,26 +89,12 @@ def _local_t_subspace_rows(k: int, t: int) -> tuple[tuple[int, ...], ...]:
     return tuple(s.rows for s in enumerate_grassmannian(k, t))
 
 
-def _is_rref(rows: Sequence[int]) -> bool:
-    """Pivots (lowest set bits) strictly increase; each is zero in the other rows."""
-    prev = pivot_mask = 0
-    for r in rows:
-        low = r & -r
-        if low <= prev:
-            return False
-        prev = low
-        pivot_mask |= low
-    for r in rows:
-        if r & pivot_mask != r & -r:
-            return False
-    return True
-
-
 def _rref_columns(cols: Sequence[Sequence[int]]) -> bool:
-    """Whether every block is in RREF (see _is_rref), given its rows as columns.
+    """Whether every block is in RREF, given its rows as columns.
 
-    Column i holds row i of every block, so each test maps over whole
-    columns instead of looping over blocks.
+    In RREF a block's pivots (lowest set bits) strictly increase and each
+    is zero in its other rows.  Column i holds row i of every block, so
+    each test maps over whole columns instead of looping over blocks.
     """
     lows = [list(map(and_, c, map(neg, c))) for c in cols]
     pivots = lows[0] if lows else []
@@ -145,7 +131,7 @@ def _count_batch(counts: Counter, batch: list[Subspace], t: int) -> None:
     """Adds the t-subspaces of a chunk of blocks to counts, from span-table columns."""
     cols = list(zip(*batch))[1:]  # column 0 holds every block's v
     if not _rref_columns(cols):
-        block = next(b for b in batch if not _is_rref(b.rows))
+        block = next(b for b in batch if not _rref_columns(list(zip(b.rows))))
         raise VerificationError(f"block rows are not in RREF: {block}", witness=block)
     table = _span_columns(cols)
     for c_rows in _local_t_subspace_rows(len(cols), t):  # none when k < t
@@ -398,11 +384,23 @@ def write_design(path, d: Design) -> None:
         fh.writelines(map(line.__mod__, map(itemgetter(slice(1, None)), blocks)))
 
 
+def _rref_chunk(chunk: list[str], v: int, k: int) -> Optional[list[tuple[int, ...]]]:
+    """The chunk's row columns if every line holds the k rows of an RREF block of GF(2)^v, else None."""
+    try:  # ints per line, so no line's strings outlive its parse
+        rows = list(map(tuple, map(map, repeat(int), map(str.split, chunk))))
+    except ValueError:  # the line-by-line read raises it at its line
+        return None
+    cols = list(zip(*rows))
+    ok = k and all(len(r) == k for r in rows) and min(map(min, cols)) > 0 and not max(map(max, cols)) >> v
+    return cols if ok and _rref_columns(cols) else None
+
+
 @_nogc
 def read_design(path) -> Design:
     """Parse a design file; a block given twice, in any basis, is an error.
 
-    Lines are read one at a time, so the file's text is never held whole.
+    Lines are read in chunks, so the file's text is never held whole.  A
+    chunk with a block not in RREF (write_design leaves none) is read line by line.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = filter(None, map(str.strip, fh))
@@ -416,22 +414,24 @@ def read_design(path) -> Design:
         if hdr["q"] != 2:
             raise ValueError(f"{path}: only q=2 is supported, got q={hdr['q']}")
         v, k = hdr["v"], hdr["k"]
-        blocks = []
-        for ln in lines:
-            rows = tuple(map(int, ln.split()))
-            if len(rows) != k:
-                if k == 0 and rows == (0,):  # the zero subspace, as write_design writes it
-                    blocks.append(Subspace(v, ()))
-                    continue
-                raise ValueError(f"{path}: block line has {len(rows)} rows, expected {k}")
-            # write_design leaves every block in RREF, which needs no elimination
-            if min(rows) > 0 and not max(rows) >> v and _is_rref(rows):
-                s = Subspace(v, rows)
-            else:
+        size = max(_COUNT_BATCH >> max(k, 0), 1)  # a k < 0 header fails on its first line
+        blocks: list[Subspace] = []
+        for chunk in iter(lambda: list(islice(lines, size)), []):
+            cols = _rref_chunk(chunk, v, k)
+            if cols is not None:
+                blocks.extend(_from_columns(v, cols, len(chunk)))
+                continue
+            for ln in chunk:
+                rows = tuple(map(int, ln.split()))
+                if len(rows) != k:
+                    if k == 0 and rows == (0,):  # the zero subspace, as write_design writes it
+                        blocks.append(Subspace(v, ()))
+                        continue
+                    raise ValueError(f"{path}: block line has {len(rows)} rows, expected {k}")
                 s = span(v, rows)
                 if s.dim != k:
                     raise ValueError(f"{path}: block rows are dependent: {list(rows)}")
-            blocks.append(s)
+                blocks.append(s)
     unique = frozenset(blocks)
     if len(unique) != len(blocks):
         first: dict[Subspace, int] = {}

@@ -12,7 +12,6 @@ from typing import Iterable, NamedTuple, Sequence
 __all__ = [
     "BitMatrix",
     "RrefResult",
-    "eliminate_tracked",
     "identity",
     "mat_mul",
     "rank_raw",
@@ -95,29 +94,3 @@ def rref_raw(rows: Iterable[int]) -> RrefResult:
 def rank_raw(rows: Iterable[int]) -> int:
     return len(rref_raw(rows).rows)
 
-
-def eliminate_tracked(rows: Iterable[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
-    """Gauss-Jordan elimination that tracks which input rows make up each row.
-
-    A combination is an int whose bit i selects input row i.  Returns a dict
-    from each pivot mask (a row's lowest set bit, zero in every other row)
-    to its reduced row and the combination summing to it, plus, for each
-    input row that depends on earlier ones, a combination summing to zero.
-    """
-    by_pivot: dict[int, tuple[int, int]] = {}
-    dependent: list[int] = []
-    for i, r in enumerate(rows):
-        combo = 1 << i
-        for mask, (basis_row, basis_combo) in by_pivot.items():
-            if r & mask:
-                r ^= basis_row
-                combo ^= basis_combo
-        if r:
-            mask = r & -r
-            for other_mask, (other_row, other_combo) in by_pivot.items():
-                if other_row & mask:
-                    by_pivot[other_mask] = (other_row ^ r, other_combo ^ combo)
-            by_pivot[mask] = (r, combo)
-        else:
-            dependent.append(combo)
-    return by_pivot, dependent

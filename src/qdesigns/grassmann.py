@@ -16,7 +16,7 @@ from itertools import chain, combinations, product, repeat
 from operator import add, and_, itemgetter, lshift, rshift, xor
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .gf2 import eliminate_tracked, rref_raw, span_table
+from .gf2 import rref_raw, span_table
 
 __all__ = [
     "QuotientFrame",
@@ -346,41 +346,32 @@ class QuotientFrame:
     coordinate j corresponds to transversal row j.
     """
 
-    __slots__ = ("sub", "sup", "transversal", "dim", "_steps")
+    __slots__ = ("sub", "sup", "transversal", "dim", "_basis")
 
     def __init__(self, sup: Subspace, sub: Subspace):
         if sup.v != sub.v:
             raise ValueError("ambient dimensions differ")
-        # sub's rows, then sup's: a sup row that depends on earlier rows (the
-        # top bit of its dependency) is dropped, so the rest extend sub's
-        # basis greedily, in sup's order
-        ns = len(sub.rows)
-        by_pivot, dependent = eliminate_tracked(sub.rows + sup.rows)
-        if len(by_pivot) != len(sup.rows):
+        v, n = sup.v, len(sup.rows)
+        # sup row i is tagged with bit v + n - 1 - i, so each pivot at or above
+        # bit v, a dependency's lowest tag, names its latest row: the rows that
+        # extending sub's basis greedily, in sup's order, drops
+        pivots = rref_raw(sub.rows + tuple(r | 1 << (v + n - 1 - i) for i, r in enumerate(sup.rows))).pivots
+        if bisect_right(pivots, v - 1) != n:
             raise ValueError("sub is not contained in sup")
-        dropped = sum(1 << (combo.bit_length() - 1) for combo in dependent)
-        kept = [i for i in range(ns, ns + len(sup.rows)) if not dropped >> i & 1]
         self.sub = sub
         self.sup = sup
-        self.transversal = tuple(sup.rows[i - ns] for i in kept)
-        self.dim = len(kept)
-        # elimination steps for coefficient extraction: (pivot mask, row, combo);
-        # combo bit j selects transversal row j; sub rows' bits are left out
-        self._steps = tuple(
-            (mask, row, sum(1 << j for j, i in enumerate(kept) if combo >> i & 1))
-            for mask, (row, combo) in sorted(by_pivot.items())
-        )
+        self.transversal = tuple(r for i, r in enumerate(sup.rows) if v + n - 1 - i not in pivots)
+        self.dim = len(self.transversal)
+        # with transversal row j tagged by bit v + j, reducing x leaves its coordinates above bit v
+        self._basis = rref_raw(sub.rows + tuple(r | 1 << (v + j) for j, r in enumerate(self.transversal))).rows
 
     def project_vector(self, x: int) -> int:
         """Quotient coordinates of x + sub; x must lie in sup."""
-        coeffs = 0
-        for mask, row, combo in self._steps:
-            if x & mask:
-                x ^= row
-                coeffs ^= combo
-        if x:
+        v = self.sup.v
+        y = reduce_vector(x, self._basis)
+        if x >> v or y & (1 << v) - 1:
             raise ValueError("vector lies outside the frame's superspace")
-        return coeffs
+        return y >> v
 
     def project(self, s: Subspace) -> Subspace:
         """Image of s in the quotient; requires sub <= s <= sup."""

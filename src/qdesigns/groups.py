@@ -10,6 +10,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -113,15 +114,17 @@ def act(s: Subspace, g: GroupElement) -> Subspace:
 def orbit_of(s: Subspace, group: Group) -> set[Subspace]:
     """Orbit of s: its image under every element of the group.
 
-    With vector-image tables, the images' rows are read from the tables,
-    one row column over all elements, and made canonical together.
+    Row r's images under all elements form one column, read from the
+    vector-image tables if the group has them, made canonical together.
     """
     if s.v != group.v:
         raise ValueError("subspace and group dimensions differ")
     tables = group.element_image_tables
     if tables is None:
-        return {act(s, g) for g in group.elements}
-    return set(_canonical(s.v, [map(itemgetter(r), tables) for r in s.rows], len(tables)))
+        cols = [[vec_mat(r, g.rows) for g in group.elements] for r in s.rows]
+    else:
+        cols = [map(itemgetter(r), tables) for r in s.rows]
+    return set(_canonical(s.v, cols, group.order))
 
 
 @dataclass
@@ -198,10 +201,10 @@ def orbit_partition(v: int, k: int, group: Group) -> OrbitPartition:
 def parse_generator_text(text: str) -> list[GroupElement]:
     """Parse blank-line-separated blocks of '0'/'1' rows into matrices."""
     mats = []
-    for block in text.strip().split("\n\n"):
-        lines = [ln.strip() for ln in block.strip().splitlines() if ln.strip()]
-        if not lines:
+    for nonblank, block in groupby(map(str.strip, text.splitlines()), bool):
+        if not nonblank:
             continue
+        lines = list(block)
         v = len(lines[0])
         rows = []
         for ln in lines:

@@ -164,8 +164,9 @@ class _Search:
     the column order: including one adds its packed column to cnt,
     excluding it subtracts that from tot.  The undecided and included
     columns are bitmasks over positions, and so is each row's column set.
-    A node is the four ints (cnt, tot, undecided, included); a
-    backtracking frame holds them, so undoing a decision is one restore.
+    A node is six ints: cnt, tot, undecided, included, and the guards of
+    the rows at count lam and at total lam.  A backtracking frame holds
+    them, so undoing a decision is one restore.
     Before the first node, a row whose entries have no subset summing to
     lam proves the system infeasible.
     """
@@ -214,8 +215,8 @@ class _Search:
 
     def _propagate(
         self, cnt: int, tot: int, undecided: int, included: int, full_done: int, tight_done: int
-    ) -> Optional[tuple[int, int, int, int]]:
-        """Fixpoint of the row rules, or None if a row fails.
+    ) -> Optional[tuple[int, int, int, int, int, int]]:
+        """Fixpoint of the row rules as a node, or None if a row fails.
 
         Rows in full_done (count lam) and tight_done (total lam) have had
         their rule applied already and keep no undecided column.
@@ -231,7 +232,7 @@ class _Search:
             tight = g ^ ((t - lam1_rows) & g)
             new_full, new_tight = full & ~full_done, tight & ~tight_done
             if not new_full | new_tight:
-                return cnt, tot, undecided, included
+                return cnt, tot, undecided, included, full, tight
             full_done, tight_done = full, tight
             out = inn = 0
             while new_full:
@@ -288,34 +289,29 @@ class _Search:
         """Yield solutions in deterministic DFS order; raises BudgetExceeded."""
         if self.unreachable_row() is not None:
             return
-        g, lam_rows, lam1_rows = self.guards, self.lam_rows, self.lam1_rows
         vec_at = self.vec_at
         state = self._propagate(0, sum(vec_at), (1 << (len(vec_at) - 1)) - 1, 0, 0, 0)
-        # frames: (column bit branched on, node state, its full and tight rows)
-        frames: list[tuple[int, tuple[int, int, int, int], int, int]] = []
+        frames: list[tuple[int, tuple[int, ...]]] = []  # (column bit branched on, node)
 
-        def backtrack() -> Optional[tuple[int, int, int, int]]:
+        def backtrack() -> Optional[tuple[int, ...]]:
             while frames:
-                bit, (cnt, tot, undecided, included), full, tight = frames.pop()
-                tot -= vec_at[bit.bit_length()]
-                nxt = self._propagate(cnt, tot, undecided ^ bit, included, full, tight)
+                bit, (cnt, tot, undecided, included, full, tight) = frames.pop()
+                nxt = self._propagate(cnt, tot - vec_at[bit.bit_length()], undecided ^ bit, included, full, tight)
                 if nxt is not None:
                     return nxt
             return None
 
         while state is not None:
-            cnt, tot, undecided, included = state
+            cnt, tot, undecided, included, full, tight = state
             if not undecided:
                 yield frozenset(self.order[p] for p in range(len(self.order)) if included >> p & 1)
                 state = backtrack()
                 continue
-            full = ((cnt | g) - lam_rows) & g
-            tight = g ^ (((tot | g) - lam1_rows) & g)
             bit = self._branch(full, tot, undecided)
             self.nodes += 1
             if self.nodes > self.budget:
                 raise BudgetExceeded(self.nodes)
-            frames.append((bit, state, full, tight))
+            frames.append((bit, state))
             cnt += vec_at[bit.bit_length()]
             state = self._propagate(cnt, tot, undecided ^ bit, included | bit, full, tight)
             if state is None:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 import re
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -451,6 +451,42 @@ def test_design_file_rejects_repeated_block_in_another_basis(tmp_path):
     path.write_text("q=2 v=3 k=2 t=0 lambda=2\n1 2\n3 2\n")
     with pytest.raises(ValueError, match="repeats block 1"):
         read_design(path)
+
+
+def test_design_file_read_in_chunks(tmp_path):
+    # k = 4 lines are read in chunks of 2^16 >> 4 = 4096, so line 4501 is in the second
+    blocks = list(islice(enumerate_grassmannian(8, 4), 5000))
+    lines = [" ".join(map(str, b.rows)) for b in blocks]
+    path = tmp_path / "d.txt"
+
+    def read(changed: dict[int, str]) -> Design:
+        body = [changed.get(i, ln) for i, ln in enumerate(lines)]
+        path.write_text("q=2 v=8 k=4 t=0 lambda=1\n" + "\n".join(body) + "\n")
+        return read_design(path)
+
+    a, b, c, d = blocks[4500].rows
+    other_basis = read({4500: f"{a ^ b} {b} {c} {d}"})  # not RREF, so canonicalized
+    assert other_basis.blocks == frozenset(blocks)
+    assert {s.rows for s in other_basis.blocks} == {s.rows for s in blocks}
+    with pytest.raises(ValueError, match=re.escape(f"block rows are dependent: {[a, b, c, a ^ b]}")):
+        read({4500: f"{a} {b} {c} {a ^ b}"})
+    with pytest.raises(ValueError, match=f"block 4501 repeats block 11, the span of rows {lines[10]}$"):
+        read({4500: lines[10]})
+
+
+def test_design_file_reports_its_first_bad_line(tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text("q=2 v=4 k=2 t=0 lambda=1\n1 2\n3 3\n1 x\n")
+    with pytest.raises(ValueError, match="dependent"):
+        read_design(path)
+
+
+def test_design_file_of_one_block_wider_than_a_chunk(tmp_path):
+    # 2^16 >> 17 is 0, so without the floor of one line the block would be skipped
+    d = Design(17, 17, 0, 1, frozenset([full_space(17)]))
+    path = tmp_path / "d.txt"
+    write_design(path, d)
+    assert read_design(path) == d
 
 
 def test_large_set_file_roundtrip(tmp_path):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from qdesigns.gf2 import (
     BitMatrix,
     RrefResult,
-    eliminate_tracked,
     identity,
     mat_mul,
     rank_raw,
@@ -139,17 +138,4 @@ def test_rref_raw_matches_gauss_jordan(case):
     assert (res.rows, res.pivots) == gauss_jordan(rows, ncols)
     assert rref_raw(res.rows) == res
     assert rref_raw(iter(rows)) == res
-
-
-@settings(max_examples=300, deadline=None)
-@given(row_lists())
-def test_eliminate_tracked_combinations(case):
-    _, rows = case
-    by_pivot, dependent = eliminate_tracked(rows)
-    assert len(by_pivot) == rank_raw(rows)
-    assert len(dependent) == len(rows) - len(by_pivot)
-    for mask, (row, combo) in by_pivot.items():
-        assert row & -row == mask and vec_mat(combo, rows) == row
-        assert all(other & mask == 0 for m, (other, _) in by_pivot.items() if m != mask)
-    assert all(c and vec_mat(c, rows) == 0 for c in dependent)
 

@@ -244,6 +244,12 @@ def test_generator_file_roundtrip(tmp_path):
     assert tuple(read_generator_file(path)) == builtin_group().generators
 
 
+@pytest.mark.parametrize("text", ["10\n01\n \n01\n10", "10\r\n01\r\n\r\n01\r\n10\r\n"])
+def test_parse_generator_text_splits_on_whitespace_only_lines(text):
+    # a separator line of spaces, or CRLF endings, still separates two blocks
+    assert parse_generator_text(text) == [BitMatrix(2, (1, 2)), BitMatrix(2, (2, 1))]
+
+
 def test_parse_generator_text_errors():
     with pytest.raises(ValueError):
         parse_generator_text("01\n10\n\n012\n101\n")  # bad digit
