@@ -5,6 +5,16 @@ A t-(v, k, lambda) subspace design over GF(2) is a set of k-subspaces
 large set splits the full Grassmannian of k-subspaces into N disjoint
 designs.  Verification is always by exhaustive counting; nothing here
 trusts a construction.
+
+Counting reads bit planes, a chunk of blocks at a time: plane b of row
+column j is the int whose bit i is bit b of block i's row j.  The planes
+alone show whether each block is an RREF basis of GF(2)^v.  They give the
+point set S_x of every vector x, the blocks that hold x, by the block's
+complement, with one XOR per plane per x in Gray code order.  The
+t-subspace with RREF rows a_1..a_t lies in popcount(S_a1 & ... & S_at)
+blocks.  A chunk holds max(2^21 >> v, 1) blocks, so its 2^v point sets
+hold about 2^21 bits.  t_subspace_counts keeps a count keyed by rows,
+which build_km takes for one orbit representative at a time.
 """
 
 from __future__ import annotations
@@ -13,8 +23,8 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from itertools import chain, compress, groupby, islice, repeat
-from operator import and_, eq, itemgetter, lt, neg, not_, or_, rshift
+from itertools import accumulate, chain, compress, groupby, islice, repeat
+from operator import add, and_, eq, invert, itemgetter, not_, or_, rshift, xor
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .grassmann import (
@@ -23,9 +33,9 @@ from .grassmann import (
     _complements,
     _from_columns,
     _nogc,
-    _span_columns,
     enumerate_grassmannian,
     gaussian_binomial,
+    grassmannian_unrank,
     span,
 )
 
@@ -80,7 +90,10 @@ class LargeSetReport:
     grassmannian_size: int
 
 
-_COUNT_BATCH = 1 << 16  # span-table entries per chunk of _chunks
+_COUNT_BATCH = 1 << 16  # span-table entries per _chunks chunk; 1/32 of the point-set bits per _incidence_counts chunk
+
+# entry x of _DIGIT[b] is the ASCII digit of bit b of the byte x: runs of 2^b zeros, then 2^b ones
+_DIGIT = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
 
 
 @lru_cache(maxsize=None)
@@ -89,22 +102,76 @@ def _local_t_subspace_rows(k: int, t: int) -> tuple[tuple[int, ...], ...]:
     return tuple(s.rows for s in enumerate_grassmannian(k, t))
 
 
-def _rref_columns(cols: Sequence[Sequence[int]]) -> bool:
-    """Whether every block is in RREF, given its rows as columns.
+def _rref_planes(cols: Iterable[Iterable[int]], v: int, n: int) -> Optional[tuple[list[list[int]], list[list[int]]]]:
+    """The bit planes and pivot planes of n blocks' row columns, or None unless each block is an RREF basis of GF(2)^v.
 
-    In RREF a block's pivots (lowest set bits) strictly increase and each
-    is zero in its other rows.  Column i holds row i of every block, so
-    each test maps over whole columns instead of looping over blocks.
+    Plane b has bit i set iff block i's row has bit b: bytes.translate turns one byte per row, last block first,
+    into binary digits that int() reads in base 2.  Pivot plane b: the blocks whose row has its lowest bit at b.
     """
-    lows = [list(map(and_, c, map(neg, c))) for c in cols]
-    pivots = lows[0] if lows else []
-    for low in lows[1:]:
-        pivots = list(map(or_, pivots, low))
-    return (
-        (not lows or all(lows[0]))
-        and all(all(map(lt, a, b)) for a, b in zip(lows, lows[1:]))
-        and all(all(map(eq, map(and_, c, pivots), low)) for c, low in zip(cols, lows))
-    )
+    w, full = (v + 7) >> 3, (1 << n) - 1  # w bytes per row
+    planes, pivots = [], []
+    earlier, below, bad = [0] * v, [-1] * v, 0  # below: every block has a bit below b in the row before the first
+    for c in cols:
+        try:  # each row's bytes, most significant first, last block first
+            raw = (bytes(c) if w == 1 else b"".join(map(int.to_bytes, c, repeat(w), repeat("little"))))[::-1]
+        except (ValueError, OverflowError):  # a row below 0 or wider than w bytes
+            return None
+        if max(raw[::w]) >> (v - 8 * w + 8):  # a row's top byte has a bit at v or above
+            return None
+        plane = [int(raw[w - 1 - (b >> 3)::w].translate(_DIGIT[b & 7]), 2) for b in range(v)]
+        *low, seen = accumulate(plane, or_, initial=0)  # low[b]: the blocks whose row has a bit below b
+        pivot = list(map(and_, plane, map(invert, low)))
+        # a row must not be zero, and its pivot must lie above the previous row's and be clear in every earlier row
+        bad |= full ^ seen | reduce(or_, map(and_, pivot, map(or_, earlier, map(invert, below))), 0)
+        earlier, below = list(map(or_, earlier, plane)), low
+        planes.append(plane)
+        pivots.append(pivot)
+    return None if bad else (planes, pivots)
+
+
+def _checked_planes(chunk: list[Subspace], v: int) -> tuple[list[list[int]], list[list[int]]]:
+    """_rref_planes of a chunk of blocks of one dimension; VerificationError names its first block that fails."""
+    found = _rref_planes([map(itemgetter(j), chunk) for j in range(1, len(chunk[0]))], v, len(chunk))
+    if found is None:
+        block = next(b for b in chunk if _rref_planes(zip(b[1:]), v, 1) is None)
+        raise VerificationError(f"block rows are not an RREF basis of GF(2)^{v}: {block}", witness=block)
+    return found
+
+
+def _point_sets(planes: list[list[int]], pivots: list[list[int]], v: int, n: int) -> list[int]:
+    """Entry x is the set of the n blocks that hold the vector x, as an int with bit i for block i.
+
+    x lies in a block iff it is orthogonal to each u_f = e_f + sum_j r_{j,f} e_{p_j} (row r_j has pivot p_j).
+    """
+    full = (1 << n) - 1
+    u = [[reduce(xor, map(and_, [p[f] for p in planes], [q[g] for q in pivots]), full if f == g else 0)
+          for f in range(v)] for g in range(v)]  # u[g][f]: the blocks whose u_f has bit g
+    odd, points, x = [0] * v, [full] * (1 << v), 0
+    for i in range(1, 1 << v):
+        g = (i & -i).bit_length() - 1
+        x ^= 1 << g
+        odd = list(map(xor, odd, u[g]))
+        points[x] = full ^ reduce(or_, odd)
+    return points
+
+
+def _incidence_counts(blocks: Iterable[Subspace], v: int, t: int) -> list[int]:
+    """How many blocks, all of one dimension, hold each t-subspace of GF(2)^v, in enumerate_grassmannian(v, t) order.
+
+    A block that is not an RREF basis raises VerificationError (see _checked_planes).  t = 0 makes no point set.
+    """
+    tcols = [list(map(itemgetter(i), enumerate_grassmannian(v, t))) for i in range(1, t + 1)]
+    counts = [0] * gaussian_binomial(v, t)
+    it = iter(blocks)
+    for chunk in iter(lambda: list(islice(it, max((_COUNT_BATCH << 5) >> v, 1))), []):
+        planes = _checked_planes(chunk, v)
+        if t:
+            points = _point_sets(*planes, v, len(chunk))
+            held = reduce(partial(map, and_), [map(points.__getitem__, c) for c in tcols])
+            counts = list(map(add, counts, map(int.bit_count, held)))
+        else:
+            counts[0] += len(chunk)
+    return counts
 
 
 def _chunks(blocks: Iterable[Subspace]) -> Iterator[list[Subspace]]:
@@ -127,39 +194,22 @@ def _batched(kernel: Callable[..., Iterable[Subspace]], blocks: Iterable[Subspac
     return chain.from_iterable(kernel(chunk, *args) for chunk in _chunks(blocks))
 
 
-def _count_batch(counts: Counter, batch: list[Subspace], t: int) -> None:
-    """Adds the t-subspaces of a chunk of blocks to counts, from span-table columns."""
-    cols = list(zip(*batch))[1:]  # column 0 holds every block's v
-    if not _rref_columns(cols):
-        block = next(b for b in batch if not _rref_columns(list(zip(b.rows))))
-        raise VerificationError(f"block rows are not in RREF: {block}", witness=block)
-    table = _span_columns(cols)
-    for c_rows in _local_t_subspace_rows(len(cols), t):  # none when k < t
-        counts.update(zip(*[table[c] for c in c_rows]))
-
-
 @_nogc
 def t_subspace_counts(blocks: Iterable[Subspace], t: int) -> dict[tuple[int, ...], int]:
-    """Multiset of t-subspaces covered by blocks, keyed by their RREF rows.
+    """Multiset of t-subspaces covered by blocks, keyed by their RREF rows; build_km counts one block per call.
 
     If R is a block's RREF basis and C the RREF basis of a t-subspace of
     GF(2)^k, then C*R is the RREF basis of the matching t-subspace of the
     block, so every key is read straight out of the block's span table.
-    That only holds for canonical blocks: a block whose rows are not in
-    RREF (pivot = lowest set bit, pivots increasing, each pivot column zero
-    in the other rows) raises VerificationError with the block as witness,
-    since its t-subspaces could be split over several keys.  At t = 0 the
-    one key is () and its count is the number of blocks.
-
-    Blocks are counted a chunk at a time (see _chunks), so no list of all
-    keys is ever held.
+    That only holds for canonical blocks, so any other block raises
+    VerificationError with the block as witness (see _checked_planes).  At
+    t = 0 the one key is () and its count is the number of blocks.
     """
-    if t == 0:
-        n = sum(1 for _ in blocks)
-        return {(): n} if n else {}
     counts: Counter[tuple[int, ...]] = Counter()
-    for batch in _chunks(blocks):
-        _count_batch(counts, batch, t)
+    for block in blocks:
+        _checked_planes([block], block[0])
+        table = block.vectors()
+        counts.update(tuple(map(table.__getitem__, c_rows)) for c_rows in _local_t_subspace_rows(len(block) - 1, t))
     return counts
 
 
@@ -167,40 +217,31 @@ def t_subspace_counts(blocks: Iterable[Subspace], t: int) -> dict[tuple[int, ...
 def verify_design(d: Design) -> int:
     """Exhaustively check the design property; returns lambda.
 
-    Every t-subspace of GF(2)^v must lie in exactly d.lam blocks.
+    Every t-subspace of GF(2)^v must lie in exactly d.lam blocks, counted
+    by _incidence_counts.
     """
     if not 0 <= d.t <= d.k <= d.v:
         raise VerificationError(f"invalid parameters t={d.t} k={d.k} v={d.v}")
     size, v = d.k + 1, d.v
-    bad = next((b for b in d.blocks if len(b) != size or b[0] != v), None)
-    if bad is not None:
+    if not (all(map(eq, map(len, d.blocks), repeat(size))) and all(map(eq, map(itemgetter(0), d.blocks), repeat(v)))):
+        bad = next(b for b in d.blocks if len(b) != size or b[0] != v)
         raise VerificationError(f"block has wrong shape: {bad}", witness=bad)
     expected_blocks = d.lam * gaussian_binomial(d.v, d.t)
     denom = gaussian_binomial(d.k, d.t)
     if expected_blocks % denom:
-        raise VerificationError(
-            f"lambda={d.lam} is not consistent with any {d.t}-({d.v},{d.k}) design"
-        )
+        raise VerificationError(f"lambda={d.lam} is not consistent with any {d.t}-({d.v},{d.k}) design")
     if len(d.blocks) != expected_blocks // denom:
-        raise VerificationError(
-            f"block count {len(d.blocks)} differs from required {expected_blocks // denom}"
-        )
-    counts = t_subspace_counts(d.blocks, d.t)
-    total = gaussian_binomial(d.v, d.t)
-    if len(counts) != total and d.lam != 0:
-        raise VerificationError(
-            f"only {len(counts)} of {total} {d.t}-subspaces are covered",
-            witness=next(
-                (s for s in enumerate_grassmannian(d.v, d.t) if s.rows not in counts), None
-            ),
-        )
-    for key, c in counts.items():
-        if c != d.lam:
-            raise VerificationError(
-                f"a {d.t}-subspace lies in {c} blocks, expected {d.lam}",
-                witness=Subspace(d.v, key),
-            )
-    return d.lam
+        raise VerificationError(f"block count {len(d.blocks)} differs from required {expected_blocks // denom}")
+    counts = _incidence_counts(d.blocks, v, d.t)
+    if d.lam and 0 in counts:  # an uncovered t-subspace is the witness before any other miscount
+        at = counts.index(0)
+        message = f"only {len(counts) - counts.count(0)} of {len(counts)} {d.t}-subspaces are covered"
+    elif counts.count(d.lam) != len(counts):
+        at = next(i for i, c in enumerate(counts) if c != d.lam)
+        message = f"a {d.t}-subspace lies in {counts[at]} blocks, expected {d.lam}"
+    else:
+        return d.lam
+    raise VerificationError(message, witness=grassmannian_unrank(v, d.t, at))
 
 
 def large_set_lambda(v: int, k: int, t: int, n: int) -> int:
@@ -209,9 +250,7 @@ def large_set_lambda(v: int, k: int, t: int, n: int) -> int:
         raise VerificationError(f"a large set needs N >= 1 members, got N={n}")
     lam_max = gaussian_binomial(v - t, k - t)
     if lam_max % n:
-        raise VerificationError(
-            f"N={n} does not divide the maximal lambda {lam_max} for t={t} k={k} v={v}"
-        )
+        raise VerificationError(f"N={n} does not divide the maximal lambda {lam_max} for t={t} k={k} v={v}")
     return lam_max // n
 
 
@@ -246,9 +285,7 @@ def check_disjoint(parts: Sequence[frozenset[Subspace]], name: str = "parts") ->
     for i, part in enumerate(parts):
         for j, earlier in enumerate(parts[:i]):
             if not part.isdisjoint(earlier):
-                raise VerificationError(
-                    f"{name} {j} and {i} overlap", witness=min(part & earlier)
-                )
+                raise VerificationError(f"{name} {j} and {i} overlap", witness=min(part & earlier))
 
 
 def verify_large_set(ls: LargeSet) -> LargeSetReport:
@@ -266,18 +303,8 @@ def verify_large_set(ls: LargeSet) -> LargeSetReport:
     total = sum(len(d.blocks) for d in ls.designs)
     size = gaussian_binomial(ls.v, ls.k)
     if total != size:
-        raise VerificationError(
-            f"union holds {total} blocks, Grassmannian has {size}"
-        )
-    return LargeSetReport(
-        ls.v,
-        ls.k,
-        ls.t,
-        ls.n,
-        lam,
-        tuple(len(d.blocks) for d in ls.designs),
-        size,
-    )
+        raise VerificationError(f"union holds {total} blocks, Grassmannian has {size}")
+    return LargeSetReport(ls.v, ls.k, ls.t, ls.n, lam, tuple(len(d.blocks) for d in ls.designs), size)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +381,8 @@ TRANSFORMS = {
 # file formats
 
 
-def _parse_header(line: str, path) -> dict[str, int]:
+def _parse_header(line: str, path, keys: Sequence[str]) -> dict[str, int]:
+    """The header's fields; each of keys must be there, with q = 2, 0 <= t <= k <= v and lambda >= 0."""
     fields = {}
     for part in line.split():
         key, _, val = part.partition("=")  # no "=" leaves val empty, which int() refuses
@@ -364,6 +392,15 @@ def _parse_header(line: str, path) -> dict[str, int]:
             fields[key] = int(val)
         except ValueError:
             raise ValueError(f"{path}: bad header token {part!r}") from None
+    for key in keys:
+        if key not in fields:
+            raise ValueError(f"{path}: header is missing {key}=")
+    if fields["q"] != 2:
+        raise ValueError(f"{path}: only q=2 is supported, got q={fields['q']}")
+    if not 0 <= fields["t"] <= fields["k"] <= fields["v"]:
+        raise ValueError(f"{path}: header needs 0 <= t <= k <= v, got t={fields['t']} k={fields['k']} v={fields['v']}")
+    if fields.get("lambda", 0) < 0:
+        raise ValueError(f"{path}: header declares lambda={fields['lambda']}, which is negative")
     return fields
 
 
@@ -391,8 +428,8 @@ def _rref_chunk(chunk: list[str], v: int, k: int) -> Optional[list[tuple[int, ..
     except ValueError:  # the line-by-line read raises it at its line
         return None
     cols = list(zip(*rows))
-    ok = k and all(len(r) == k for r in rows) and min(map(min, cols)) > 0 and not max(map(max, cols)) >> v
-    return cols if ok and _rref_columns(cols) else None
+    ok = k and all(map(eq, map(len, rows), repeat(k))) and _rref_planes(cols, v, len(rows)) is not None
+    return cols if ok else None
 
 
 @_nogc
@@ -407,14 +444,9 @@ def read_design(path) -> Design:
         header = next(lines, None)
         if header is None:
             raise ValueError(f"{path}: empty design file")
-        hdr = _parse_header(header, path)
-        for key in ("q", "v", "k", "t", "lambda"):
-            if key not in hdr:
-                raise ValueError(f"{path}: header is missing {key}=")
-        if hdr["q"] != 2:
-            raise ValueError(f"{path}: only q=2 is supported, got q={hdr['q']}")
+        hdr = _parse_header(header, path, ("q", "v", "k", "t", "lambda"))
         v, k = hdr["v"], hdr["k"]
-        size = max(_COUNT_BATCH >> max(k, 0), 1)  # a k < 0 header fails on its first line
+        size = max(_COUNT_BATCH >> k, 1)
         blocks: list[Subspace] = []
         for chunk in iter(lambda: list(islice(lines, size)), []):
             cols = _rref_chunk(chunk, v, k)
@@ -471,12 +503,7 @@ def read_large_set(path) -> LargeSet:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise ValueError(f"{path}: empty large-set manifest")
-    hdr = _parse_header(lines[0], path)
-    for key in ("q", "v", "k", "t", "N"):
-        if key not in hdr:
-            raise ValueError(f"{path}: header is missing {key}=")
-    if hdr["q"] != 2:
-        raise ValueError(f"{path}: only q=2 is supported, got q={hdr['q']}")
+    hdr = _parse_header(lines[0], path, ("q", "v", "k", "t", "N"))
     v, k, t, n = hdr["v"], hdr["k"], hdr["t"], hdr["N"]
     if "lambda" in hdr:
         lam = large_set_lambda(v, k, t, n)

@@ -33,10 +33,10 @@ from .designs import (
     _batched,
     _chunks,
     _frozen,
+    _incidence_counts,
     _within,
     check_disjoint,
     large_set,
-    t_subspace_counts,
     verify_large_set,
 )
 from .gf2 import span_table, vec_mat
@@ -248,9 +248,9 @@ def compose_partitions(
             raise VerificationError(f"part {m} has {len(parts[m])} members, expected {expect}")
     check_disjoint(parts)
     if t >= 0:
-        counts = t_subspace_counts(parts[0], t)
+        counts = _incidence_counts(parts[0], chain.v, t)
         for i in range(1, n):
-            if t_subspace_counts(parts[i], t) != counts:
+            if _incidence_counts(parts[i], chain.v, t) != counts:
                 raise VerificationError(
                     f"composition failed the {t}-equivalence check (wrong part-index"
                     f" convention or operands): parts 0 and {i} are not {t}-equivalent"

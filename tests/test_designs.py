@@ -34,6 +34,7 @@ from qdesigns.grassmann import (
     enumerate_grassmannian,
     full_space,
     gaussian_binomial,
+    grassmannian_unrank,
     span,
     standard_flag_subspace,
 )
@@ -206,6 +207,86 @@ def test_t_subspace_counts_in_small_batches(monkeypatch):
     with pytest.raises(VerificationError) as info:
         t_subspace_counts(blocks + [bad] + blocks, 1)
     assert info.value.witness is bad
+
+
+@pytest.mark.parametrize("rows", [
+    (3, 2), (2, 1), (1, 1), (0, 1), (1, 0), (5, 4),  # the non-RREF rows above
+    (0, 0), (1, 16), (1, 255), (1, -2),  # a zero row, rows outside GF(2)^4
+    (1, 2 | 16),  # a canonical block of GF(2)^4 once bit 4 is dropped
+])
+def test_verify_design_names_a_block_that_is_not_an_rref_basis(rows):
+    d = trivial_design(4, 2, 1)
+    block = Subspace(4, rows)
+    for bad in (Design(4, 2, 1, d.lam, d.blocks - {span(4, [1, 2])} | {block}),
+                Design(4, 2, 0, len(d.blocks), d.blocks - {span(4, [1, 2])} | {block})):
+        with pytest.raises(VerificationError, match="RREF") as info:
+            verify_design(bad)
+        assert info.value.witness is block
+
+
+def test_rows_outside_the_space_are_rejected():
+    # three "points" of GF(2)^2 with one of them, 4, outside it: point 3 is
+    # never covered, yet counting keys alone saw three points once each
+    outside = Subspace(2, (4,))
+    d = Design(2, 1, 1, 1, frozenset({Subspace(2, (1,)), Subspace(2, (2,)), outside}))
+    with pytest.raises(VerificationError) as info:
+        verify_design(d)
+    assert info.value.witness is outside
+    with pytest.raises(VerificationError) as info:
+        verify_large_set(LargeSet(2, 1, 1, 1, (d,)))
+    assert info.value.witness is outside
+    # rows of two bytes: a bit in the second above v, a third byte, a negative row
+    for wide in (Subspace(9, (2 | 1 << 10,)), Subspace(9, (1 << 16,)), Subspace(9, (-2,))):
+        with pytest.raises(VerificationError, match="RREF") as info:
+            verify_design(Design(9, 1, 0, 2, frozenset({Subspace(9, (2,)), wide})))
+        assert info.value.witness is wide
+
+
+def test_witness_is_found_inside_a_chunk(monkeypatch):
+    monkeypatch.setattr(designs, "_COUNT_BATCH", 8)  # chunks of (8 << 5) >> 6 = 4 blocks
+    d = trivial_design(6, 3, 2)
+    blocks = sorted(d.blocks)
+    twin = Subspace(6, (blocks[100][1] ^ blocks[100][2],) + blocks[100][2:])
+    with pytest.raises(VerificationError, match="RREF") as info:
+        verify_design(Design(6, 3, 2, d.lam, d.blocks - {blocks[100]} | {twin}))
+    assert info.value.witness is twin
+
+
+def test_t0_design_of_v17_counts_without_a_point_table(monkeypatch):
+    def no_points(*args):
+        pytest.fail("t = 0 builds no point table")
+
+    monkeypatch.setattr(designs, "_point_sets", no_points)
+    assert verify_design(Design(17, 17, 0, 1, frozenset([full_space(17)]))) == 1
+    lines = list(islice(enumerate_grassmannian(17, 2), 3000))
+    assert verify_design(Design(17, 2, 0, 3000, frozenset(lines))) == 3000
+    with pytest.raises(VerificationError, match="RREF") as info:
+        verify_design(Design(17, 2, 0, 3000, frozenset(lines[1:] + [Subspace(17, (1, 2 | 1 << 17))])))
+    assert info.value.witness == Subspace(17, (1, 2 | 1 << 17))
+
+
+@st.composite
+def one_dimension_block_sets(draw):
+    """Canonical k-blocks of GF(2)^v, v <= 10, a strength t <= k with [v t] <= 5000, and a chunk cap."""
+    v = draw(st.integers(1, 10))
+    k = draw(st.integers(0, v))
+    t = draw(st.sampled_from([t for t in range(k + 1) if gaussian_binomial(v, t) <= 5000]))
+    ranks = st.integers(0, gaussian_binomial(v, k) - 1)
+    blocks = [grassmannian_unrank(v, k, r) for r in draw(st.lists(ranks, max_size=12))]
+    return v, t, blocks, draw(st.integers(1, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_dimension_block_sets())
+def test_incidence_counts_match_sort_pack_oracle(case):
+    v, t, blocks, cap = case
+    with pytest.MonkeyPatch.context() as mp:
+        # chunks of cap blocks once v >= 5 and of at most 16 below it, so cuts fall inside the set
+        mp.setattr(designs, "_COUNT_BATCH", max((cap << v) >> 5, 1))
+        counts = designs._incidence_counts(blocks, v, t)
+    assert len(counts) == gaussian_binomial(v, t)
+    got = {s.rows: c for s, c in zip(enumerate_grassmannian(v, t), counts) if c}
+    assert got == oracle_counts(blocks, v, t)
 
 
 def test_verify_design_shape_checks():
@@ -543,6 +624,32 @@ def test_header_value_errors_name_the_file(tmp_path, token):
     for path, reader in ((manifest, read_large_set), (member, read_design)):
         path.write_text(path.read_text().replace("v=4", token, 1))
         with pytest.raises(ValueError, match=re.escape(f"{path}: bad header token {token!r}")):
+            reader(path)
+
+
+@pytest.mark.parametrize("fields,message", [
+    pytest.param("v=4 k=5 t=0", "got t=0 k=5 v=4", id="k=5"),
+    pytest.param("v=4 k=-1 t=0", "got t=0 k=-1 v=4", id="k=-1"),
+    pytest.param("v=4 k=2 t=05", "got t=5 k=2 v=4", id="t=05"),
+    pytest.param("v=4 k=2 t=-1", "got t=-1 k=2 v=4", id="t=-1"),
+    pytest.param("v=-1 k=-1 t=-1", "got t=-1 k=-1 v=-1", id="v=-1"),
+])
+def test_headers_with_impossible_parameters_are_refused(tmp_path, fields, message):
+    # the block line below would fail on its own; the header must fail first
+    design, manifest = tmp_path / "d.txt", tmp_path / "ls.txt"
+    design.write_text(f"q=2 {fields} lambda=1\nnot a block\n")
+    manifest.write_text(f"q=2 {fields} N=1\nmissing.txt\n")
+    for path, reader in ((design, read_design), (manifest, read_large_set)):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: header needs 0 <= t <= k <= v, {message}")):
+            reader(path)
+
+
+def test_negative_lambda_header_is_refused(tmp_path):
+    design, manifest = tmp_path / "d.txt", tmp_path / "ls.txt"
+    design.write_text("q=2 v=4 k=2 t=1 lambda=-7\nnot a block\n")
+    manifest.write_text("q=2 v=4 k=2 t=1 N=1 lambda=-7\nmissing.txt\n")
+    for path, reader in ((design, read_design), (manifest, read_large_set)):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: header declares lambda=-7, which is negative")):
             reader(path)
 
 

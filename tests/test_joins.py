@@ -14,7 +14,6 @@ from qdesigns.designs import (
     VerificationError,
     dual_large_set,
     large_set,
-    t_subspace_counts,
     verify_large_set,
 )
 from qdesigns.gf2 import vec_mat
@@ -434,11 +433,11 @@ class TestCompose:
     def test_each_part_counted_once(self, monkeypatch):
         counted = []
 
-        def counting(blocks, t):
+        def counting(blocks, v, t):
             counted.append(blocks)
-            return t_subspace_counts(blocks, t)
+            return designs._incidence_counts(blocks, v, t)
 
-        monkeypatch.setattr(joins, "t_subspace_counts", counting)
+        monkeypatch.setattr(joins, "_incidence_counts", counting)
         chain = join_chain(standard_flag_subspace(4, 2), standard_flag_subspace(4, 2))
         p = singleton_line_partition()
         out = compose_partitions(p, p, chain, 1)
