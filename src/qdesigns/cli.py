@@ -228,8 +228,8 @@ def _cmd_decode(args) -> int:
 
 
 def _artifact_kind(path: str) -> str:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
+    with open(path, "r", encoding="ascii") as fh:  # the first line read_large_set parses
+        header = next((ln for ln in fh if ln.strip() and not ln.startswith("#")), "")
     return "large_set" if "N=" in header else "design"
 
 

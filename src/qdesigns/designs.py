@@ -13,16 +13,16 @@ point set S_x of every vector x, the blocks that hold x, by the block's
 complement, with one XOR per plane per x in Gray code order.  The
 t-subspace with RREF rows a_1..a_t lies in popcount(S_a1 & ... & S_at)
 blocks.  A chunk holds max(2^21 >> v, 1) blocks, so its 2^v point sets
-hold about 2^21 bits.  t_subspace_counts keeps a count keyed by rows,
-which build_km takes for one orbit representative at a time.
+hold about 2^21 bits.  _incidences yields these intersections chunk by
+chunk: verify_design sums their popcounts, and build_km reads from their
+bits which k-orbit representatives hold each t-subspace.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import partial, reduce
 from itertools import accumulate, chain, compress, groupby, islice, repeat
 from operator import add, and_, eq, invert, itemgetter, not_, or_, rshift, xor
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -53,7 +53,6 @@ __all__ = [
     "read_design",
     "read_large_set",
     "residual_large_set",
-    "t_subspace_counts",
     "verify_design",
     "verify_large_set",
     "write_design",
@@ -90,16 +89,10 @@ class LargeSetReport:
     grassmannian_size: int
 
 
-_COUNT_BATCH = 1 << 16  # span-table entries per _chunks chunk; 1/32 of the point-set bits per _incidence_counts chunk
+_COUNT_BATCH = 1 << 16  # span-table entries per _chunks chunk; 1/32 of the point-set bits per _incidences chunk
 
 # entry x of _DIGIT[b] is the ASCII digit of bit b of the byte x: runs of 2^b zeros, then 2^b ones
 _DIGIT = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
-
-
-@lru_cache(maxsize=None)
-def _local_t_subspace_rows(k: int, t: int) -> tuple[tuple[int, ...], ...]:
-    """RREF rows of every t-subspace of GF(2)^k; empty when k < t."""
-    return tuple(s.rows for s in enumerate_grassmannian(k, t))
 
 
 def _rref_planes(cols: Iterable[Iterable[int]], v: int, n: int) -> Optional[tuple[list[list[int]], list[list[int]]]]:
@@ -155,22 +148,29 @@ def _point_sets(planes: list[list[int]], pivots: list[list[int]], v: int, n: int
     return points
 
 
-def _incidence_counts(blocks: Iterable[Subspace], v: int, t: int) -> list[int]:
-    """How many blocks, all of one dimension, hold each t-subspace of GF(2)^v, in enumerate_grassmannian(v, t) order.
+def _incidences(blocks: Iterable[Subspace], v: int, t: int) -> Iterator[tuple[int, Iterable[int]]]:
+    """Per chunk of blocks, all of one dimension: the index of its first block, and for each t-subspace of GF(2)^v in
+    enumerate_grassmannian(v, t) order the int whose bit i is set iff the chunk's block i holds it.
 
     A block that is not an RREF basis raises VerificationError (see _checked_planes).  t = 0 makes no point set.
     """
     tcols = [list(map(itemgetter(i), enumerate_grassmannian(v, t))) for i in range(1, t + 1)]
-    counts = [0] * gaussian_binomial(v, t)
-    it = iter(blocks)
+    it, start = iter(blocks), 0
     for chunk in iter(lambda: list(islice(it, max((_COUNT_BATCH << 5) >> v, 1))), []):
         planes = _checked_planes(chunk, v)
         if t:
             points = _point_sets(*planes, v, len(chunk))
-            held = reduce(partial(map, and_), [map(points.__getitem__, c) for c in tcols])
-            counts = list(map(add, counts, map(int.bit_count, held)))
+            yield start, reduce(partial(map, and_), [map(points.__getitem__, c) for c in tcols])
         else:
-            counts[0] += len(chunk)
+            yield start, [(1 << len(chunk)) - 1]
+        start += len(chunk)
+
+
+def _incidence_counts(blocks: Iterable[Subspace], v: int, t: int) -> list[int]:
+    """How many blocks, all of one dimension, hold each t-subspace of GF(2)^v, in enumerate_grassmannian(v, t) order."""
+    counts = [0] * gaussian_binomial(v, t)
+    for _, held in _incidences(blocks, v, t):
+        counts = list(map(add, counts, map(int.bit_count, held)))
     return counts
 
 
@@ -192,25 +192,6 @@ def _chunks(blocks: Iterable[Subspace]) -> Iterator[list[Subspace]]:
 def _batched(kernel: Callable[..., Iterable[Subspace]], blocks: Iterable[Subspace], *args) -> Iterator[Subspace]:
     """kernel(chunk, *args) on each chunk of _chunks(blocks), chained."""
     return chain.from_iterable(kernel(chunk, *args) for chunk in _chunks(blocks))
-
-
-@_nogc
-def t_subspace_counts(blocks: Iterable[Subspace], t: int) -> dict[tuple[int, ...], int]:
-    """Multiset of t-subspaces covered by blocks, keyed by their RREF rows; build_km counts one block per call.
-
-    If R is a block's RREF basis and C the RREF basis of a t-subspace of
-    GF(2)^k, then C*R is the RREF basis of the matching t-subspace of the
-    block, so every key is read straight out of the block's span table.
-    That only holds for canonical blocks, so any other block raises
-    VerificationError with the block as witness (see _checked_planes).  At
-    t = 0 the one key is () and its count is the number of blocks.
-    """
-    counts: Counter[tuple[int, ...]] = Counter()
-    for block in blocks:
-        _checked_planes([block], block[0])
-        table = block.vectors()
-        counts.update(tuple(map(table.__getitem__, c_rows)) for c_rows in _local_t_subspace_rows(len(block) - 1, t))
-    return counts
 
 
 @_nogc
@@ -382,7 +363,7 @@ TRANSFORMS = {
 
 
 def _parse_header(line: str, path, keys: Sequence[str]) -> dict[str, int]:
-    """The header's fields; each of keys must be there, with q = 2, 0 <= t <= k <= v and lambda >= 0."""
+    """The header's fields: each of keys and maybe lambda, with q = 2, 0 <= t <= k <= v, lambda >= 0 and N >= 1."""
     fields = {}
     for part in line.split():
         key, _, val = part.partition("=")  # no "=" leaves val empty, which int() refuses
@@ -392,6 +373,8 @@ def _parse_header(line: str, path, keys: Sequence[str]) -> dict[str, int]:
             fields[key] = int(val)
         except ValueError:
             raise ValueError(f"{path}: bad header token {part!r}") from None
+        if key not in keys and key != "lambda":
+            raise ValueError(f"{path}: header has unknown key {key}=")
     for key in keys:
         if key not in fields:
             raise ValueError(f"{path}: header is missing {key}=")
@@ -401,6 +384,8 @@ def _parse_header(line: str, path, keys: Sequence[str]) -> dict[str, int]:
         raise ValueError(f"{path}: header needs 0 <= t <= k <= v, got t={fields['t']} k={fields['k']} v={fields['v']}")
     if fields.get("lambda", 0) < 0:
         raise ValueError(f"{path}: header declares lambda={fields['lambda']}, which is negative")
+    if fields.get("N", 1) < 1:
+        raise ValueError(f"{path}: header declares N={fields['N']}, but a large set needs N >= 1")
     return fields
 
 
@@ -505,10 +490,10 @@ def read_large_set(path) -> LargeSet:
         raise ValueError(f"{path}: empty large-set manifest")
     hdr = _parse_header(lines[0], path, ("q", "v", "k", "t", "N"))
     v, k, t, n = hdr["v"], hdr["k"], hdr["t"], hdr["N"]
-    if "lambda" in hdr:
-        lam = large_set_lambda(v, k, t, n)
-        if hdr["lambda"] != lam:
-            raise ValueError(f"{path}: header declares lambda={hdr['lambda']}, N={n} needs {lam}")
+    lam_max = gaussian_binomial(v - t, k - t)
+    if "lambda" in hdr and hdr["lambda"] * n != lam_max:  # without lambda=, verify_large_set checks that N divides
+        needs = lam_max // n if lam_max % n == 0 else f"{lam_max}/{n}, which is not an integer"
+        raise ValueError(f"{path}: header declares lambda={hdr['lambda']}, N={n} needs {needs}")
     rels = lines[1:]
     if len(rels) != n:
         raise ValueError(f"{path}: {len(rels)} design paths listed, N={n}")

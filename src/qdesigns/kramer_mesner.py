@@ -22,14 +22,11 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .designs import (
-    Design, LargeSet, large_set, t_subspace_counts, verify_design, verify_large_set,
-)
+from .designs import Design, LargeSet, _incidences, large_set, verify_design, verify_large_set
 from .grassmann import Subspace, gaussian_binomial
 from .groups import Group, OrbitPartition, orbit_partition
 
@@ -108,27 +105,31 @@ class LargeSetSearchResult(NamedTuple):
 def build_km(v: int, t: int, k: int, group: Group) -> KMSystem:
     """Build the orbit incidence matrix by counting on the k-side.
 
-    For each k-orbit representative K the t-subspaces of K are sorted
-    into t-orbits; the count c of orbit i among them satisfies
-    |T_i| * a[i][j] = |K_j| * c, and the division must be exact.
+    One pass of designs._incidences over the k-orbit representatives gives,
+    for each t-subspace by rank, the representatives that hold it; its
+    t-orbit is read from the rank.  The count c of t-orbit i in the
+    representative of k-orbit j satisfies |T_i| * a[i][j] = |K_j| * c, and
+    the division must be exact.
     """
     if not 0 <= t <= k <= v:
         raise ValueError(f"need 0 <= t <= k <= v, got t={t} k={k} v={v}")
     t_orbits = orbit_partition(v, t, group)
     k_orbits = orbit_partition(v, k, group)
     matrix = [[0] * k_orbits.n_orbits for _ in range(t_orbits.n_orbits)]
-    for j, krep in enumerate(k_orbits.representatives):
-        counts = Counter(
-            t_orbits.orbit_index(Subspace(v, key)) for key in t_subspace_counts([krep], t)
-        )
-        ksize = k_orbits.sizes[j]
-        for i, c in counts.items():
-            a, r = divmod(ksize * c, t_orbits.sizes[i])
+    row_of = t_orbits._orbit_of_rank
+    for start, held in _incidences(k_orbits.representatives, v, t):
+        for rank, bits in enumerate(held):
+            row = matrix[row_of[rank]]
+            while bits:
+                low = bits & -bits
+                row[start + low.bit_length() - 1] += 1
+                bits ^= low
+    for i, row in enumerate(matrix):
+        for j in filter(row.__getitem__, range(len(row))):  # the nonzero counts
+            a, r = divmod(k_orbits.sizes[j] * row[j], t_orbits.sizes[i])
             if r:
-                raise ArithmeticError(
-                    f"orbit count reconciliation not integral at row {i}, column {j}"
-                )
-            matrix[i][j] = a
+                raise ArithmeticError(f"orbit count reconciliation not integral at row {i}, column {j}")
+            row[j] = a
 
     lam_max = gaussian_binomial(v - t, k - t)
     for i, row in enumerate(matrix):

@@ -81,10 +81,31 @@ class TestVerify:
         write_large_set(path, lines_ls())
         assert main(["verify", str(path)]) == 0
 
-    def test_manifest_with_no_members(self, tmp_path):
+    def test_manifest_with_no_members(self, tmp_path, capsys):
         path = tmp_path / "empty.ls"
         path.write_text("q=2 v=2 k=1 t=0 N=0 lambda=1\n")
-        assert main(["verify", str(path)]) == 2
+        assert main(["verify", str(path)]) == 4
+        assert "a large set needs N >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("prefix", ["# a comment\n", "\n"], ids=["comment", "blank_line"])
+    def test_manifest_after_lines_the_reader_skips(self, tmp_path, prefix):
+        path = tmp_path / "ls.ls"
+        write_large_set(path, lines_ls())
+        path.write_text(prefix + path.read_text())
+        assert main(["verify", str(path)]) == 0
+
+    @pytest.mark.parametrize("fields,members,code", [
+        pytest.param("N=0 lambda=7", 1, 4, id="N=0-one_member"),
+        pytest.param("N=0", 0, 4, id="N=0-no_member"),
+        pytest.param("N=2 lambda=7", 2, 4, id="lambda_of_no_large_set"),
+        pytest.param("N=1 lambdal=997", 1, 4, id="unknown_key"),
+        pytest.param("N=2", 2, 2, id="N_does_not_divide_lambda_max"),  # a real negative, not bad input
+    ])
+    def test_manifest_header_exit_codes(self, tmp_path, fields, members, code):
+        write_design(tmp_path / "m.txt", Design(4, 2, 1, 7, frozenset(enumerate_grassmannian(4, 2))))
+        path = tmp_path / "ls.ls"
+        path.write_text(f"q=2 v=4 k=2 t=1 {fields}\n" + "m.txt\n" * members)
+        assert main(["verify", str(path)]) == code
 
     def test_manifest_with_wrong_lambda(self, tmp_path, capsys):
         path = tmp_path / "ls.ls"

@@ -20,7 +20,6 @@ from qdesigns.designs import (
     read_design,
     read_large_set,
     residual_large_set,
-    t_subspace_counts,
     verify_design,
     verify_large_set,
     write_design,
@@ -43,7 +42,7 @@ from oracles import elimination_complement, zero_subspace
 
 
 def sort_pack_counts(blocks, v: int, t: int) -> dict[int, int]:
-    """Independent oracle for t_subspace_counts.
+    """Independent oracle for designs._incidence_counts.
 
     Each t-subspace of a block is listed as its sorted nonzero vectors,
     packed into one int with v bits per vector, so it never relies on the
@@ -169,48 +168,8 @@ def test_verify_design_rejects_non_rref_block():
     assert info.value.witness == twin
 
 
-@pytest.mark.parametrize("rows", [(3, 2), (2, 1), (1, 1), (0, 1), (1, 0), (5, 4)])
-def test_t_subspace_counts_rejects_non_rref_rows(rows):
-    block = Subspace(4, rows)
-    with pytest.raises(VerificationError) as info:
-        t_subspace_counts([span(4, [1, 2]), block], 1)
-    assert info.value.witness is block
-
-
-@st.composite
-def block_sets(draw):
-    """Canonical blocks of mixed dimension in GF(2)^v, v <= 6, and a strength t."""
-    v = draw(st.integers(1, 6))
-    t = draw(st.integers(0, 3))
-    rows = st.integers(0, (1 << v) - 1)
-    blocks = draw(st.lists(st.lists(rows, max_size=v).map(lambda rs: span(v, rs)), max_size=10))
-    return v, t, blocks
-
-
-@settings(max_examples=150, deadline=None)
-@given(block_sets())
-def test_t_subspace_counts_matches_sort_pack_oracle(case):
-    v, t, blocks = case
-    assert dict(t_subspace_counts(blocks, t)) == oracle_counts(blocks, v, t)
-
-
-def test_t_subspace_counts_in_small_batches(monkeypatch):
-    # chunks of 8 span-table entries: one 3- or 4-block, two 2-blocks or
-    # four 1-blocks; the dimensions interleave, so cuts are split by dimension
-    monkeypatch.setattr(designs, "_COUNT_BATCH", 8)
-    rng = random.Random(5)
-    v = 6
-    blocks = [span(v, [rng.randrange(1 << v) for _ in range(rng.randrange(5))]) for _ in range(60)]
-    for t in (1, 2, 3):
-        assert dict(t_subspace_counts(blocks, t)) == oracle_counts(blocks, v, t)
-    bad = Subspace(v, (3, 2))
-    with pytest.raises(VerificationError) as info:
-        t_subspace_counts(blocks + [bad] + blocks, 1)
-    assert info.value.witness is bad
-
-
 @pytest.mark.parametrize("rows", [
-    (3, 2), (2, 1), (1, 1), (0, 1), (1, 0), (5, 4),  # the non-RREF rows above
+    (3, 2), (2, 1), (1, 1), (0, 1), (1, 0), (5, 4),  # rows that are not in RREF
     (0, 0), (1, 16), (1, 255), (1, -2),  # a zero row, rows outside GF(2)^4
     (1, 2 | 16),  # a canonical block of GF(2)^4 once bit 4 is dropped
 ])
@@ -303,11 +262,9 @@ def test_t0_design_counts_blocks():
     assert verify_design(d) == 7
 
 
-def test_t_subspace_counts_trivial_cover():
-    blocks = list(enumerate_grassmannian(4, 2))
-    counts = t_subspace_counts(blocks, 1)
-    assert len(counts) == gaussian_binomial(4, 1)
-    assert set(counts.values()) == {gaussian_binomial(3, 1)}
+def test_incidence_counts_trivial_cover():
+    counts = designs._incidence_counts(enumerate_grassmannian(4, 2), 4, 1)
+    assert counts == [gaussian_binomial(3, 1)] * gaussian_binomial(4, 1)
 
 
 def test_large_set_lambda_divisibility():
@@ -653,6 +610,15 @@ def test_negative_lambda_header_is_refused(tmp_path):
             reader(path)
 
 
+def test_unknown_header_key_is_refused(tmp_path):
+    design, manifest = tmp_path / "d.txt", tmp_path / "ls.txt"
+    design.write_text("q=2 v=4 k=2 t=1 lambda=7 N=1\nnot a block\n")
+    manifest.write_text("q=2 v=4 k=2 t=1 N=1 lambdal=7\nmissing.txt\n")
+    for path, reader, key in ((design, read_design, "N"), (manifest, read_large_set, "lambdal")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: header has unknown key {key}=")):
+            reader(path)
+
+
 def test_repeated_header_key_names_the_file_and_key(tmp_path):
     manifest = tmp_path / "ls.txt"
     write_large_set(manifest, chunked_large_set(4, 2, 5))
@@ -678,6 +644,5 @@ def test_random_small_design_search_consistency():
     # sanity: counting by blocks agrees with counting by containment
     rng = random.Random(31)
     blocks = rng.sample(sorted(enumerate_grassmannian(5, 2), key=lambda s: s.rows), 40)
-    counts = t_subspace_counts(blocks, 1)
-    total = sum(counts.values())
-    assert total == len(blocks) * gaussian_binomial(2, 1)
+    counts = designs._incidence_counts(blocks, 5, 1)
+    assert sum(counts) == len(blocks) * gaussian_binomial(2, 1)

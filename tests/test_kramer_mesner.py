@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdesigns import kramer_mesner
+from qdesigns import designs, kramer_mesner
 from qdesigns.designs import verify_design, verify_large_set
 from qdesigns.gf2 import BitMatrix, rank_raw, vec_mat
 from qdesigns.grassmann import enumerate_grassmannian, gaussian_binomial, span
@@ -342,6 +342,15 @@ def test_build_matches_mapped_local_subspaces(v, t, k, group):
     else:
         g = close_group([SINGER7]) if group == "singer" else trivial_group(v)
     system = build_km(v, t, k, g)
+    assert system.matrix == oracle_matrix(system)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4])
+@pytest.mark.parametrize("v,group", [(6, "trivial"), (7, "singer")])
+def test_build_in_small_chunks_matches_mapped_local_subspaces(monkeypatch, v, group, chunk):
+    # designs._incidences cuts the representatives into chunks of max((_COUNT_BATCH << 5) >> v, 1)
+    monkeypatch.setattr(designs, "_COUNT_BATCH", (chunk << v) >> 5)
+    system = build_km(v, 2, 3, close_group([SINGER7]) if group == "singer" else trivial_group(v))
     assert system.matrix == oracle_matrix(system)
 
 
