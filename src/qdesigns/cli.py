@@ -28,6 +28,7 @@ from .designs import (
     Design,
     LargeSet,
     VerificationError,
+    _content_lines,
     read_design,
     read_large_set,
     verify_design,
@@ -229,7 +230,7 @@ def _cmd_decode(args) -> int:
 
 def _artifact_kind(path: str) -> str:
     with open(path, "r", encoding="ascii") as fh:  # the first line read_large_set parses
-        header = next((ln for ln in fh if ln.strip() and not ln.startswith("#")), "")
+        header = next(_content_lines(fh), "")
     return "large_set" if "N=" in header else "design"
 
 

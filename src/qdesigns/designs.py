@@ -362,6 +362,11 @@ TRANSFORMS = {
 # file formats
 
 
+def _content_lines(lines: Iterable[str]) -> Iterator[str]:
+    """The lines stripped, less blank ones and comments: a comment's first non-blank character is #."""
+    return (ln for ln in map(str.strip, lines) if ln and not ln.startswith("#"))
+
+
 def _parse_header(line: str, path, keys: Sequence[str]) -> dict[str, int]:
     """The header's fields: each of keys and maybe lambda, with q = 2, 0 <= t <= k <= v, lambda >= 0 and N >= 1."""
     fields = {}
@@ -426,7 +431,7 @@ def read_design(path) -> Design:
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = filter(None, map(str.strip, fh))
-        header = next(lines, None)
+        header = next(_content_lines(lines), None)
         if header is None:
             raise ValueError(f"{path}: empty design file")
         hdr = _parse_header(header, path, ("q", "v", "k", "t", "lambda"))
@@ -438,8 +443,11 @@ def read_design(path) -> Design:
             if cols is not None:
                 blocks.extend(_from_columns(v, cols, len(chunk)))
                 continue
-            for ln in chunk:
-                rows = tuple(map(int, ln.split()))
+            for ln in _content_lines(chunk):
+                try:
+                    rows = tuple(map(int, ln.split()))
+                except ValueError:
+                    raise ValueError(f"{path}: bad block line {ln!r}") from None
                 if len(rows) != k:
                     if k == 0 and rows == (0,):  # the zero subspace, as write_design writes it
                         blocks.append(Subspace(v, ()))
@@ -485,7 +493,7 @@ def write_large_set(path, ls: LargeSet, design_paths: Optional[Sequence[str]] = 
 def read_large_set(path) -> LargeSet:
     path = os.fspath(path)
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+        lines = list(_content_lines(fh))
     if not lines:
         raise ValueError(f"{path}: empty large-set manifest")
     hdr = _parse_header(lines[0], path, ("q", "v", "k", "t", "N"))

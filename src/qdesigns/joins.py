@@ -342,13 +342,17 @@ def execute_plan(
 ) -> LargeSet:
     """Materialize the large set a plan tree describes.
 
-    ``leaves`` supplies the external leaves; each one serves the
-    leaf_table nodes whose parameters are its own LS_2[N](t,k,v).  Nodes
-    that would enumerate a Grassmannian larger than ``size_guard`` raise
-    before anything is built.  Each node object is evaluated once, and
-    the root is verified as a large set before it is returned.
+    ``leaves`` supplies the external leaves, one per LS_2[N](t,k,v); each
+    serves the leaf_table nodes with its parameters.  Nodes that would
+    enumerate a Grassmannian larger than ``size_guard`` raise before
+    anything is built.  Each node object is evaluated once, and the root
+    is verified as a large set before it is returned.
     """
-    known = {LSParams(2, ls.n, ls.t, ls.k, ls.v): ls for ls in leaves}
+    known: dict[LSParams, LargeSet] = {}
+    for ls in leaves:
+        key = LSParams(2, ls.n, ls.t, ls.k, ls.v)
+        if known.setdefault(key, ls) is not ls:
+            raise ValueError(f"two leaves given for {key}")
     nodes = _postorder(plan, {}).values()
     missing = [n.params for n in nodes if n.kind == "leaf_table" and n.params not in known]
     if missing:

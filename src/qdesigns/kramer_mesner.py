@@ -378,87 +378,71 @@ def iterated_large_set_search(
     node_budget: int = DEFAULT_NODE_BUDGET,
     retry_budget: int = DEFAULT_RETRY_BUDGET,
     seed_selections: Optional[Sequence[Iterable[int]]] = None,
-    verify: bool = True,
 ) -> LargeSetSearchResult:
     """Search for a large set by solving N rounds with column removal.
 
     Each round solves with lam = lambda_max/N against the columns used so
     far.  When a round comes up empty the previous searched round is
     advanced to its next solution; every such advance costs one retry.
-    Seed rounds are fixed: they are validated, never revisited.
+    Seed rounds are fixed: they are validated, never revisited.  A solved
+    search's large set is verified.
     """
     lam, rem = divmod(system.lambda_max, n)
     if rem:
         raise ValueError(f"{n} does not divide lambda_max = {system.lambda_max}")
 
-    seeds: list[frozenset[int]] = []
-    used: set[int] = set()
+    rounds: list[frozenset[int]] = []  # the seed rounds, then each searched round's solution
     for raw in seed_selections or ():
         chosen = frozenset(raw)
-        if chosen & used:
+        if chosen & frozenset().union(*rounds):
             raise ValueError("seed selections overlap")
         _check_seed(system, lam, chosen)
-        seeds.append(chosen)
-        used |= chosen
-    if len(seeds) > n:
-        raise ValueError(f"{len(seeds)} seed rounds for an N={n} search")
+        rounds.append(chosen)
+    n_seeds = len(rounds)
+    if n_seeds > n:
+        raise ValueError(f"{n_seeds} seed rounds for an N={n} search")
 
     trace: list[str] = []
-    searched: list[frozenset[int]] = []
-    searchers: list[_Search] = []  # every round's search, dropped ones included
-    gens: list[Iterator[frozenset[int]]] = []
+    pending: list[Iterator[frozenset[int]]] = []  # per searched round, then the round being searched
+    searches: list[_Search] = []  # every round's search, dropped ones included
     retries = 0
-
-    def total_nodes() -> int:
-        return sum(s.nodes for s in searchers)
-
-    def failure(status: str) -> LargeSetSearchResult:
-        sels = tuple(Selection(c) for c in seeds + searched)
-        return LargeSetSearchResult(
-            status, None, sels, tuple(trace), total_nodes(), retries
-        )
-
-    while len(seeds) + len(searched) < n:
-        r = len(seeds) + len(searched)
-        if len(gens) == len(searched):
-            forbidden = frozenset(used) | frozenset(
-                j for sel in searched for j in sel
-            )
-            s = _Search(system, lam, forbidden, node_budget)
-            searchers.append(s)
-            gens.append(s.solutions())
+    status = "solved"
+    while len(rounds) < n:
+        r = len(rounds)
+        if len(pending) == r - n_seeds:  # round r has no search yet
+            searches.append(_Search(system, lam, frozenset().union(*rounds), node_budget))
+            pending.append(searches[-1].solutions())
         try:
-            sel = next(gens[-1])
+            rounds.append(next(pending[-1]))
+            trace.append(f"round {r}: solved")
         except StopIteration:
             trace.append(f"round {r}: solutions exhausted")
-            gens.pop()
-            if not searched:
+            pending.pop()
+            if not pending:
                 trace.append("no searched round left to advance; giving up")
-                return failure("exhausted")
-            searched.pop()
+                status = "exhausted"
+                break
+            rounds.pop()
             retries += 1
-            trace.append(f"advancing round {len(seeds) + len(searched)} (retry {retries})")
+            trace.append(f"advancing round {r - 1} (retry {retries})")
             if retries > retry_budget:
                 trace.append(f"retry budget {retry_budget} exhausted")
-                return failure("retry_limit")
-            continue
+                status = "retry_limit"
+                break
         except BudgetExceeded as e:
             trace.append(f"round {r}: {e}")
-            return failure("budget")
-        searched.append(sel)
-        trace.append(f"round {r}: solved")
+            status = "budget"
+            break
 
-    all_rounds = seeds + searched
-    covered = set().union(*all_rounds) if all_rounds else set()
-    if covered != set(range(system.n_cols)):
-        missing = sorted(set(range(system.n_cols)) - covered)
-        raise SolverInvariantError(f"rounds leave columns uncovered: {missing[:10]}")
-    parts = (selection_blocks(system, Selection(c)) for c in all_rounds)
-    ls = large_set(system.v, system.k, system.t, parts)
-    if verify:
+    selections = tuple(map(Selection, rounds))
+    ls = None
+    if status == "solved":
+        missing = sorted(set(range(system.n_cols)).difference(*rounds))
+        if missing:
+            raise SolverInvariantError(f"rounds leave columns uncovered: {missing[:10]}")
+        ls = large_set(system.v, system.k, system.t, (selection_blocks(system, s) for s in selections))
         verify_large_set(ls)
-    sels = tuple(Selection(c) for c in all_rounds)
-    return LargeSetSearchResult("solved", ls, sels, tuple(trace), total_nodes(), retries)
+    return LargeSetSearchResult(status, ls, selections, tuple(trace), sum(s.nodes for s in searches), retries)
 
 
 # ---------------------------------------------------------------------------

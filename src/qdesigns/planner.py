@@ -324,6 +324,8 @@ def parse_plan(text: str) -> PlanNode:
                 raise ValueError(f"line {lineno}: token {tok!r} has no '='")
             if key not in _PLAN_KEYS:
                 raise ValueError(f"line {lineno}: unknown token {tok!r}")
+            if key in attrs:
+                raise ValueError(f"line {lineno}: repeats {key}=")
             attrs[key] = val
         for key in _REQUIRED_KEYS:
             if key not in attrs:

@@ -35,10 +35,14 @@ def manifest(directory) -> dict:
         return json.load(fh)
 
 
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def digests_of_outputs(directory) -> dict:
     """SHA-256 of every file a run wrote into directory, the manifest aside."""
     return {
-        name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+        name: sha256_of(directory / name)
         for name in os.listdir(directory)
         if name != "manifest.json"
     }
@@ -87,11 +91,21 @@ class TestVerify:
         assert main(["verify", str(path)]) == 4
         assert "a large set needs N >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("prefix", ["# a comment\n", "\n"], ids=["comment", "blank_line"])
+    @pytest.mark.parametrize("prefix", ["# a comment\n", "\n", "  # an indented comment\n"],
+                             ids=["comment", "blank_line", "indented_comment"])
     def test_manifest_after_lines_the_reader_skips(self, tmp_path, prefix):
         path = tmp_path / "ls.ls"
         write_large_set(path, lines_ls())
         path.write_text(prefix + path.read_text())
+        assert main(["verify", str(path)]) == 0
+
+    @pytest.mark.parametrize("at", [0, 3], ids=["first_line", "between_blocks"])
+    def test_design_with_a_comment_line(self, tmp_path, at):
+        path = tmp_path / "d.txt"
+        write_design(path, Design(3, 2, 0, 7, frozenset(enumerate_grassmannian(3, 2))))
+        lines = path.read_text().splitlines()
+        lines.insert(at, " # a comment")
+        path.write_text("\n".join(lines) + "\n")
         assert main(["verify", str(path)]) == 0
 
     @pytest.mark.parametrize("fields,members,code", [
@@ -138,10 +152,11 @@ class TestVerify:
         assert main(["verify", str(path)]) == 4
         assert "block 156" in capsys.readouterr().err
 
-    def test_garbage_file(self, tmp_path):
+    def test_garbage_file(self, tmp_path, capsys):
         path = tmp_path / "junk.txt"
         path.write_text("q=2 v=2 k=1 t=0 lambda=1\nnot numbers\n")
         assert main(["verify", str(path)]) == 4
+        assert f"{path}: bad block line 'not numbers'" in capsys.readouterr().err
 
 
 class TestTransform:
@@ -277,6 +292,24 @@ class TestKmBuild:
         assert (tmp_path / "s.km").read_text().startswith("7 7 3\n")
         assert manifest(tmp_path)["subcommand"] == "km build"
 
+    def test_generator_file_group(self, tmp_path):
+        # the Singer cycle of GF(2^8): character j of row i is bit j of S e_i
+        group = tmp_path / "singer8.txt"
+        group.write_text("01000000 00100000 00010000 00001000 00000100 00000010 00000001 10111000\n"
+                         .replace(" ", "\n"))
+        argv = ["km", "build", "--t", "2", "--k", "3", "--group", str(group), "--deterministic"]
+        out = tmp_path / "km3"
+        assert main(argv + ["--v", "8", "--out", str(out / "km.txt")]) == 0
+        assert digests_of_outputs(out) == {
+            "km.txt": "2dfd9c85e51f5a97d3ef71e9d9aa2d15b2833814d98832622095690df0eefba7",
+            "km.txt.kreps": "a3ad3734ef670e398737fd1e4718b50326971079bd1d2d1b69a8e651514a5ca9",
+            "km.txt.treps": "53056e39578ccc87ffc9c1040eaa71542db253d129d2d0a13eae6cb4a02bf187",
+        }
+        assert manifest(out)["inputs"] == {str(group): sha256_of(group)}
+        assert main(argv + ["--v", "7", "--out", str(tmp_path / "v7" / "km.txt")]) == 4
+        argv[argv.index(str(group))] = str(tmp_path / "absent.txt")
+        assert main(argv + ["--v", "8", "--out", str(tmp_path / "none" / "km.txt")]) == 4
+
     def test_builtin_group_needs_dim8(self, tmp_path):
         code = main(
             ["km", "build", "--v", "4", "--t", "1", "--k", "2",
@@ -364,6 +397,24 @@ class TestKmLsSearch:
         seeded = (solved / "design.txt").read_bytes()
         assert (out / "design1.txt").read_bytes() == seeded
 
+    def test_seed_columns_from_a_file(self, tmp_path):
+        solved = tmp_path / "one"
+        assert main(
+            ["km", "solve", "--v", "4", "--t", "1", "--k", "2",
+             "--group", "trivial", "--lam", "1", "--out", str(solved)]
+        ) == 0
+        seed = tmp_path / "seed.txt"
+        seed.write_text((solved / "selection.txt").read_text())
+        out = tmp_path / "par"
+        code = main(
+            ["km", "ls-search", "--v", "4", "--k", "2", "--t", "1",
+             "--N", "7", "--group", "trivial", "--seed-columns", str(seed),
+             "--out", str(out)]
+        )
+        assert code == 0
+        assert (out / "design1.txt").read_bytes() == (solved / "design.txt").read_bytes()
+        assert manifest(out)["inputs"] == {str(seed): sha256_of(seed)}
+
     def test_found_large_set_is_verified_once(self, tmp_path, monkeypatch):
         calls = []
 
@@ -441,7 +492,38 @@ class TestDecode:
         assert record["verdicts"] == []
 
 
+@pytest.fixture(scope="module")
+def decoded(tmp_path_factory):
+    """A directory holding the shipped large set as decode writes it."""
+    out = tmp_path_factory.mktemp("registry") / "ls"
+    assert main(["decode", "--out", str(out), "--no-verify", "--deterministic"]) == 0
+    return out
+
+
 class TestConstruct:
+    def test_registry_directory_builds_as_builtin_does(self, tmp_path, decoded):
+        argv = ["construct", "--k", "4", "--v", "8", "--deterministic"]
+        assert main(argv + ["--builtin", "--out", str(tmp_path / "b")]) == 0
+        assert main(argv + ["--registry", str(decoded), "--out", str(tmp_path / "r")]) == 0
+        for i in (1, 2, 3):
+            name = f"design{i}.txt"
+            assert (tmp_path / "r" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        ls = str(decoded / "large_set.ls")
+        assert manifest(tmp_path / "r")["inputs"] == {ls: sha256_of(decoded / "large_set.ls")}
+        assert main(argv + ["--registry", ls, "--out", str(tmp_path / "f")]) == 4
+
+    def test_two_leaves_of_one_parameter_set(self, tmp_path, decoded, capsys):
+        # the shipped designs listed as 2, 1, 3 beside the --builtin leaf
+        registry = tmp_path / "registry"
+        registry.mkdir()
+        header = (decoded / "large_set.ls").read_text().splitlines()[0]
+        members = [str(decoded / f"design{i}.txt") for i in (2, 1, 3)]
+        (registry / "swapped.ls").write_text("\n".join([header] + members) + "\n")
+        code = main(["construct", "--k", "4", "--v", "8", "--builtin",
+                     "--registry", str(registry), "--out", str(tmp_path / "c")])
+        assert code == 4
+        assert "two leaves given for LS_2[3](2,4,8)" in capsys.readouterr().err
+
     def test_missing_leaves_reported(self, tmp_path, capsys):
         code = main(["construct", "--k", "4", "--v", "9", "--out", str(tmp_path / "c")])
         assert code == 4

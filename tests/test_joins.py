@@ -694,6 +694,13 @@ class TestExecutePlan:
         with pytest.raises(MissingLeafError, match=r"LS_2\[3\]\(0,1,2\)"):
             execute_plan(plan, [trivial_large_set(3, 1)])
 
+    def test_two_leaves_of_one_parameter_set_are_refused(self):
+        # a dict keyed by parameters would let the later leaf win unnoticed
+        leaf = line_large_set()
+        swapped = LargeSet(2, 1, 0, 3, leaf.designs[::-1])
+        with pytest.raises(ValueError, match=r"two leaves given for LS_2\[3\]\(0,1,2\)"):
+            execute_plan(PlanNode("leaf_table", params(0, 1, 2)), [leaf, swapped])
+
     def test_dual_of_registry_leaf(self):
         plan = PlanNode(
             "dual", params(0, 1, 2), children=(PlanNode("leaf_table", params(0, 1, 2)),)

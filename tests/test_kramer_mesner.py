@@ -1,5 +1,6 @@
 """Incidence system construction and exact search."""
 
+import hashlib
 from collections import Counter
 from functools import lru_cache
 
@@ -472,6 +473,24 @@ def test_dropped_rounds_keep_their_nodes(monkeypatch):
     assert res.nodes == sum(s.nodes for s in made) == 3780
 
 
+def test_retry_limit_search_keeps_its_whole_trace():
+    system = build_km(6, 1, 2, trivial_group(6))
+    res = iterated_large_set_search(system, 31, node_budget=20_000, retry_budget=20)
+    assert (len(res.trace), len(res.selections)) == (90, 26)
+    assert res.trace[-1] == "retry budget 20 exhausted"
+    digest = hashlib.sha256("\n".join(res.trace).encode()).hexdigest()
+    assert digest == "c3b1526961f93620b16409d6ea14dbae4b8395661eaf6128015e77b0405cbe92"
+
+
+def test_more_rounds_than_the_recursion_limit():
+    # LS_2[1395](0,3,6): one round per 3-subspace of GF(2)^6, and 1395
+    # rounds is deeper than Python's default recursion limit of 1000
+    system = build_km(6, 0, 3, trivial_group(6))
+    res = iterated_large_set_search(system, system.lambda_max)
+    assert (res.status, res.nodes, res.retries) == ("solved", 1394, 0)
+    assert len(res.selections) == len(res.large_set.designs) == 1395
+
+
 def test_iterated_budget_exhaustion_is_reported():
     sys = build_km(4, 1, 2, trivial_group(4))
     res = iterated_large_set_search(sys, 7, node_budget=0)
@@ -521,7 +540,7 @@ def test_seeded_tables_force_third_round():
             sys.k_orbits.orbit_index(span(8, decode_quadruple(rec).rows))
             for rec in builtin_orbit_representatives(idx)
         })
-    res = iterated_large_set_search(sys, 3, seed_selections=cols[:2], verify=False)
+    res = iterated_large_set_search(sys, 3, seed_selections=cols[:2])
     assert res.status == "solved"
     assert res.nodes == 0
     assert res.selections[2].chosen == frozenset(cols[2])

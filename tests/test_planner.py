@@ -344,6 +344,7 @@ def test_parse_plan_rejects_malformed_text():
         ("leaf_table q=2 N=3 t=2 k=3 v=8 s", "line 2: token 's' has no '='"),
         ("leaf_table q=2 N=3 t=2 k=3", "line 2: .* is missing v="),
         ("leaf_table N=3 t=2 k=3 v=8", "line 2: .* is missing q="),
+        ("leaf_table q=2 N=3 t=2 k=3 v=8 v=9", "line 2: repeats v="),
     ],
 )
 def test_parse_plan_names_the_line_and_the_bad_token(line, message):
