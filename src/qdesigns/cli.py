@@ -304,15 +304,19 @@ def _cmd_km_solve(args) -> int:
 
 
 def _read_seed_columns(spec: str) -> list[frozenset[int]]:
-    """A file of one selection per line, or one inline comma/space list."""
+    """A file of one selection per line, less blank lines and # comments, or one inline comma/space list."""
     if os.path.exists(spec):
         with open(spec, "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        return [frozenset(int(x) for x in ln.replace(",", " ").split()) for ln in lines]
-    try:
-        return [frozenset(int(x) for x in spec.replace(",", " ").split())]
-    except ValueError:
-        raise CliError(EXIT_IO, f"--seed-columns: no such file and not a column list: {spec}")
+            lines, bad = list(_content_lines(fh)), f"{spec}: bad seed column line"
+    else:
+        lines, bad = [spec], "--seed-columns: no such file and not a column list:"
+    seeds = []
+    for ln in lines:
+        try:
+            seeds.append(frozenset(map(int, ln.replace(",", " ").split())))
+        except ValueError:
+            raise CliError(EXIT_IO, f"{bad} {ln!r}") from None
+    return seeds
 
 
 def _cmd_km_ls_search(args) -> int:

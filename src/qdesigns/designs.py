@@ -30,6 +30,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .grassmann import (
     Subspace,
     VerificationError,
+    _bit_planes,
     _complements,
     _from_columns,
     _nogc,
@@ -91,27 +92,18 @@ class LargeSetReport:
 
 _COUNT_BATCH = 1 << 16  # span-table entries per _chunks chunk; 1/32 of the point-set bits per _incidences chunk
 
-# entry x of _DIGIT[b] is the ASCII digit of bit b of the byte x: runs of 2^b zeros, then 2^b ones
-_DIGIT = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
-
 
 def _rref_planes(cols: Iterable[Iterable[int]], v: int, n: int) -> Optional[tuple[list[list[int]], list[list[int]]]]:
-    """The bit planes and pivot planes of n blocks' row columns, or None unless each block is an RREF basis of GF(2)^v.
-
-    Plane b has bit i set iff block i's row has bit b: bytes.translate turns one byte per row, last block first,
-    into binary digits that int() reads in base 2.  Pivot plane b: the blocks whose row has its lowest bit at b.
+    """The bit planes (grassmann._bit_planes) and pivot planes of n blocks' row columns, or None unless each block
+    is an RREF basis of GF(2)^v.  Pivot plane b: the blocks whose row has its lowest bit at b.
     """
-    w, full = (v + 7) >> 3, (1 << n) - 1  # w bytes per row
-    planes, pivots = [], []
+    full, planes, pivots = (1 << n) - 1, [], []
     earlier, below, bad = [0] * v, [-1] * v, 0  # below: every block has a bit below b in the row before the first
     for c in cols:
-        try:  # each row's bytes, most significant first, last block first
-            raw = (bytes(c) if w == 1 else b"".join(map(int.to_bytes, c, repeat(w), repeat("little"))))[::-1]
-        except (ValueError, OverflowError):  # a row below 0 or wider than w bytes
+        try:
+            plane = _bit_planes(c, v)
+        except (ValueError, OverflowError):  # a row below 0 or wider than v bits
             return None
-        if max(raw[::w]) >> (v - 8 * w + 8):  # a row's top byte has a bit at v or above
-            return None
-        plane = [int(raw[w - 1 - (b >> 3)::w].translate(_DIGIT[b & 7]), 2) for b in range(v)]
         *low, seen = accumulate(plane, or_, initial=0)  # low[b]: the blocks whose row has a bit below b
         pivot = list(map(and_, plane, map(invert, low)))
         # a row must not be zero, and its pivot must lie above the previous row's and be clear in every earlier row

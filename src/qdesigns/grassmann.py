@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import gc
 from bisect import bisect_right
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, reduce, wraps
 from inspect import isgeneratorfunction
 from itertools import chain, combinations, product, repeat
-from operator import add, and_, itemgetter, lshift, rshift, xor
+from operator import add, and_, itemgetter, lshift, or_, rshift, xor
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .gf2 import rref_raw, span_table
@@ -147,15 +147,6 @@ def contains(outer: Subspace, inner: Subspace) -> bool:
     return all(reduce_vector(r, rows) == 0 for r in inner.rows)
 
 
-def _span_columns(cols: Sequence[Sequence[int]]) -> list:
-    """Entry x >= 1 of every block's span table from its row columns, which are entries 2^i."""
-    table: list = [None] * (1 << len(cols))
-    for x in range(1, len(table)):
-        low = x & -x
-        table[x] = cols[low.bit_length() - 1] if x == low else list(map(xor, table[x ^ low], table[low]))
-    return table
-
-
 def _from_columns(v: int, cols: Sequence[Iterable[int]], n: int) -> Iterator[Subspace]:
     """The n blocks of GF(2)^v whose rows are the columns' entries, already in RREF."""
     return map(tuple.__new__, repeat(Subspace), zip(repeat(v, n), *cols))
@@ -169,51 +160,81 @@ class VerificationError(Exception):
         self.witness = witness
 
 
-@lru_cache(maxsize=None)
-def _bit_reversal_table(v: int) -> list[int]:
-    """Entry x is x with its v coordinates in reverse order."""
-    return span_table([1 << (v - 1 - i) for i in range(v)])
+# entry x of _DIGIT[b] is the ASCII digit of bit b of the byte x: runs of 2^b zeros, then 2^b ones
+_DIGIT = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
+_BIT = [bytes.maketrans(b"01", bytes((0, 1 << b))) for b in range(8)]  # the ASCII digits 0 and 1 to the bytes 0 and 2^b
+_CROSSOVER = 48  # below this many blocks, one span per block costs less than one _gauss_jordan call (v = 7, 8)
 
 
-def _reversed_bits(v: int, col: Iterable[int]) -> Iterator[int]:
-    """The column's vectors with their v coordinates in reverse order: by table up to v = 16."""
-    if v <= 16:
-        return map(_bit_reversal_table(v).__getitem__, col)
-    return map(int, map(itemgetter(slice(None, None, -1)), map(format, col, repeat(f"0{v}b"))), repeat(2))
+def _bit_planes(col: Iterable[int], v: int) -> list[int]:
+    """The v bit planes of a column of rows, each at most v bits wide: plane b has bit i set iff row i has bit b.
 
-
-def _top_reduced(cols: Sequence[Sequence[int]]) -> list:
-    """The blocks' row columns reduced on their highest bits, each block's rows in rising order.
-
-    Sorted, a k-subspace's nonzero vectors fall into runs of length 1, 2,
-    4, ... that share a highest bit, each led (at entry 2^j - 1) by the
-    reduced row of that bit.  Beyond k = 6 elimination costs less: r
-    becomes min(r, r + x) for each earlier x.  Dependent rows leave a zero
-    in the first column.
+    bytes.translate turns one byte per row, last row first, into binary digits that int() reads in base 2.
+    A row below 0 or too wide raises ValueError or OverflowError.
     """
-    if len(cols) > 6:
-        reduced: list[list[int]] = []
-        for r in cols:
-            for x in reduced:
-                r = list(map(min, r, map(xor, r, x)))
-            reduced = [list(map(min, x, map(xor, x, r))) for x in reduced] + [r]
-        return list(zip(*map(sorted, zip(*reduced))))
-    if len(cols) > 1:
-        runs = itemgetter(*[(1 << j) - 1 for j in range(len(cols))])
-        return list(zip(*map(runs, map(sorted, zip(*_span_columns(cols)[1:])))))
-    return list(cols)
+    w = (v + 7) >> 3  # bytes per row
+    raw = (bytes(col) if w == 1 else b"".join(map(int.to_bytes, col, repeat(w), repeat("little"))))[::-1]
+    if max(raw[::w]) >> (v - 8 * w + 8):  # a row's top byte has a bit at v or above
+        raise ValueError(f"a row does not fit in {v} coordinates")
+    return [int(raw[w - 1 - (b >> 3)::w].translate(_DIGIT[b & 7]), 2) for b in range(v)]
+
+
+def _plane_rows(planes: Sequence[int], n: int) -> Sequence[int]:
+    """The n rows whose bit planes these are (see _bit_planes), a byte of each row from the digits of 8 planes."""
+    digits, rows = f"0{n}b", bytes(n)
+    for g in range(0, len(planes), 8):
+        byte = sum(int.from_bytes(format(p, digits).encode().translate(_BIT[b]), "big")
+                   for b, p in enumerate(planes[g:g + 8])).to_bytes(n, "little")
+        rows = byte if not g else list(map(or_, rows, map(lshift, byte, repeat(g))))
+    return rows
+
+
+def _gauss_jordan(cols: Sequence[Iterable[int]], v: int, n: int, top: bool) -> list[Sequence[int]]:
+    """The n blocks' k row columns in reduced echelon form, pivots at lowest bits, or highest if top, in sweep order.
+
+    The planes are swept from the pivot end.  At each plane, each block's first row that has the bit and is no pivot
+    row yet becomes the block's pivot row there, and is added to its other rows with the bit: one AND, OR or XOR of
+    n-bit ints does so for all n blocks.  A row that never becomes a pivot row depends on the others.
+    """
+    k, full, step = len(cols), (1 << n) - 1, -1 if top else 1
+    rows = [_bit_planes(c, v)[::step] for c in cols]  # rows[j][i]: row j's plane of the i-th bit swept
+    free, ranks = [full] * k, [full] + [0] * k  # the blocks whose row j is no pivot row yet; with r pivots so far
+    places = [[0] * k for _ in rows]  # places[j][r]: the blocks whose r-th pivot row is row j
+    for i in range(v):
+        picks, untaken = [], full  # untaken: the blocks with no pivot at i yet
+        for row, f in zip(rows, free):
+            picks.append(row[i] & f & untaken)
+            untaken ^= picks[-1]
+        if untaken == full:
+            continue
+        # a row that is no pivot row yet has no bit swept before i
+        pivot = list(reduce(partial(map, or_), [map(and_, row[i:], repeat(p)) for row, p in zip(rows, picks) if p]))
+        for j, (row, pick) in enumerate(zip(rows, picks)):
+            hit = row[i] & (full ^ untaken ^ pick)
+            if hit:
+                row[i:] = map(xor, row[i:], map(and_, pivot, repeat(hit)))
+            if pick:
+                places[j] = list(map(or_, places[j], map(and_, ranks, repeat(pick))))
+                free[j] ^= pick
+        ranks = list(map(or_, map(and_, ranks, repeat(untaken)), map(and_, [0] + ranks, repeat(full ^ untaken))))
+    if any(free):
+        raise VerificationError("avoiding join row depends on the rows before it")
+    return [_plane_rows(list(reduce(partial(map, or_), [map(and_, row, repeat(place[r]))
+                                                        for row, place in zip(rows, places)]))[::step], n)
+            for r in range(k)]
 
 
 def _canonical(v: int, cols: Sequence[Iterable[int]], n: int) -> Iterator[Subspace]:
     """The n blocks of GF(2)^v spanned by k row columns of independent rows, in any basis and order.
 
-    Reversing the coordinates turns lowest bits into highest ones, so
-    _top_reduced finds the RREF rows there, highest pivot first.
+    Below _CROSSOVER blocks span takes one at a time, else _gauss_jordan all at once; dependent rows raise.
     """
-    top = _top_reduced([list(_reversed_bits(v, c)) for c in cols])
-    if top and 0 in top[0]:  # only an avoiding join's rows can be dependent
+    if n >= _CROSSOVER:
+        return _from_columns(v, _gauss_jordan(cols, v, n, False), n)
+    blocks = [span(v, b[1:]) for b in _from_columns(v, cols, n)]
+    if any(len(s) <= len(cols) for s in blocks):
         raise VerificationError("avoiding join row depends on the rows before it")
-    return _from_columns(v, [_reversed_bits(v, c) for c in reversed(top)], n)
+    return iter(blocks)
 
 
 # entry x < 256 has bit 8*(f + 1) + t for each bit f of x, 2^t being x's highest bit
@@ -223,18 +244,16 @@ _TOP_SPREAD = [s << (7 + x.bit_length()) for x, s in enumerate(span_table([1 << 
 def _complements(chunk: Sequence[Subspace]) -> Iterator[Subspace]:
     """Orthogonal complements of blocks that share v and k, made over whole row columns.
 
-    Each block's rows are first reduced on their highest bits (see
-    _top_reduced).  For reduced rows h_j, u_f = e_f + sum of top(h_j) over
-    the h_j with bit f is orthogonal to each h_j, zero when f is a highest
-    bit and of lowest bit f otherwise: the nonzero u_f, by f, are the
-    complement's RREF.  One int per block holds v, then each u_f, in fields
-    a byte wide when v <= 8.  Both fast branches and the k cut-off are
-    measured in BENCH_16.json, under kernel_branches.
+    _gauss_jordan first reduces each block's rows on their highest bits.  For
+    reduced rows h_j, u_f = e_f + sum of top(h_j) over the h_j with bit f is
+    orthogonal to each h_j, zero when f is a highest bit and of lowest bit f
+    otherwise: the nonzero u_f, by f, are the complement's RREF.  One int per
+    block holds v, then each u_f, in fields a byte wide when v <= 8.
     """
     v, n = chunk[0][0], len(chunk)
     if not v:
         return iter(chunk)  # the zero space of GF(2)^0, its own complement
-    cols = _top_reduced(list(zip(*chunk))[1:])
+    cols = _gauss_jordan(list(zip(*chunk))[1:], v, n, True)
     w = max(v, 8)
     packed = repeat(v | sum(1 << (f + w * (f + 1)) for f in range(v)), n)  # v, then each e_f
     for h in cols:

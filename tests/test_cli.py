@@ -477,6 +477,24 @@ class TestKmLsSearch:
         )
         assert code == 4
 
+    def test_seed_file_skips_comments_and_blank_lines(self, tmp_path):
+        seed = tmp_path / "seed.txt"
+        seed.write_text("# seed\n\n0 7 9 14 34\n")
+        for name, spec in (("inline", "0 7 9 14 34"), ("file", str(seed))):
+            assert main(["km", "ls-search", "--v", "4", "--k", "2", "--t", "1", "--N", "7", "--group", "trivial",
+                         "--seed-columns", spec, "--out", str(tmp_path / name)]) == 0
+        names = [f"design{i}.txt" for i in range(1, 8)] + ["large_set.ls"]
+        for name in names:
+            assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "inline" / name).read_bytes()
+
+    def test_bad_token_in_seed_file_names_the_file_and_line(self, tmp_path, capsys):
+        seed = tmp_path / "seed.txt"
+        seed.write_text("# seed\n0 x 9\n")
+        code = main(["km", "ls-search", "--v", "4", "--k", "2", "--t", "1", "--N", "7", "--group", "trivial",
+                     "--seed-columns", str(seed), "--out", str(tmp_path / "r")])
+        assert code == 4
+        assert f"{seed}: bad seed column line '0 x 9'" in capsys.readouterr().err
+
 
 class TestDecode:
     def test_single_design_no_verify(self, tmp_path):

@@ -18,6 +18,7 @@ from qdesigns.grassmann import (
     QuotientFrame,
     Subspace,
     VerificationError,
+    _CROSSOVER,
     _canonical,
     _complements,
     _nogc,
@@ -361,7 +362,7 @@ def columns(blocks: list[list[int]]) -> list[list[int]]:
 @example((0, [[], []]))  # the zero space of GF(2)^0
 @example((20, [[1 << i | 1 << 19 for i in range(19)] + [1 << 19]]))  # the full space, not in RREF
 @example((20, [[1 << i for i in reversed(range(20))]]))  # the full space, pivots falling
-@example((17, [[1 << 16, 1 << 16 | 1], [3, 1 << 16]]))  # past the table of reversed bits
+@example((17, [[1 << 16, 1 << 16 | 1], [3, 1 << 16]]))  # rows wider than two bytes
 def test_canonical_kernel_matches_span(batch):
     v, blocks = batch
     assert list(_canonical(v, columns(blocks), len(blocks))) == [span(v, rows) for rows in blocks]
@@ -386,6 +387,52 @@ def test_canonical_kernel_rejects_dependent_rows(batch, data):
     batch.insert(data.draw(st.integers(0, len(others))), bad)
     with pytest.raises(VerificationError, match="depends on the rows before it"):
         list(_canonical(v, columns(batch), len(batch)))
+
+
+def random_bases(rng: random.Random, v: int, k: int, n: int) -> list[list[int]]:
+    """n lists of k independent rows of GF(2)^v: random rows of full rank, then mixed and shuffled."""
+    blocks = []
+    for _ in range(n):
+        rows = [rng.randrange(1 << v) for _ in range(k)]
+        while len(rref_raw(rows).rows) < k:
+            rows = [rng.randrange(1 << v) for _ in range(k)]
+        for _ in range(2 * k):
+            i, j = rng.randrange(k), rng.randrange(k)
+            if i != j:
+                rows[i] ^= rows[j]
+        rng.shuffle(rows)
+        blocks.append(rows)
+    return blocks
+
+
+@pytest.mark.parametrize("v", [*range(13), 17])  # rows wider than a byte from v = 9, than two at 17
+def test_canonical_plane_kernel_matches_span(v):
+    rng = random.Random(v)
+    for k in range(v + 1):
+        blocks = random_bases(rng, v, k, 512 + rng.randrange(64))
+        assert len(blocks) >= _CROSSOVER  # so the batch goes through the plane kernel
+        assert list(_canonical(v, columns(blocks), len(blocks))) == [span(v, rows) for rows in blocks]
+
+
+@pytest.mark.parametrize("v, k", [(3, 2), (8, 3), (8, 7), (12, 5), (12, 11)])
+def test_canonical_plane_kernel_rejects_one_dependent_row(v, k):
+    # block 300 of 600 gains a sum of its rows at each place in turn; the others an independent row
+    rng = random.Random(k)
+    blocks = random_bases(rng, v, k + 1, 600)
+    rows = random_bases(rng, v, k, 1)[0]
+    for at in range(k + 1):
+        blocks[300] = rows[:at] + [reduce(xor, rng.sample(rows, rng.randrange(k + 1)), 0)] + rows[at:]
+        with pytest.raises(VerificationError, match="depends on the rows before it"):
+            list(_canonical(v, columns(blocks), len(blocks)))
+
+
+@pytest.mark.parametrize("v, k, size", [(7, 3, None), (10, 4, 3000)])  # all of Gr(7,3), a Gr(10,4) sample
+def test_complement_plane_kernel_on_large_chunks(v, k, size):
+    ranks = range(gaussian_binomial(v, k))
+    blocks = [grassmannian_unrank(v, k, r) for r in (random.Random(v).sample(ranks, size) if size else ranks)]
+    perps = list(_complements(blocks))
+    assert perps == [elimination_complement(s) for s in blocks]
+    assert list(_complements(perps)) == blocks
 
 
 @pytest.mark.parametrize("v", [20, 32])

@@ -20,6 +20,7 @@ from qdesigns.gf2 import vec_mat
 from qdesigns.grassmann import (
     QuotientFrame,
     Subspace,
+    _CROSSOVER,
     contains,
     enumerate_grassmannian,
     full_space,
@@ -194,12 +195,13 @@ def lifted_cell_operands(cell: joins.DecompositionCell) -> tuple[list[Subspace],
 
 
 class TestJoinBatches:
-    """avoiding_join on operand sets, cut into kernel chunks far smaller than in use."""
+    """avoiding_join on operand sets, cut into kernel chunks smaller than in use."""
 
-    @pytest.fixture(params=[3, 40])
+    @pytest.fixture(params=[3, 40, 1 << 12])
     def cap(self, request, monkeypatch):
         # chunks of max(cap >> k, 1) members of dimension k: one member per
-        # chunk at cap 3 once k >= 2, and chunks that cut pairs apart at 40
+        # chunk at cap 3 once k >= 2, chunks that cut pairs apart at 40, and
+        # at 1 << 12 chunks large enough for grassmann's plane kernel
         sizes = []
         canonical = joins._canonical
 
@@ -218,6 +220,8 @@ class TestJoinBatches:
         assert out == frozenset().union(*spans)
         k = k1s[0].dim + k2s[0].dim - chain.u1.dim
         assert sum(sizes) == len(out) and max(sizes) <= max(limit >> k, 1)
+        # at the large cap, a join with enough members reaches the plane kernel
+        assert limit >> k < _CROSSOVER or max(sizes) >= min(len(out), _CROSSOVER)
 
     @pytest.mark.parametrize("s", range(4))
     def test_cells_match_one_span_per_member(self, cap, s):
