@@ -1,9 +1,12 @@
-"""Shipped construction data: a large set of 2-(8, 4, 217) designs over GF(2).
+"""Shipped construction data: the large sets LS_2[3](2,4,8) and LS_2[3](2,3,8).
 
-Three designs are stored as orbit representatives under a group of order
-204 given by two generator matrices.  Each representative is a quadruple
-[W, X, Y, Z] of row values in 1..255; row value sum(c_i * 2^i) encodes the
-basis row (c_0, ..., c_7).  Loading always recomputes SHA-256 digests of
+Each large set is three designs stored as orbit representatives.  The
+2-(8, 4, 217) designs use a group of order 204 given by two generator
+matrices, and each representative is a quadruple [W, X, Y, Z] of row
+values in 1..255; row value sum(c_i * 2^i) encodes the basis row
+(c_0, ..., c_7).  The 2-(8, 3, 21) designs use the Singer cycle of
+GF(2^8) = GF(2)[x]/(x^8+x^4+x^3+x^2+1), of order 255, and three row
+values per representative.  Loading always recomputes SHA-256 digests of
 the data files against the shipped checksum file.
 """
 
@@ -12,7 +15,7 @@ from __future__ import annotations
 import hashlib
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .designs import (
     Design,
@@ -21,20 +24,19 @@ from .designs import (
     _frozen,
     large_set,
     verify_design,
-    verify_large_set,
 )
 from .gf2 import BitMatrix, rank_raw
 from .grassmann import Subspace, _nogc, span
 from .groups import Group, close_group, orbit_of, parse_generator_text
 
 __all__ = [
-    "QuadrupleRecord",
     "build_design_from_reps",
     "builtin_data_digests",
     "builtin_group",
     "builtin_large_set",
     "builtin_design",
     "builtin_orbit_representatives",
+    "builtin_singer_large_set",
     "decode_quadruple",
     "AMBIENT_DIM",
     "BLOCK_DIM",
@@ -50,18 +52,11 @@ DESIGN_COUNT = 3
 DESIGN_LAMBDA = 217
 
 
-class QuadrupleRecord(NamedTuple):
-    w: int
-    x: int
-    y: int
-    z: int
-
-
 class DecodeError(ValueError):
     pass
 
 
-def decode_quadruple(q: QuadrupleRecord | Sequence[int]) -> BitMatrix:
+def decode_quadruple(q: Sequence[int]) -> BitMatrix:
     """Quadruple of row values -> 4x8 basis matrix; rows must be independent."""
     rows = tuple(q)
     if len(rows) != 4:
@@ -118,26 +113,30 @@ def builtin_group() -> Group:
     return group
 
 
-@lru_cache(maxsize=None)
-def builtin_orbit_representatives(index: int) -> tuple[QuadrupleRecord, ...]:
-    """Quadruple records of design 1, 2, or 3."""
-    if index not in (1, 2, 3):
-        raise ValueError("design index must be 1, 2, or 3")
-    text = _verified_data_text(f"design{index}_orbit_reps.txt")
+def _representatives(name: str, k: int) -> tuple[tuple[int, ...], ...]:
+    """The k row values of each representative in a shipped orbit file, one per line."""
     out = []
-    for line in text.splitlines():
+    for line in _verified_data_text(name).splitlines():
         if not line.strip():
             continue
-        parts = [int(tok) for tok in line.split()]
-        if len(parts) != 4:
-            raise ValueError(f"bad quadruple line: {line!r}")
-        out.append(QuadrupleRecord(*parts))
+        rows = tuple(int(tok) for tok in line.split())
+        if len(rows) != k:
+            raise ValueError(f"{name}: bad representative line {line!r}")
+        out.append(rows)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def builtin_orbit_representatives(index: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Quadruples of design 1, 2, or 3."""
+    if index not in (1, 2, 3):
+        raise ValueError("design index must be 1, 2, or 3")
+    return _representatives(f"design{index}_orbit_reps.txt", 4)
 
 
 @_nogc
 def build_design_from_reps(
-    reps: Iterable[BitMatrix | QuadrupleRecord | Sequence[int]],
+    reps: Iterable[BitMatrix | Sequence[int]],
     group: Group,
     expected_lambda: int,
     verify: bool = True,
@@ -173,20 +172,27 @@ def build_design_from_reps(
     return design
 
 
-def builtin_design(index: int, verify: bool = True) -> Design:
-    """One of the three shipped designs, fully expanded."""
+def builtin_design(index: int) -> Design:
+    """One of the three shipped 2-(8, 4, 217) designs, fully expanded and not verified."""
     return build_design_from_reps(
         builtin_orbit_representatives(index),
         builtin_group(),
         DESIGN_LAMBDA,
-        verify=verify,
+        verify=False,
     )
 
 
-def builtin_large_set(verify: bool = True) -> LargeSet:
-    """The shipped large set: three disjoint 2-(8, 4, 217) designs."""
-    parts = (builtin_design(i, verify=False).blocks for i in (1, 2, 3))
-    ls = large_set(AMBIENT_DIM, BLOCK_DIM, STRENGTH, parts)
-    if verify:
-        verify_large_set(ls)
-    return ls
+def builtin_large_set() -> LargeSet:
+    """The shipped LS_2[3](2,4,8): three disjoint 2-(8, 4, 217) designs, not verified."""
+    parts = (builtin_design(i).blocks for i in (1, 2, 3))
+    return large_set(AMBIENT_DIM, BLOCK_DIM, STRENGTH, parts)
+
+
+def builtin_singer_large_set() -> LargeSet:
+    """The shipped LS_2[3](2,3,8): three disjoint 2-(8, 3, 21) designs, not verified."""
+    group = close_group(parse_generator_text(_verified_data_text("singer_generators.txt")))
+    designs = []
+    for i in (1, 2, 3):
+        reps = [BitMatrix(AMBIENT_DIM, rows) for rows in _representatives(f"k3_design{i}_orbit_reps.txt", 3)]
+        designs.append(build_design_from_reps(reps, group, 21, verify=False))
+    return large_set(AMBIENT_DIM, 3, STRENGTH, (d.blocks for d in designs))

@@ -208,7 +208,7 @@ def _cmd_decode(args) -> int:
     run.input_digests(catalog.builtin_data_digests())
 
     if args.design is not None:
-        d = catalog.builtin_design(args.design, verify=False)
+        d = catalog.builtin_design(args.design)
         rel = f"design{args.design}.txt"
         write_design(run.path(rel), d)
         run.output(rel)
@@ -216,7 +216,7 @@ def _cmd_decode(args) -> int:
             verify_design(d)
             run.design_verdict(rel, d)
     else:
-        ls = catalog.builtin_large_set(verify=False)
+        ls = catalog.builtin_large_set()
         run.write_large_set_files(ls)
         if not args.no_verify:
             report = verify_large_set(ls)
@@ -358,7 +358,7 @@ def _cmd_km_ls_search(args) -> int:
 def _load_registry(directory: Optional[str], use_builtin: bool, run: _Run) -> list[LargeSet]:
     registry = []
     if use_builtin:
-        registry.append(catalog.builtin_large_set(verify=False))
+        registry += [catalog.builtin_large_set(), catalog.builtin_singer_large_set()]
         run.input_digests(catalog.builtin_data_digests())
     if directory:
         if not os.path.isdir(directory):
@@ -484,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--registry", default=None,
                    help="directory of .ls files supplying the plan's leaves")
     p.add_argument("--builtin", action="store_true",
-                   help="supply the shipped large set as a leaf")
+                   help="supply the shipped LS_2[3](2,4,8) and LS_2[3](2,3,8) as leaves")
     p.add_argument("--size-guard", type=int, default=DEFAULT_SIZE_GUARD,
                    help="largest Grassmannian a plan node may enumerate")
     _add_outputs(p, "output directory")

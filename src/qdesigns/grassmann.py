@@ -170,11 +170,12 @@ def _bit_planes(col: Iterable[int], v: int) -> list[int]:
     """The v bit planes of a column of rows, each at most v bits wide: plane b has bit i set iff row i has bit b.
 
     bytes.translate turns one byte per row, last row first, into binary digits that int() reads in base 2.
-    A row below 0 or too wide raises ValueError or OverflowError.
+    A row below 0 or too wide raises ValueError or OverflowError: bytes() and int.to_bytes refuse one that
+    does not fit in w bytes, so only a v that is no multiple of 8 needs the scan of each row's top byte.
     """
     w = (v + 7) >> 3  # bytes per row
     raw = (bytes(col) if w == 1 else b"".join(map(int.to_bytes, col, repeat(w), repeat("little"))))[::-1]
-    if max(raw[::w]) >> (v - 8 * w + 8):  # a row's top byte has a bit at v or above
+    if v & 7 and max(raw[::w]) >> (v - 8 * w + 8):  # a row's top byte has a bit at v or above
         raise ValueError(f"a row does not fit in {v} coordinates")
     return [int(raw[w - 1 - (b >> 3)::w].translate(_DIGIT[b & 7]), 2) for b in range(v)]
 
@@ -218,7 +219,7 @@ def _gauss_jordan(cols: Sequence[Iterable[int]], v: int, n: int, top: bool) -> l
                 free[j] ^= pick
         ranks = list(map(or_, map(and_, ranks, repeat(untaken)), map(and_, [0] + ranks, repeat(full ^ untaken))))
     if any(free):
-        raise VerificationError("avoiding join row depends on the rows before it")
+        raise VerificationError("a block's row depends on the rows before it")
     return [_plane_rows(list(reduce(partial(map, or_), [map(and_, row, repeat(place[r]))
                                                         for row, place in zip(rows, places)]))[::step], n)
             for r in range(k)]
@@ -233,7 +234,7 @@ def _canonical(v: int, cols: Sequence[Iterable[int]], n: int) -> Iterator[Subspa
         return _from_columns(v, _gauss_jordan(cols, v, n, False), n)
     blocks = [span(v, b[1:]) for b in _from_columns(v, cols, n)]
     if any(len(s) <= len(cols) for s in blocks):
-        raise VerificationError("avoiding join row depends on the rows before it")
+        raise VerificationError("a block's row depends on the rows before it")
     return iter(blocks)
 
 

@@ -67,8 +67,8 @@ class Group:
         return tuple(span_table(g.rows) for g in self.elements)
 
 
-def close_group(generators: Sequence[GroupElement], cap: int = _CLOSURE_CAP) -> Group:
-    """BFS closure of invertible generators under multiplication."""
+def close_group(generators: Sequence[GroupElement]) -> Group:
+    """BFS closure of invertible generators under multiplication, up to _CLOSURE_CAP elements."""
     if not generators:
         raise ValueError("need at least one generator")
     v = generators[0].ncols
@@ -87,8 +87,8 @@ def close_group(generators: Sequence[GroupElement], cap: int = _CLOSURE_CAP) -> 
             for g in generators:
                 p = mat_mul(m, g)
                 if p.rows not in seen:
-                    if len(seen) >= cap:
-                        raise RuntimeError(f"group closure exceeded cap {cap}")
+                    if len(seen) >= _CLOSURE_CAP:
+                        raise RuntimeError(f"group closure exceeded cap {_CLOSURE_CAP}")
                     seen[p.rows] = p
                     order.append(p)
                     nxt.append(p)

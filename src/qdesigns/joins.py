@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import groupby, repeat
-from operator import and_, mul, neg, or_, xor
+from operator import and_, lshift, mul, neg, or_, xor
 from typing import Iterable, Iterator, Sequence
 
 from .designs import (
@@ -39,16 +39,14 @@ from .designs import (
     large_set,
     verify_large_set,
 )
-from .gf2 import span_table, vec_mat
+from .gf2 import span_table
 from .grassmann import (
-    QuotientFrame,
     Subspace,
     _canonical,
     _from_columns,
     _nogc,
     contains,
     enumerate_grassmannian,
-    full_space,
     gaussian_binomial,
     reduce_vector,
     standard_flag_subspace,
@@ -71,15 +69,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class JoinChain:
-    """Flag U1 <= U2 inside GF(2)^v, with the quotient frame of V/U2.
-
-    ``top`` coordinatizes the full quotient V/U2.  Second join operands
-    live in its coordinates.
-    """
+    """Flag U1 <= U2 inside GF(2)^v."""
 
     u1: Subspace
     u2: Subspace
-    top: QuotientFrame
 
     @property
     def v(self) -> int:
@@ -91,7 +84,7 @@ def join_chain(u1: Subspace, u2: Subspace) -> JoinChain:
         raise ValueError("flag members must share an ambient space")
     if not contains(u2, u1):
         raise ValueError("need u1 <= u2")
-    return JoinChain(u1, u2, QuotientFrame(full_space(u1.v), u2))
+    return JoinChain(u1, u2)
 
 
 def _complement(sup: Subspace, pivots: int) -> tuple[int, ...]:
@@ -192,23 +185,22 @@ def materialize_cell(cell: DecompositionCell) -> frozenset[Subspace]:
 
 
 def _lifted(
-    parts: Iterable[Iterable[Subspace]], basis: Sequence[int], extra: Sequence[int], v: int, what: str
+    parts: Iterable[Iterable[Subspace]], width: int, head: tuple[int, ...], v: int, what: str
 ) -> list[list[Subspace]]:
-    """Each part's operands, once their local coordinates are checked, read into GF(2)^v.
+    """Each part's operands, once their width-bit local coordinates are checked, read into GF(2)^v.
 
-    Each distinct row is mapped through the basis rows once; the extra rows are added.
+    An operand's rows are shifted left past the head rows, which come first; both stay in RREF.
     """
     local = [list(part) for part in parts]
-    if any(s.v != len(basis) for part in local for s in part):
-        raise ValueError(f"{what} operands must use {len(basis)}-dimensional local coordinates")
+    if any(s.v != width for part in local for s in part):
+        raise ValueError(f"{what} operands must use {width}-dimensional local coordinates")
     if len({s.dim for part in local for s in part}) > 1:
         raise ValueError(f"{what} operands must share a dimension")
-    image = {x: vec_mat(x, basis) for x in {x for part in local for s in part for x in s.rows}}.__getitem__
-    return [list(itertools.chain.from_iterable(
-        _canonical(v, [map(image, c) for c in list(zip(*chunk))[1:]]
-                   + [repeat(r, len(chunk)) for r in extra], len(chunk))
-        for chunk in _chunks(part)
-    )) for part in local]
+    out = []
+    for part in local:
+        cols = [repeat(h) for h in head] + [map(lshift, c, repeat(len(head))) for c in list(zip(*part))[1:]]
+        out.append(list(_from_columns(v, cols, len(part))))
+    return out
 
 
 @_nogc
@@ -222,12 +214,14 @@ def compose_partitions(
 
     Part m of the result is the union of the avoiding joins of every
     member of part i of ``parts1`` with every member of part j of
-    ``parts2``, over all i + j = m (mod n).  Members of ``parts1`` live
-    in GF(2)^dim(U1) (they are read through U1's basis); members of
-    ``parts2`` live in the quotient coordinates of V/U2.  Each is lifted
-    into GF(2)^v once.  Distinct pairs yield disjoint join families, so
-    part m has exactly sum_i |part i| * |part j| * 2^((u1 - k1) * (k2 - u1))
-    members.  ``t`` is the strength t1 + t2 + 1 the parts should share
+    ``parts2``, over all i + j = m (mod n).  The flag must be standard:
+    U1 = <e_0 .. e_{a-1}> <= U2 = <e_0 .. e_{b-1}>.  Members of ``parts1``
+    live in GF(2)^a, which is U1; members of ``parts2`` live in
+    GF(2)^(v-b), which is V/U2 through e_b .. e_{v-1}, so K2 is U2 plus
+    their rows shifted left by b bits.  Each is lifted into GF(2)^v once.
+    Distinct pairs yield disjoint join families, so part m has exactly
+    sum_i |part i| * |part j| * 2^((u1 - k1) * (k2 - u1)) members.
+    ``t`` is the strength t1 + t2 + 1 the parts should share
     (t = -1 claims none).  It is checked, not assumed; a failure here
     means the composition convention is wrong for the operands, so it
     raises rather than returning a bad partition.  The parts are also
@@ -237,8 +231,11 @@ def compose_partitions(
     n = len(parts1)
     if len(parts2) != n:
         raise ValueError("operands must have the same number of parts")
-    first = _lifted(parts1, chain.u1.rows, (), chain.v, "first")
-    second = _lifted(parts2, chain.top.transversal, chain.u2.rows, chain.v, "second")
+    v, a, b = chain.v, chain.u1.dim, chain.u2.dim
+    if chain.u1 != standard_flag_subspace(v, a) or chain.u2 != standard_flag_subspace(v, b):
+        raise ValueError("compose_partitions needs a flag of standard subspaces <e_0 .. e_{m-1}>")
+    first = _lifted(parts1, a, (), v, "first")
+    second = _lifted(parts2, v - b, chain.u2.rows, v, "second")
     parts = []
     for m in range(n):  # pieces of one part overlap iff the part is smaller than their sum
         pieces = [avoiding_join(first[i], second[(m - i) % n], chain) for i in range(n)]
@@ -248,9 +245,9 @@ def compose_partitions(
             raise VerificationError(f"part {m} has {len(parts[m])} members, expected {expect}")
     check_disjoint(parts)
     if t >= 0:
-        counts = _incidence_counts(parts[0], chain.v, t)
+        counts = _incidence_counts(parts[0], v, t)
         for i in range(1, n):
-            if _incidence_counts(parts[i], chain.v, t) != counts:
+            if _incidence_counts(parts[i], v, t) != counts:
                 raise VerificationError(
                     f"composition failed the {t}-equivalence check (wrong part-index"
                     f" convention or operands): parts 0 and {i} are not {t}-equivalent"

@@ -25,11 +25,9 @@ __all__ = [
     "LSParams",
     "PlanNode",
     "admissible",
-    "check_remark_genericity",
     "generate_table",
     "parse_plan",
     "plan_series",
-    "read_plan_file",
     "realizable_by_series",
     "render_table",
     "serialize_plan",
@@ -83,14 +81,9 @@ class LSParams:
         return f"LS_{self.q}[{self.n}]({self.t},{self.k},{self.v})"
 
 
-def _binomials(p: LSParams) -> list[int]:
-    """[v-i choose k-i]_q for i = 0..t; N must divide each of them."""
-    return [gaussian_binomial(p.v - i, p.k - i, p.q) for i in range(p.t + 1)]
-
-
 def admissible(p: LSParams) -> bool:
     """N divides [v-i choose k-i]_q for all i = 0..t; t = -1 always passes."""
-    return all(value % p.n == 0 for value in _binomials(p))
+    return all(gaussian_binomial(p.v - i, p.k - i, p.q) % p.n == 0 for i in range(p.t + 1))
 
 
 def _direct(k: int, v: int) -> bool:
@@ -207,25 +200,6 @@ def _plan(t: int, k: int, v: int, memo: dict) -> PlanNode:
     children = tuple(_plan(*shape, memo) for shape in _child_shapes(kind, p, s, strengths))
     node = memo[(t, k, v)] = PlanNode(kind, p, s, children, strengths)
     return node
-
-
-def check_remark_genericity(q: int, n: int) -> tuple[LSParams, LSParams]:
-    """Validate the two base leaves the series recursion needs for (q, N).
-
-    The recursion shape is independent of q and N; only the leaves
-    LS_q[N](2,3,8) and LS_q[N](2,4,8) must exist.  Their admissibility is
-    checked here; an inadmissible leaf raises with the failing division.
-    """
-    leaves = (LSParams(q, n, 2, 3, 8), LSParams(q, n, 2, 4, 8))
-    failures = [
-        f"{p}: {n} does not divide [{p.v - i} choose {p.k - i}]_{q} = {value}"
-        for p in leaves
-        for i, value in enumerate(_binomials(p))
-        if value % n
-    ]
-    if failures:
-        raise ValueError("inadmissible leaves: " + "; ".join(failures))
-    return leaves
 
 
 def generate_table(v_max: int) -> dict[tuple[int, int], str]:
@@ -354,7 +328,3 @@ def parse_plan(text: str) -> PlanNode:
 
 def write_plan_file(path, node: PlanNode) -> None:
     Path(path).write_text(serialize_plan(node))
-
-
-def read_plan_file(path) -> PlanNode:
-    return parse_plan(Path(path).read_text())

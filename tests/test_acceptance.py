@@ -65,7 +65,7 @@ _CACHE: dict = {}
 def decoded():
     if "ls" not in _CACHE:
         t0 = time.monotonic()
-        _CACHE["ls"] = catalog.builtin_large_set(verify=False)
+        _CACHE["ls"] = catalog.builtin_large_set()
         _CACHE["decode_s"] = time.monotonic() - t0
     return _CACHE["ls"]
 

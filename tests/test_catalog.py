@@ -11,16 +11,16 @@ from qdesigns.catalog import (
     BLOCK_DIM,
     DESIGN_COUNT,
     DESIGN_LAMBDA,
-    QuadrupleRecord,
     build_design_from_reps,
     builtin_data_digests,
     builtin_design,
     builtin_group,
     builtin_orbit_representatives,
+    builtin_singer_large_set,
     decode_quadruple,
 )
 from qdesigns.catalog import DecodeError
-from qdesigns.designs import VerificationError, read_design, verify_design, write_design
+from qdesigns.designs import VerificationError, read_design, verify_design, verify_large_set, write_design
 from qdesigns.gf2 import BitMatrix
 from qdesigns.groups import close_group
 
@@ -36,7 +36,8 @@ WRITTEN_DESIGN_SHA256 = {
 
 def test_builtin_data_digests_are_the_files_digests():
     digests = builtin_data_digests()
-    names = ["group_generators.txt"] + [f"design{i}_orbit_reps.txt" for i in (1, 2, 3)]
+    names = ["group_generators.txt", "singer_generators.txt"] + [
+        f"{prefix}design{i}_orbit_reps.txt" for prefix in ("", "k3_") for i in (1, 2, 3)]
     assert sorted(digests) == sorted(f"builtin:{name}" for name in names)
     root = resources.files("qdesigns").joinpath("data")
     for name in names:
@@ -79,10 +80,10 @@ def test_rep_counts_and_endpoints():
         reps = builtin_orbit_representatives(idx)
         assert len(reps) == count
         assert len(set(reps)) == count
-    assert builtin_orbit_representatives(1)[0] == QuadrupleRecord(1, 34, 40, 192)
-    assert builtin_orbit_representatives(1)[-1] == QuadrupleRecord(241, 242, 180, 56)
-    assert builtin_orbit_representatives(2)[0] == QuadrupleRecord(1, 2, 80, 32)
-    assert builtin_orbit_representatives(3)[-1] == QuadrupleRecord(241, 210, 20, 104)
+    assert builtin_orbit_representatives(1)[0] == (1, 34, 40, 192)
+    assert builtin_orbit_representatives(1)[-1] == (241, 242, 180, 56)
+    assert builtin_orbit_representatives(2)[0] == (1, 2, 80, 32)
+    assert builtin_orbit_representatives(3)[-1] == (241, 210, 20, 104)
 
 
 def test_reps_unique_across_designs():
@@ -165,5 +166,16 @@ def test_constants():
 @pytest.mark.parametrize("index", (1, 2, 3))
 def test_written_design_bytes_are_pinned(index, tmp_path):
     path = tmp_path / f"design{index}.txt"
-    write_design(path, builtin_design(index, verify=False))
+    write_design(path, builtin_design(index))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == WRITTEN_DESIGN_SHA256[index]
+
+
+def test_singer_leaf_builds_and_verifies():
+    # LS_2[3](2,3,8) from 3 x 127 orbits of the Singer cycle of GF(2^8)
+    ls = builtin_singer_large_set()
+    assert (ls.v, ls.k, ls.t, ls.n) == (8, 3, 2, 3)
+    report = verify_large_set(ls)
+    assert report.lam == 21 and report.blocks_per_design == (32385,) * 3
+    for i in (1, 2, 3):
+        reps = resources.files("qdesigns").joinpath("data", f"k3_design{i}_orbit_reps.txt").read_text()
+        assert len(reps.splitlines()) == 127

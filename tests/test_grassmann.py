@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qdesigns.designs import Design, verify_design
 from qdesigns.gf2 import rref_raw
 from qdesigns.grassmann import (
     QuotientFrame,
@@ -424,6 +425,22 @@ def test_canonical_plane_kernel_rejects_one_dependent_row(v, k):
         blocks[300] = rows[:at] + [reduce(xor, rng.sample(rows, rng.randrange(k + 1)), 0)] + rows[at:]
         with pytest.raises(VerificationError, match="depends on the rows before it"):
             list(_canonical(v, columns(blocks), len(blocks)))
+
+
+@pytest.mark.parametrize("v", [8, 16])
+def test_rows_too_wide_or_negative_raise_at_whole_byte_widths(v):
+    # at these v no row's top byte is scanned: bytes() and int.to_bytes refuse such a row themselves
+    rng = random.Random(v)
+    for bad in (1 << v, 2 | 1 << v, -1, -2):
+        block = Subspace(v, (1, bad))
+        with pytest.raises(VerificationError, match="RREF") as info:
+            verify_design(Design(v, 2, 0, 2, frozenset({span(v, [1, 2]), block})))
+        assert info.value.witness is block
+        for n in (1, _CROSSOVER, 300):  # one span, then the plane kernel
+            blocks = random_bases(rng, v, 2, n)
+            blocks[n // 2] = [1, bad]
+            with pytest.raises((ValueError, OverflowError)):
+                list(_canonical(v, columns(blocks), n))
 
 
 @pytest.mark.parametrize("v, k, size", [(7, 3, None), (10, 4, 3000)])  # all of Gr(7,3), a Gr(10,4) sample

@@ -85,9 +85,9 @@ class TestJoinChain:
             join_chain(span(3, [1]), span(4, [1, 2]))
 
     def test_frames(self):
-        chain = join_chain(standard_flag_subspace(5, 1), standard_flag_subspace(5, 3))
-        assert chain.top.dim == 2
-        assert chain.v == 5
+        u1, u2 = standard_flag_subspace(5, 1), standard_flag_subspace(5, 3)
+        chain = join_chain(u1, u2)
+        assert (chain.u1, chain.u2, chain.v) == (u1, u2, 5)
 
 
 @st.composite
@@ -163,7 +163,7 @@ class TestAvoidingJoin:
         # every (k1, k2) pair that materialize_cell joins, lifted as compose_partitions lifts it
         for cell in grassmann_decomposition(7, 3, s):
             (a1, d1), (a2, d2) = cell.first_grassmannian, cell.second_grassmannian
-            u1, top = cell.chain.u1, cell.chain.top
+            u1, top = cell.chain.u1, QuotientFrame(full_space(7), cell.chain.u2)
             for f in enumerate_grassmannian(a1, d1):
                 k1 = span(7, [vec_mat(r, u1.rows) for r in f.rows])
                 for g in enumerate_grassmannian(a2, d2):
@@ -189,7 +189,8 @@ class TestAvoidingJoin:
 def lifted_cell_operands(cell: joins.DecompositionCell) -> tuple[list[Subspace], list[Subspace]]:
     """Every operand that materialize_cell joins, lifted as compose_partitions lifts it."""
     (a1, d1), (a2, d2) = cell.first_grassmannian, cell.second_grassmannian
-    v, u1, top = cell.chain.v, cell.chain.u1, cell.chain.top
+    v, u1 = cell.chain.v, cell.chain.u1
+    top = QuotientFrame(full_space(v), cell.chain.u2)  # V/U2, the slow way
     k1s = [span(v, [vec_mat(r, u1.rows) for r in f.rows]) for f in enumerate_grassmannian(a1, d1)]
     return k1s, [lift_preimage(top, g) for g in enumerate_grassmannian(a2, d2)]
 
@@ -464,6 +465,16 @@ class TestCompose:
         with pytest.raises(ValueError):
             compose_partitions(two_parts, singleton_line_partition(), chain, 0)
 
+    def test_flag_must_be_standard(self):
+        # the same dimensions as a standard flag, so only the rows are wrong
+        p = singleton_line_partition()
+        for u1, u2 in ((span(4, [1, 4]), span(4, [1, 4])),
+                       (standard_flag_subspace(4, 2), span(4, [1, 2, 8])),
+                       (span(4, [2]), standard_flag_subspace(4, 3)),
+                       (standard_flag_subspace(4, 1), span(4, [1, 6]))):
+            with pytest.raises(ValueError, match="standard"):
+                compose_partitions(p, p, join_chain(u1, u2), -1)
+
     def test_ambient_mismatch(self):
         p = singleton_line_partition()
         tall = join_chain(standard_flag_subspace(5, 3), standard_flag_subspace(5, 3))
@@ -631,17 +642,17 @@ class TestExecutePlan:
         assert verify_large_set(ls).lam == 465
 
     def test_each_operand_lifted_once(self, monkeypatch):
-        # mixed_plan's decompose nodes lift 30 distinct (frame, operand)
+        # mixed_plan's decompose nodes lift 30 distinct (flag, operand)
         # pairs; each compose_partitions call lifts each one once, not once
         # per part it is paired with
         calls = []
         lifted = joins._lifted
 
-        def counting(parts, basis, extra, v, what):
+        def counting(parts, width, head, v, what):
             parts = [list(part) for part in parts]
-            if what == "second":  # the operands read through the frame of V/U2
-                calls.extend((basis, extra, s) for part in parts for s in part)
-            return lifted(parts, basis, extra, v, what)
+            if what == "second":  # the operands read as V/U2, after U2's rows
+                calls.extend((width, head, s) for part in parts for s in part)
+            return lifted(parts, width, head, v, what)
 
         monkeypatch.setattr(joins, "_lifted", counting)
         ls = execute_plan(mixed_plan(), [line_large_set()])

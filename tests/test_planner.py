@@ -12,11 +12,9 @@ from qdesigns.planner import (
     PlanNode,
     _child_shapes,
     admissible,
-    check_remark_genericity,
     generate_table,
     parse_plan,
     plan_series,
-    read_plan_file,
     realizable_by_series,
     render_table,
     serialize_plan,
@@ -220,13 +218,13 @@ def test_plan_series_rejects_uncovered_parameters():
 
 
 def test_genericity_check():
-    leaves = check_remark_genericity(3, 7)
-    assert [(p.k, p.v) for p in leaves] == [(3, 8), (4, 8)]
-    concrete = check_remark_genericity(2, 3)
-    assert concrete == (LSParams(2, 3, 2, 3, 8), LSParams(2, 3, 2, 4, 8))
-    with pytest.raises(ValueError) as err:
-        check_remark_genericity(2, 5)
-    assert "651" in str(err.value) and "2667" in str(err.value)
+    # the series' two base leaves, LS_q[N](2,3,8) and LS_q[N](2,4,8), at other q and N
+    assert all(admissible(LSParams(3, 7, 2, k, 8)) for k in (3, 4))
+    assert all(admissible(LSParams(2, 3, 2, k, 8)) for k in (3, 4))
+    # N = 5 divides [8 3]_2 but neither [7 2]_2 = 2667 nor any of [8 4]_2, [7 3]_2 and [6 2]_2 = 651
+    assert [gaussian_binomial(8 - i, 3 - i) % 5 for i in range(3)] == [0, 2, 3]
+    assert [gaussian_binomial(8 - i, 4 - i) % 5 for i in range(3)] == [2, 1, 1]
+    assert not any(admissible(LSParams(2, 5, 2, k, 8)) for k in (3, 4))
 
 
 def test_plan_node_validation():
@@ -317,7 +315,7 @@ def test_plan_file_round_trip(tmp_path):
         node = plan_series(k, v)
         path = tmp_path / f"plan_{k}_{v}.txt"
         write_plan_file(path, node)
-        assert read_plan_file(path) == node
+        assert parse_plan(path.read_text()) == node
 
 
 def test_parse_plan_accepts_leaf_alias_and_comments():

@@ -19,8 +19,7 @@ PACKAGE = Path(qdesigns.__file__).resolve().parent
 BENCH = PACKAGE.parents[1] / "bench"
 
 ALLOWED = {
-    "planner.read_plan_file": "the reader for plan files; construct --plan will call it",
-    "planner.check_remark_genericity": "the recursion's shape at any q and N, for the planner",
+    "planner.parse_plan": "the reader of the plan files write_plan_file writes; construct --plan will call it",
     "catalog.DESIGN_COUNT": "the number of shipped designs, a constant of the shipped data",
 }
 
