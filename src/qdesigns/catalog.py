@@ -27,7 +27,7 @@ from .designs import (
 )
 from .gf2 import BitMatrix, rank_raw
 from .grassmann import Subspace, _nogc, span
-from .groups import Group, close_group, orbit_of, parse_generator_text
+from .groups import Group, close_group, orbits, parse_generator_text
 
 __all__ = [
     "build_design_from_reps",
@@ -143,30 +143,26 @@ def build_design_from_reps(
 ) -> Design:
     """Expand orbit representatives into a full design and check it.
 
-    Distinct representatives must generate distinct orbits; any overlap is
-    an error, as is a failed design verification.
+    Every representative is checked first; then groups.orbits expands them
+    all, many to one plane-kernel call, and refuses mixed dimensions.
+    Distinct representatives must generate distinct orbits: an overlap
+    names the first representative whose orbit meets an earlier one.  A
+    failed verification is an error too.
     """
-    blocks: set[Subspace] = set()
-    k = None
-    for rep in reps:
-        mat = rep if isinstance(rep, BitMatrix) else decode_quadruple(rep)
-        s = span(mat.ncols, mat.rows)
+    mats = [rep if isinstance(rep, BitMatrix) else decode_quadruple(rep) for rep in reps]
+    subspaces = [span(mat.ncols, mat.rows) for mat in mats]
+    for mat, s in zip(mats, subspaces):
         if s.dim != mat.nrows:
             raise DecodeError(f"dependent representative rows: {list(mat.rows)}")
-        if k is None:
-            k = s.dim
-        elif s.dim != k:
-            raise DecodeError("representatives have mixed dimensions")
-        orbit = orbit_of(s, group)
+    if not subspaces:
+        raise ValueError("no representatives given")
+    blocks: set[Subspace] = set()
+    for mat, orbit in zip(mats, orbits(subspaces, group)):
         before = len(blocks)
         blocks |= orbit
         if len(blocks) != before + len(orbit):
-            raise VerificationError(
-                f"orbit of {list(mat.rows)} overlaps previously added orbits"
-            )
-    if k is None:
-        raise ValueError("no representatives given")
-    design = Design(group.v, k, STRENGTH, expected_lambda, _frozen(blocks))
+            raise VerificationError(f"orbit of {list(mat.rows)} overlaps previously added orbits")
+    design = Design(group.v, subspaces[0].dim, STRENGTH, expected_lambda, _frozen(blocks))
     if verify:
         verify_design(design)
     return design
@@ -174,12 +170,7 @@ def build_design_from_reps(
 
 def builtin_design(index: int) -> Design:
     """One of the three shipped 2-(8, 4, 217) designs, fully expanded and not verified."""
-    return build_design_from_reps(
-        builtin_orbit_representatives(index),
-        builtin_group(),
-        DESIGN_LAMBDA,
-        verify=False,
-    )
+    return build_design_from_reps(builtin_orbit_representatives(index), builtin_group(), DESIGN_LAMBDA, verify=False)
 
 
 def builtin_large_set() -> LargeSet:

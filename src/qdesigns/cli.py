@@ -37,7 +37,7 @@ from .designs import (
     write_large_set,
 )
 from .groups import Group, close_group, read_generator_file, trivial_group
-from .joins import DEFAULT_SIZE_GUARD, MissingLeafError, execute_plan
+from .joins import DEFAULT_SIZE_GUARD, MissingLeafError, _postorder, execute_plan
 from .kramer_mesner import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_RETRY_BUDGET,
@@ -49,6 +49,8 @@ from .kramer_mesner import (
     write_km_system,
 )
 from .planner import (
+    LSParams,
+    PlanNode,
     generate_table,
     plan_series,
     render_table,
@@ -113,14 +115,8 @@ class _Run:
                 f"output directory {self.dir} is not empty")
         if clash and not args.force:
             raise CliError(EXIT_IO, f"{clash} (use --force)")
-        self.record = {
-            "subcommand": subcommand,
-            "parameters": params,
-            "inputs": {},
-            "outputs": {},
-            "verdicts": [],
-            "wall_time_s": None,
-        }
+        self.record = {"subcommand": subcommand, "parameters": params, "inputs": {}, "outputs": {}, "verdicts": [],
+                       "wall_time_s": None}
         self.deterministic = args.deterministic
         if self.deterministic:
             params["deterministic"] = True
@@ -355,10 +351,12 @@ def _cmd_km_ls_search(args) -> int:
 # ---------------------------------------------------------------- construct
 
 
-def _load_registry(directory: Optional[str], use_builtin: bool, run: _Run) -> list[LargeSet]:
+def _load_registry(plan: PlanNode, directory: Optional[str], use_builtin: bool, run: _Run) -> list[LargeSet]:
     registry = []
-    if use_builtin:
-        registry += [catalog.builtin_large_set(), catalog.builtin_singer_large_set()]
+    if use_builtin:  # a shipped leaf is expanded only if one of the plan's leaf_table nodes reads it
+        reads = {n.params for n in _postorder(plan, {}).values() if n.kind == "leaf_table"}
+        shipped = {4: catalog.builtin_large_set, 3: catalog.builtin_singer_large_set}
+        registry += [make() for k, make in shipped.items() if LSParams(2, 3, 2, k, 8) in reads]
         run.input_digests(catalog.builtin_data_digests())
     if directory:
         if not os.path.isdir(directory):
@@ -375,7 +373,7 @@ def _load_registry(directory: Optional[str], use_builtin: bool, run: _Run) -> li
 def _cmd_construct(args) -> int:
     plan = plan_series(args.k, args.v)
     run = _Run(args, "construct", k=args.k, v=args.v, size_guard=args.size_guard)
-    registry = _load_registry(args.registry, args.builtin, run)
+    registry = _load_registry(plan, args.registry, args.builtin, run)
     write_plan_file(run.path("plan.txt"), plan)
     run.output("plan.txt")
     try:
@@ -484,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--registry", default=None,
                    help="directory of .ls files supplying the plan's leaves")
     p.add_argument("--builtin", action="store_true",
-                   help="supply the shipped LS_2[3](2,4,8) and LS_2[3](2,3,8) as leaves")
+                   help="supply the shipped LS_2[3](2,4,8) and LS_2[3](2,3,8), each as a leaf if the plan reads it")
     p.add_argument("--size-guard", type=int, default=DEFAULT_SIZE_GUARD,
                    help="largest Grassmannian a plan node may enumerate")
     _add_outputs(p, "output directory")

@@ -13,8 +13,8 @@ from bisect import bisect_right
 from functools import lru_cache, partial, reduce, wraps
 from inspect import isgeneratorfunction
 from itertools import chain, combinations, product, repeat
-from operator import add, and_, itemgetter, lshift, or_, rshift, xor
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from operator import add, and_, itemgetter, lshift, neg, or_, rshift, xor
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .gf2 import rref_raw, span_table
 
@@ -311,43 +311,44 @@ def enumerate_grassmannian(v: int, k: int) -> Iterator[Subspace]:
 
 
 @lru_cache(maxsize=None)
-def _ranker(v: int, k: int) -> Callable[[Sequence[int]], int]:
-    """grassmannian_rank for one (v, k), with its tables bound.
+def _rank_tables(v: int, k: int) -> tuple[dict[int, int], ...]:
+    """Per row j of a k-subspace, a dict from (row value << v | the block's pivot mask) to the row's part of the rank.
 
-    Each pivot mask maps to its set's offset and, per row, a dict from the
-    row's values to their free-cell bits already shifted into place.
+    The part is the row's free-cell bits shifted into place, and for row 0 also its pivot set's offset.
     """
-    tables = {}
+    tables = tuple({} for _ in range(k))
     for offset, rows, shifts in _pivot_sets(v, k):
-        places = tuple({r: x << shift for x, r in enumerate(row)} for row, shift in zip(rows, shifts))
-        tables[sum(row[0] for row in rows)] = (offset, places)
+        mask = sum(row[0] for row in rows)  # row[0] is the row with no free bit set: 1 << pivot
+        for j, (table, row, shift) in enumerate(zip(tables, rows, shifts)):
+            table.update((r << v | mask, (x << shift) + (0 if j else offset)) for x, r in enumerate(row))
+    return tables
 
-    def rank(rows: Sequence[int]) -> int:
-        # without this, zip would rank extra rows away
-        if len(rows) != k:
-            raise ValueError(f"{len(rows)} rows given for a {k}-subspace")
-        pivots = 0
-        for r in rows:
-            pivots |= r & -r
-        # rows out of order, unreduced, repeated, zero, negative or too wide miss a key
-        try:
-            offset, places = tables[pivots]
-            for r, place in zip(rows, places):
-                offset += place[r]
-        except KeyError:
-            raise ValueError(f"rows {list(rows)} are not an RREF basis in GF(2)^{v}") from None
-        return offset
 
-    return rank
+def _ranks(v: int, cols: Sequence[Sequence[int]], n: int) -> list[int]:
+    """grassmannian_rank of n blocks at once, given as their k row columns: a sum of one lookup per row.
+
+    A row out of order, unreduced, repeated, zero, negative or too wide misses its table, so it raises ValueError.
+    """
+    masks = list(reduce(partial(map, or_), [map(and_, c, map(neg, c)) for c in cols], repeat(0, n)))
+    ranks = [0] * n
+    try:
+        for c, table in zip(cols, _rank_tables(v, len(cols))):
+            ranks = list(map(add, ranks, map(table.__getitem__, map(or_, map(lshift, c, repeat(v)), masks))))
+    except KeyError:
+        raise ValueError(f"a block's rows are not an RREF basis in GF(2)^{v}") from None
+    return ranks
 
 
 def grassmannian_rank(v: int, k: int, rows: Sequence[int]) -> int:
     """Position of the k-subspace with RREF basis rows in enumerate_grassmannian(v, k).
 
-    The rank is its pivot set's offset plus its free-cell bits.  Rows that
-    are not the canonical basis of a k-subspace of GF(2)^v raise ValueError.
+    The rank is its pivot set's offset plus its free-cell bits: the one-block case of
+    _ranks.  Rows that are not the canonical basis of a k-subspace of GF(2)^v raise ValueError.
     """
-    return _ranker(v, k)(rows)
+    # _ranks reads k from the number of rows
+    if len(rows) != k:
+        raise ValueError(f"{len(rows)} rows given for a {k}-subspace")
+    return _ranks(v, [(r,) for r in rows], 1)[0]
 
 
 def grassmannian_unrank(v: int, k: int, rank: int) -> Subspace:

@@ -10,15 +10,17 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
+from itertools import chain, compress, count, groupby, islice
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
+from . import designs
 from .gf2 import BitMatrix, identity, mat_mul, rank_raw, rref_raw, span_table, vec_mat
 from .grassmann import (
     Subspace,
-    _canonical,
-    _ranker,
+    _from_columns,
+    _gauss_jordan,
+    _ranks,
     gaussian_binomial,
     grassmannian_rank,
     grassmannian_unrank,
@@ -30,8 +32,8 @@ __all__ = [
     "OrbitPartition",
     "act",
     "close_group",
-    "orbit_of",
     "orbit_partition",
+    "orbits",
     "parse_generator_text",
     "read_generator_file",
     "trivial_group",
@@ -78,21 +80,15 @@ def close_group(generators: Sequence[GroupElement]) -> Group:
         if rank_raw(g.rows) != v:
             raise ValueError("generator is singular")
     ident = identity(v)
-    seen = {ident.rows: ident}
-    order = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in generators:
-                p = mat_mul(m, g)
-                if p.rows not in seen:
-                    if len(seen) >= _CLOSURE_CAP:
-                        raise RuntimeError(f"group closure exceeded cap {_CLOSURE_CAP}")
-                    seen[p.rows] = p
-                    order.append(p)
-                    nxt.append(p)
-        frontier = nxt
+    seen, order = {ident.rows}, [ident]
+    for m in order:  # the list grows while it is walked, so it is the BFS queue
+        for g in generators:
+            p = mat_mul(m, g)
+            if p.rows not in seen:
+                if len(seen) >= _CLOSURE_CAP:
+                    raise RuntimeError(f"group closure exceeded cap {_CLOSURE_CAP}")
+                seen.add(p.rows)
+                order.append(p)
     return Group(v, tuple(generators), tuple(order))
 
 
@@ -111,20 +107,34 @@ def act(s: Subspace, g: GroupElement) -> Subspace:
     return Subspace(s.v, rref_raw([vec_mat(r, grows) for r in s.rows]).rows)
 
 
-def orbit_of(s: Subspace, group: Group) -> set[Subspace]:
-    """Orbit of s: its image under every element of the group.
-
-    Row r's images under all elements form one column, read from the
-    vector-image tables if the group has them, made canonical together.
-    """
-    if s.v != group.v:
-        raise ValueError("subspace and group dimensions differ")
-    tables = group.element_image_tables
+def _images(reps: Sequence[Subspace], group: Group) -> list[Sequence[int]]:
+    """RREF row columns of the images of representatives of one v and k under every element, |G| of each in turn."""
+    tables, rows = group.element_image_tables, range(1, len(reps[0]))
     if tables is None:
-        cols = [[vec_mat(r, g.rows) for g in group.elements] for r in s.rows]
+        cols = [[vec_mat(s[j], g.rows) for s in reps for g in group.elements] for j in rows]
     else:
-        cols = [map(itemgetter(r), tables) for r in s.rows]
-    return set(_canonical(s.v, cols, group.order))
+        cols = [list(chain.from_iterable(map(itemgetter(s[j]), tables) for s in reps)) for j in rows]
+    return _gauss_jordan(cols, group.v, len(reps) * group.order, False)
+
+
+def orbits(reps: Sequence[Subspace], group: Group) -> Iterator[set[Subspace]]:
+    """The orbit of each representative in turn: its image under every element of the group.
+
+    The representatives share one dimension k; each _images call expands max((_COUNT_BATCH >> k) // |G|, 1) of them.
+    """
+    v, order = group.v, group.order
+    if any(s.v != v or len(s) != len(reps[0]) for s in reps):
+        raise ValueError("representatives must share the group's dimension and one subspace dimension")
+    size = max((designs._COUNT_BATCH >> reps[0].dim) // order, 1) if reps else 1
+    for i in range(0, len(reps), size):
+        cols = _images(reps[i:i + size], group)
+        for lo in range(0, min(size, len(reps) - i) * order, order):
+            yield set(_from_columns(v, [c[lo:lo + order] for c in cols], order))
+
+
+def orbit_of(s: Subspace, group: Group) -> set[Subspace]:
+    """Orbit of s: its image under every element of the group, the one-representative case of orbits."""
+    return next(orbits([s], group))
 
 
 @dataclass
@@ -167,31 +177,31 @@ class OrbitPartition:
 
 
 def orbit_partition(v: int, k: int, group: Group) -> OrbitPartition:
-    """Partition by orbit_of, started at the lowest rank no orbit holds yet."""
+    """Partition the k-subspaces of GF(2)^v into orbits, numbered by their lowest rank.
+
+    Each round takes the max((_COUNT_BATCH >> k) // |G|, 1) lowest ranks no orbit holds yet as starts and expands
+    them in one _images call.  The starts are walked in rank order: one that an earlier start of the round has
+    claimed opens no orbit, and each other one's |G| images are ranked in one grassmann._ranks call.
+    """
     if group.v != v:
         raise ValueError("group dimension differs from ambient dimension")
-    n = gaussian_binomial(v, k)
-    orbit_of_rank = array("i", [-1]) * n
-    member_ranks = array("I")
-    representatives: list[Subspace] = []
-    sizes: list[int] = []
-    starts = [0]
-    rank = _ranker(v, k)
-    r = -1
-    while True:
-        try:
-            r = orbit_of_rank.index(-1, r + 1)
-        except ValueError:
-            break
-        orbit = orbit_of(grassmannian_unrank(v, k, r), group)
-        oid = len(sizes)
-        ranks = sorted(rank(s.rows) for s in orbit)
-        for x in ranks:
-            orbit_of_rank[x] = oid
-        member_ranks.extend(ranks)
-        representatives.append(min(orbit))
-        sizes.append(len(ranks))
-        starts.append(len(member_ranks))
+    n, order, size = gaussian_binomial(v, k), group.order, max((designs._COUNT_BATCH >> k) // group.order, 1)
+    orbit_of_rank, member_ranks = array("i", [-1]) * n, array("I")
+    representatives, sizes, starts = [], [], [0]
+    unclaimed = compress(count(), map((-1).__eq__, orbit_of_rank))  # read lazily, so it skips ranks claimed since
+    for batch in iter(lambda: list(islice(unclaimed, size)), []):
+        cols = _images([grassmannian_unrank(v, k, r) for r in batch], group)
+        for lo, start in zip(range(0, len(batch) * order, order), batch):
+            if orbit_of_rank[start] >= 0:  # an earlier start of the batch claimed it
+                continue
+            images = [c[lo:lo + order] for c in cols]
+            oid, orbit = len(sizes), sorted(set(_ranks(v, images, order)))
+            for x in orbit:
+                orbit_of_rank[x] = oid
+            member_ranks.extend(orbit)
+            representatives.append(Subspace(v, min(zip(*images), default=())))
+            sizes.append(len(orbit))
+            starts.append(len(member_ranks))
     # overlapping orbits, or one that missed its start, break the sum
     if sum(sizes) != n:
         raise ArithmeticError(f"orbit sizes sum to {sum(sizes)}, not [{v} {k}]_2 = {n}")

@@ -120,11 +120,11 @@ def avoiding_join(k1s: Iterable[Subspace], k2s: Iterable[Subspace], chain: JoinC
     # rows are K1's and each c_j + x_j.  Headed by v like a block, the
     # members' rows are cut into chunks by _chunks, then made canonical.
     u1_pivots = sum(r & -r for r in u1.rows)
-    k1_pivots = (sum(r & -r for r in k1.rows) for k1 in k1s)
-    shifts = (span_table(_complement(u1, p)) if k2s[0].dim > u1.dim else () for p in k1_pivots)
+    k1_pivots = [sum(r & -r for r in k1.rows) for k1 in k1s]  # K1s of one pivot mask share a complement in U1
+    shifts = {p: span_table(_complement(u1, p)) if k2s[0].dim > u1.dim else () for p in set(k1_pivots)}
     members = itertools.chain.from_iterable(
         itertools.product((v,), *zip(k1.rows), *[[c ^ x for x in xs] for c in _complement(k2, u1_pivots)])
-        for k1, xs in zip(k1s, shifts) for k2 in k2s
+        for k1, xs in zip(k1s, map(shifts.get, k1_pivots)) for k2 in k2s
     )
     out = frozenset(itertools.chain.from_iterable(
         _canonical(v, list(zip(*chunk))[1:], len(chunk)) for chunk in _chunks(members)

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import re
 from importlib import resources
 
 import pytest
 
+from qdesigns import designs, groups
 from qdesigns.catalog import (
     AMBIENT_DIM,
     BLOCK_DIM,
@@ -22,7 +24,8 @@ from qdesigns.catalog import (
 from qdesigns.catalog import DecodeError
 from qdesigns.designs import VerificationError, read_design, verify_design, verify_large_set, write_design
 from qdesigns.gf2 import BitMatrix
-from qdesigns.groups import close_group
+from qdesigns.grassmann import span
+from qdesigns.groups import act, close_group
 
 EXPECTED_REP_COUNTS = {1: 346, 2: 357, 3: 358}
 
@@ -111,6 +114,29 @@ def test_build_design_from_reps_detects_orbit_overlap():
     rep = builtin_orbit_representatives(1)[0]
     with pytest.raises(VerificationError):
         build_design_from_reps([rep, rep], g, DESIGN_LAMBDA, verify=False)
+
+
+@pytest.mark.parametrize("per_batch", [2, 4])
+def test_overlap_error_names_the_first_overlapping_representative(monkeypatch, per_batch):
+    # the last representative is another basis of the second one's orbit: with 2 representatives per kernel
+    # call the two orbits are expanded in different calls, with 4 in the same one
+    g = builtin_group()
+    monkeypatch.setattr(designs, "_COUNT_BATCH", (per_batch * g.order) << BLOCK_DIM)
+    reps = list(builtin_orbit_representatives(1)[:3])
+    image = act(span(AMBIENT_DIM, reps[1]), g.elements[1]).rows
+    assert image != tuple(reps[1])
+    calls = []
+    images = groups._images
+    monkeypatch.setattr(groups, "_images", lambda batch, group: calls.append(len(batch)) or images(batch, group))
+    with pytest.raises(VerificationError, match=re.escape(f"orbit of {list(image)} overlaps")):
+        build_design_from_reps(reps + [image], g, DESIGN_LAMBDA, verify=False)
+    assert calls == ([2, 2] if per_batch == 2 else [4])
+
+
+def test_build_design_from_reps_rejects_mixed_dimensions():
+    reps = [builtin_orbit_representatives(1)[0], BitMatrix(AMBIENT_DIM, (1, 2, 4))]
+    with pytest.raises(ValueError, match="dimension"):
+        build_design_from_reps(reps, builtin_group(), DESIGN_LAMBDA, verify=False)
 
 
 def test_build_design_from_reps_small_orbit_union():

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from qdesigns import cli, kramer_mesner
+from qdesigns import catalog, cli, kramer_mesner
 from qdesigns.cli import main
 from qdesigns.designs import (
     Design,
@@ -529,6 +529,16 @@ class TestConstruct:
         ls = str(decoded / "large_set.ls")
         assert manifest(tmp_path / "r")["inputs"] == {ls: sha256_of(decoded / "large_set.ls")}
         assert main(argv + ["--registry", ls, "--out", str(tmp_path / "f")]) == 4
+
+    def test_builtin_expands_only_the_leaves_the_plan_reads(self, tmp_path, monkeypatch):
+        # the plan of LS_2[3](2,4,8) is the one leaf_table node of those parameters
+        def unread():
+            raise AssertionError("LS_2[3](2,3,8) was expanded for a plan that does not read it")
+
+        monkeypatch.setattr(catalog, "builtin_singer_large_set", unread)
+        out = tmp_path / "c"
+        assert main(["construct", "--k", "4", "--v", "8", "--builtin", "--out", str(out), "--deterministic"]) == 0
+        assert manifest(out)["inputs"] == catalog.builtin_data_digests()
 
     def test_two_leaves_of_one_parameter_set(self, tmp_path, decoded, capsys):
         # the shipped designs listed as 2, 1, 3 beside the --builtin leaf

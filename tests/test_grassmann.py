@@ -5,7 +5,7 @@ import gc
 import pickle
 import random
 import sys
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, groupby, islice, zip_longest
 from operator import xor
 
@@ -23,6 +23,7 @@ from qdesigns.grassmann import (
     _canonical,
     _complements,
     _nogc,
+    _ranks,
     contains,
     enumerate_grassmannian,
     full_space,
@@ -177,6 +178,33 @@ def test_enumeration_rank_and_unrank_match_free_cell_oracle(v, k, n):
 def test_rank_rejects_non_canonical_rows(v, k, rows):
     with pytest.raises(ValueError):
         grassmannian_rank(v, k, rows)
+
+
+@lru_cache(maxsize=None)
+def free_cell_order(v: int, k: int) -> list[Subspace]:
+    return list(grassmannian_by_free_cells(v, k))
+
+
+@st.composite
+def rref_chunks(draw):
+    """(v, k, positions, blocks): blocks drawn by their position in the oracle's enumeration, repeats allowed."""
+    v = draw(st.integers(0, 7))
+    k = draw(st.integers(0, v))
+    positions = draw(st.lists(st.integers(0, gaussian_binomial(v, k) - 1), min_size=1, max_size=80))
+    return v, k, positions, [free_cell_order(v, k)[i] for i in positions]
+
+
+@given(rref_chunks(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_bulk_ranks_are_the_enumeration_positions(chunk, data):
+    v, k, positions, blocks = chunk
+    cols = [[s.rows[j] for s in blocks] for j in range(k)]
+    assert _ranks(v, cols, len(blocks)) == positions
+    if k >= 2:  # one block with two rows swapped is no RREF basis
+        at = data.draw(st.integers(0, len(blocks) - 1))
+        cols[0][at], cols[1][at] = cols[1][at], cols[0][at]
+        with pytest.raises(ValueError):
+            _ranks(v, cols, len(blocks))
 
 
 def test_unrank_rejects_out_of_range_positions():

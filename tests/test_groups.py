@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from qdesigns import groups
+from qdesigns import designs, groups
 from qdesigns.catalog import builtin_group
 from qdesigns.gf2 import BitMatrix, identity, mat_mul, rank_raw, rref_raw, span_table
 from qdesigns.grassmann import (
@@ -115,6 +115,24 @@ def test_orbit_partition_without_tables_matches_bfs(monkeypatch):
     assert group.element_image_tables is None
     for k in (1, 3):
         assert_partition_matches_bfs(orbit_partition(7, k, group), group)
+
+
+@pytest.mark.parametrize("case", ["trivial", "no tables"])
+def test_orbit_partition_in_small_batches_matches_bfs(monkeypatch, case):
+    # a few starts per kernel call, so the last call takes fewer than the others
+    if case == "trivial":
+        v, k, group, per_batch = 5, 2, groups.trivial_group(5), 4  # 155 = 38 * 4 + 3 starts
+    else:
+        # the cyclic shift of the 6 coordinates: orbits of 1, 2, 3 and 6 subspaces
+        monkeypatch.setattr(groups, "_ELEMENT_TABLES_MAX", 0)
+        v, k, group, per_batch = 6, 3, close_group([BitMatrix(6, (2, 4, 8, 16, 32, 1))]), 4
+        assert group.element_image_tables is None
+    monkeypatch.setattr(designs, "_COUNT_BATCH", (per_batch * group.order) << k)
+    calls = []
+    images = groups._images
+    monkeypatch.setattr(groups, "_images", lambda reps, g: calls.append(len(reps)) or images(reps, g))
+    assert_partition_matches_bfs(orbit_partition(v, k, group), group)
+    assert max(calls) == per_batch > calls[-1]
 
 
 def test_orbit_index_rejects_subspaces_outside_the_partition():
