@@ -186,13 +186,8 @@ def _batched(kernel: Callable[..., Iterable[Subspace]], blocks: Iterable[Subspac
     return chain.from_iterable(kernel(chunk, *args) for chunk in _chunks(blocks))
 
 
-@_nogc
-def verify_design(d: Design) -> int:
-    """Exhaustively check the design property; returns lambda.
-
-    Every t-subspace of GF(2)^v must lie in exactly d.lam blocks, counted
-    by _incidence_counts.
-    """
+def _check_shape(d: Design) -> None:
+    """verify_design's checks that need no counting: parameters, block shape, lambda and the block count."""
     if not 0 <= d.t <= d.k <= d.v:
         raise VerificationError(f"invalid parameters t={d.t} k={d.k} v={d.v}")
     size, v = d.k + 1, d.v
@@ -205,7 +200,17 @@ def verify_design(d: Design) -> int:
         raise VerificationError(f"lambda={d.lam} is not consistent with any {d.t}-({d.v},{d.k}) design")
     if len(d.blocks) != expected_blocks // denom:
         raise VerificationError(f"block count {len(d.blocks)} differs from required {expected_blocks // denom}")
-    counts = _incidence_counts(d.blocks, v, d.t)
+
+
+@_nogc
+def verify_design(d: Design) -> int:
+    """Exhaustively check the design property; returns lambda.
+
+    Every t-subspace of GF(2)^v must lie in exactly d.lam blocks, counted
+    by _incidence_counts.
+    """
+    _check_shape(d)
+    counts = _incidence_counts(d.blocks, d.v, d.t)
     if d.lam and 0 in counts:  # an uncovered t-subspace is the witness before any other miscount
         at = counts.index(0)
         message = f"only {len(counts) - counts.count(0)} of {len(counts)} {d.t}-subspaces are covered"
@@ -214,7 +219,7 @@ def verify_design(d: Design) -> int:
         message = f"a {d.t}-subspace lies in {counts[at]} blocks, expected {d.lam}"
     else:
         return d.lam
-    raise VerificationError(message, witness=grassmannian_unrank(v, d.t, at))
+    raise VerificationError(message, witness=grassmannian_unrank(d.v, d.t, at))
 
 
 def large_set_lambda(v: int, k: int, t: int, n: int) -> int:
@@ -261,22 +266,40 @@ def check_disjoint(parts: Sequence[frozenset[Subspace]], name: str = "parts") ->
                 raise VerificationError(f"{name} {j} and {i} overlap", witness=min(part & earlier))
 
 
+@_nogc
 def verify_large_set(ls: LargeSet) -> LargeSetReport:
-    """Check all member designs, disjointness, and full coverage."""
+    """Check all member designs, disjointness, and full coverage.
+
+    Designs 1..N-1 are counted.  The last gets every other check of verify_design, RREF blocks included, and
+    disjointness and coverage prove it: N disjoint sets of distinct blocks, [v k] in all, are Gr(v, k), a
+    t-(v, k, lam_max) design, so each t-subspace lies in lam_max - (N-1)*lam = lam blocks of the last.  Blocks are
+    distinct only in sets, so unless every design's blocks are a set, and before disjointness or coverage fails,
+    the last design is counted too: a broken large set raises what counting all N designs raises first.
+    """
     if len(ls.designs) != ls.n:
         raise VerificationError(f"{len(ls.designs)} designs listed, N={ls.n}")
     lam = large_set_lambda(ls.v, ls.k, ls.t, ls.n)
+    distinct = all(isinstance(d.blocks, (set, frozenset)) for d in ls.designs)
     for i, d in enumerate(ls.designs):
         if (d.v, d.k, d.t) != (ls.v, ls.k, ls.t):
             raise VerificationError(f"design {i} has parameters {(d.v, d.k, d.t)}")
         if d.lam != lam:
             raise VerificationError(f"design {i} declares lambda={d.lam}, expected {lam}")
-        verify_design(d)
-    check_disjoint([d.blocks for d in ls.designs], "designs")
-    total = sum(len(d.blocks) for d in ls.designs)
+        if i == ls.n - 1 and distinct:
+            _check_shape(d)
+            _incidence_counts(d.blocks, d.v, 0)  # the RREF check alone: t = 0 makes no point sets
+        else:
+            verify_design(d)
     size = gaussian_binomial(ls.v, ls.k)
-    if total != size:
-        raise VerificationError(f"union holds {total} blocks, Grassmannian has {size}")
+    try:
+        check_disjoint([d.blocks for d in ls.designs], "designs")
+        total = sum(len(d.blocks) for d in ls.designs)
+        if total != size:
+            raise VerificationError(f"union holds {total} blocks, Grassmannian has {size}")
+    except VerificationError:
+        if distinct:
+            verify_design(ls.designs[-1])
+        raise
     return LargeSetReport(ls.v, ls.k, ls.t, ls.n, lam, tuple(len(d.blocks) for d in ls.designs), size)
 
 
@@ -343,11 +366,7 @@ def dual_large_set(ls: LargeSet, verify: bool = True) -> LargeSet:
     return out
 
 
-TRANSFORMS = {
-    "derived": derived_large_set,
-    "residual": residual_large_set,
-    "dual": dual_large_set,
-}
+TRANSFORMS = {"derived": derived_large_set, "residual": residual_large_set, "dual": dual_large_set}
 
 
 # ---------------------------------------------------------------------------

@@ -93,8 +93,12 @@ def _nogc(func):
     reference cycles, so reference counting alone frees them.  The
     collector is turned back on afterwards, also after an exception,
     only if it was on at the call, so nested calls and a caller's own
-    gc.disable() are kept.  Calling a generator function only makes the
-    generator, whose body would then run unpaused, so those are refused.
+    gc.disable() are kept.  gc.freeze() then gc.unfreeze() first moves
+    every tracked object to the oldest generation in O(1), so young
+    collections skip the call's blocks and full ones still find every
+    cycle; a caller's own freeze is kept.  Calling a generator function
+    only makes the generator, whose body would then run unpaused, so
+    those are refused.
     """
     if isgeneratorfunction(func):
         raise TypeError(f"_nogc cannot wrap the generator function {func.__qualname__}")
@@ -107,6 +111,9 @@ def _nogc(func):
             return func(*args, **kwargs)
         finally:
             if was_on:
+                if not gc.get_freeze_count():
+                    gc.freeze()
+                    gc.unfreeze()
                 gc.enable()
 
     return paused

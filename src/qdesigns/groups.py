@@ -132,11 +132,6 @@ def orbits(reps: Sequence[Subspace], group: Group) -> Iterator[set[Subspace]]:
             yield set(_from_columns(v, [c[lo:lo + order] for c in cols], order))
 
 
-def orbit_of(s: Subspace, group: Group) -> set[Subspace]:
-    """Orbit of s: its image under every element of the group, the one-representative case of orbits."""
-    return next(orbits([s], group))
-
-
 @dataclass
 class OrbitPartition:
     """Orbits of the group on all k-subspaces of GF(2)^v.

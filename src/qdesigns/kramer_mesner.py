@@ -135,10 +135,7 @@ def build_km(v: int, t: int, k: int, group: Group) -> KMSystem:
     for i, row in enumerate(matrix):
         if sum(row) != lam_max:
             raise ArithmeticError(f"row {i} sums to {sum(row)}, expected {lam_max}")
-    return KMSystem(
-        v, t, k, group, t_orbits, k_orbits,
-        tuple(tuple(row) for row in matrix), lam_max,
-    )
+    return KMSystem(v, t, k, group, t_orbits, k_orbits, tuple(map(tuple, matrix)), lam_max)
 
 
 # array typecodes by item width in bits, for reading packed row fields
@@ -185,10 +182,7 @@ class _Search:
         self.budget = node_budget
         self.nodes = 0
         sizes = system.k_orbits.sizes
-        self.order = sorted(
-            (j for j in range(system.n_cols) if j not in forbidden),
-            key=lambda j: (-sizes[j], j),
-        )
+        self.order = sorted((j for j in range(system.n_cols) if j not in forbidden), key=lambda j: (-sizes[j], j))
         fits = [w for w in _FIELD_TYPES if system.lambda_max + 1 < 1 << (w - 1)]
         if not fits:
             raise ValueError(f"lambda_max {system.lambda_max} does not fit a packed row field")
@@ -198,8 +192,8 @@ class _Search:
         self.guards = one << (w - 1)
         self.lam_rows = lam * one
         self.lam1_rows = (lam + 1) * one
-        # column vectors and row column sets, each indexed by the bit length
-        # of the column's bit or the row's guard bit
+        # column vectors, row column sets and the bits themselves, each indexed
+        # by the bit length of the column's bit or the row's guard bit
         self.vec_at = [0]
         self.row_cols = [0] * tau
         self.row_entries: list[list[int]] = [[] for _ in range(tau)]
@@ -213,6 +207,7 @@ class _Search:
                     self.row_entries[i].append(a)
             self.vec_at.append(vec)
         self.row_cols_at = {(i + 1) * w: cols for i, cols in enumerate(self.row_cols)}
+        self.bit_at = [0] + [1 << b for b in range(max(len(self.order), tau * w))]
 
     def _propagate(
         self, cnt: int, tot: int, undecided: int, included: int, full_done: int, tight_done: int
@@ -224,7 +219,7 @@ class _Search:
         """
         g = self.guards
         lam_rows, lam1_rows = self.lam_rows, self.lam1_rows
-        cols_at, vec_at = self.row_cols_at, self.vec_at
+        cols_at, vec_at, bit_at = self.row_cols_at, self.vec_at, self.bit_at
         while True:
             c, t = cnt | g, tot | g
             if (c - lam1_rows) & g or (t - lam_rows) & g != g:
@@ -236,14 +231,14 @@ class _Search:
                 return cnt, tot, undecided, included, full, tight
             full_done, tight_done = full, tight
             out = inn = 0
-            while new_full:
-                low = new_full & -new_full
-                out |= cols_at[low.bit_length()]
-                new_full ^= low
+            while new_full:  # each mask is walked from its top bit: one lookup and one XOR per bit
+                b = new_full.bit_length()
+                out |= cols_at[b]
+                new_full ^= bit_at[b]
             while new_tight:
-                low = new_tight & -new_tight
-                inn |= cols_at[low.bit_length()]
-                new_tight ^= low
+                b = new_tight.bit_length()
+                inn |= cols_at[b]
+                new_tight ^= bit_at[b]
             out &= undecided
             inn &= undecided
             if out & inn:
@@ -251,13 +246,13 @@ class _Search:
             undecided ^= out | inn
             included |= inn
             while out:
-                low = out & -out
-                tot -= vec_at[low.bit_length()]
-                out ^= low
+                b = out.bit_length()
+                tot -= vec_at[b]
+                out ^= bit_at[b]
             while inn:
-                low = inn & -inn
-                cnt += vec_at[low.bit_length()]
-                inn ^= low
+                b = inn.bit_length()
+                cnt += vec_at[b]
+                inn ^= bit_at[b]
 
     def _branch(self, full: int, tot: int, undecided: int) -> int:
         """Bit of the first undecided column of the unsatisfied row with least slack."""
@@ -351,9 +346,7 @@ def selection_blocks(system: KMSystem, selection: Selection) -> frozenset[Subspa
     return frozenset(out)
 
 
-def design_from_selection(
-    system: KMSystem, selection: Selection, lam: int, verify: bool = True
-) -> Design:
+def design_from_selection(system: KMSystem, selection: Selection, lam: int, verify: bool = True) -> Design:
     d = Design(system.v, system.k, system.t, lam, selection_blocks(system, selection))
     if verify:
         verify_design(d)
@@ -367,9 +360,7 @@ def _check_seed(system: KMSystem, lam: int, chosen: frozenset[int]) -> None:
     for i in range(system.n_rows):
         got = sum(system.matrix[i][j] for j in chosen)
         if got != lam:
-            raise ValueError(
-                f"seed selection gives row {i} count {got}, expected {lam}"
-            )
+            raise ValueError(f"seed selection gives row {i} count {got}, expected {lam}")
 
 
 def iterated_large_set_search(
@@ -468,7 +459,5 @@ def write_km_system(system: KMSystem, path) -> None:
     for row in system.matrix:
         lines.append(" ".join(str(a) for a in row))
     p.write_text("\n".join(lines) + "\n")
-    _write_reps(p.with_name(p.name + ".treps"), system.v, system.t,
-                system.t_orbits.representatives)
-    _write_reps(p.with_name(p.name + ".kreps"), system.v, system.k,
-                system.k_orbits.representatives)
+    _write_reps(p.with_name(p.name + ".treps"), system.v, system.t, system.t_orbits.representatives)
+    _write_reps(p.with_name(p.name + ".kreps"), system.v, system.k, system.k_orbits.representatives)

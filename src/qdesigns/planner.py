@@ -34,25 +34,10 @@ __all__ = [
     "write_plan_file",
 ]
 
-PLAN_KINDS = (
-    "leaf_table",
-    "leaf_trivial",
-    "derived",
-    "residual",
-    "dual",
-    "hyperplane_extend",
-    "decompose",
-)
+PLAN_KINDS = ("leaf_table", "leaf_trivial", "derived", "residual", "dual", "hyperplane_extend", "decompose")
 
 # (t1, t2) for a decomposition cell, by i mod 6; t1 + t2 + 1 = 2 in every row
-CELL_STRENGTHS_MOD6 = {
-    0: (-1, 2),
-    1: (0, 1),
-    2: (1, 0),
-    3: (2, -1),
-    4: (2, -1),
-    5: (2, -1),
-}
+CELL_STRENGTHS_MOD6 = {0: (-1, 2), 1: (0, 1), 2: (1, 0), 3: (2, -1), 4: (2, -1), 5: (2, -1)}
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,25 @@ orthogonal complement from one orthogonal row per non-pivot column.
 A quotient frame's preimage is spanned by the transversal images of
 the quotient rows together with the factored-out rows.  The
 Grassmannian is listed block by block in its documented order, one free
-cell at a time.
+cell at a time.  A large set is verified by counting every design, the
+last one too, and an orbit is the one-representative case of the
+package's batched expansion.
 """
 
 from itertools import combinations, product
 from typing import Iterator
 
+from qdesigns.designs import (
+    LargeSet,
+    LargeSetReport,
+    VerificationError,
+    check_disjoint,
+    large_set_lambda,
+    verify_design,
+)
 from qdesigns.gf2 import vec_mat
-from qdesigns.grassmann import QuotientFrame, Subspace, span
+from qdesigns.grassmann import QuotientFrame, Subspace, gaussian_binomial, span
+from qdesigns.groups import Group, orbits
 
 
 def zero_subspace(v: int) -> Subspace:
@@ -93,3 +104,27 @@ def grassmannian_by_free_cells(v: int, k: int) -> Iterator[Subspace]:
                 if bits >> n & 1:
                     rows[i] |= 1 << j
             yield Subspace(v, rows)
+
+
+def orbit_of(s: Subspace, group: Group) -> set[Subspace]:
+    """Orbit of s: its image under every element of the group, by a one-representative call of groups.orbits."""
+    return next(orbits([s], group))
+
+
+def verify_large_set_counting_all(ls: LargeSet) -> LargeSetReport:
+    """Oracle for designs.verify_large_set: every design is counted, then disjointness and coverage are checked."""
+    if len(ls.designs) != ls.n:
+        raise VerificationError(f"{len(ls.designs)} designs listed, N={ls.n}")
+    lam = large_set_lambda(ls.v, ls.k, ls.t, ls.n)
+    for i, d in enumerate(ls.designs):
+        if (d.v, d.k, d.t) != (ls.v, ls.k, ls.t):
+            raise VerificationError(f"design {i} has parameters {(d.v, d.k, d.t)}")
+        if d.lam != lam:
+            raise VerificationError(f"design {i} declares lambda={d.lam}, expected {lam}")
+        verify_design(d)
+    check_disjoint([d.blocks for d in ls.designs], "designs")
+    total = sum(len(d.blocks) for d in ls.designs)
+    size = gaussian_binomial(ls.v, ls.k)
+    if total != size:
+        raise VerificationError(f"union holds {total} blocks, Grassmannian has {size}")
+    return LargeSetReport(ls.v, ls.k, ls.t, ls.n, lam, tuple(len(d.blocks) for d in ls.designs), size)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import replace
+from functools import lru_cache
 from itertools import combinations, islice
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdesigns import designs
+from qdesigns.catalog import builtin_large_set
 from qdesigns.designs import (
     Design,
     LargeSet,
@@ -37,8 +40,10 @@ from qdesigns.grassmann import (
     span,
     standard_flag_subspace,
 )
+from qdesigns.groups import trivial_group
+from qdesigns.kramer_mesner import build_km, iterated_large_set_search
 
-from oracles import elimination_complement, zero_subspace
+from oracles import elimination_complement, verify_large_set_counting_all, zero_subspace
 
 
 def sort_pack_counts(blocks, v: int, t: int) -> dict[int, int]:
@@ -315,6 +320,88 @@ def test_verify_large_set_rejects_wrong_n():
     ls = chunked_large_set(4, 2, 5)
     with pytest.raises(VerificationError):
         verify_large_set(LargeSet(4, 2, 0, 4, ls.designs))
+
+
+@lru_cache(maxsize=None)
+def small_large_set(name: str) -> LargeSet:
+    """A valid large set to break: a parallelism LS_2[7](1,2,4), one at t = 0, or Gr(5,2) alone at t = 2."""
+    if name == "t1":
+        return iterated_large_set_search(build_km(4, 1, 2, trivial_group(4)), 7).large_set
+    if name == "t0":
+        return chunked_large_set(4, 2, 5)
+    return LargeSet(5, 2, 2, 1, (trivial_design(5, 2, 2),))
+
+
+def _with_design(ls: LargeSet, i: int, **fields) -> LargeSet:
+    designs = list(ls.designs)
+    designs[i] = replace(designs[i], **fields)
+    return replace(ls, designs=tuple(designs))
+
+
+def _least(ls: LargeSet, i: int) -> Subspace:
+    return min(ls.designs[i].blocks)
+
+
+def _swapped(ls: LargeSet, i: int, block) -> LargeSet:
+    """Design i with its least block replaced by block."""
+    return _with_design(ls, i, blocks=ls.designs[i].blocks - {_least(ls, i)} | {block})
+
+
+def _unreduced(b: Subspace) -> Subspace:
+    """The block's span with its first row replaced by the sum of its first two: not RREF."""
+    return Subspace(b.v, (b[1] ^ b[2],) + b.rows[1:])
+
+
+BREAKS = {
+    "unbroken": lambda ls: ls,
+    "last holds a block of design 1": lambda ls: _swapped(ls, -1, _least(ls, 0)),
+    "last misses a block": lambda ls: _with_design(ls, -1, blocks=ls.designs[-1].blocks - {_least(ls, -1)}),
+    "last holds a non-RREF tuple": lambda ls: _swapped(ls, -1, _unreduced(_least(ls, -1))),
+    "last has a wrong v field": lambda ls: _with_design(ls, -1, v=ls.v + 1),
+    "last holds a block of the wrong v": lambda ls: _swapped(ls, -1, Subspace(ls.v + 1, _least(ls, -1).rows)),
+    "last declares a wrong lambda": lambda ls: _with_design(ls, -1, lam=ls.designs[-1].lam + 1),
+    "last is a list with a repeated block": lambda ls: _with_design(
+        ls, -1, blocks=sorted(ls.designs[-1].blocks)[1:] + [max(ls.designs[-1].blocks)]
+    ),
+    "a middle design is broken": lambda ls: _swapped(ls, ls.n // 2, _least(ls, -1)),
+}
+
+
+def _outcome(verify, ls):
+    try:
+        return verify(ls)
+    except Exception as e:  # compared with the oracle's: type, message and witness
+        return type(e), str(e), getattr(e, "witness", None)
+
+
+@pytest.mark.parametrize("base", ["t1", "t0", "n1"])
+@pytest.mark.parametrize("case", list(BREAKS))
+def test_verify_large_set_fails_as_counting_every_design_does(base, case):
+    # counting N - 1 designs raises what counting all N raises first, and the same report when none fails
+    ls = BREAKS[case](small_large_set(base))
+    want = _outcome(verify_large_set_counting_all, ls)
+    assert _outcome(verify_large_set, ls) == want
+    if case != "unbroken" and base != "n1":  # with N = 1 the last design is design 1, so two breaks change nothing
+        assert not isinstance(want, designs.LargeSetReport), "each break must be caught"
+
+
+def test_verify_large_set_counts_all_but_the_last_design(monkeypatch):
+    # the base LS_2[3](2,4,8): designs 1 and 2 are counted at t = 2, design 3 only checked as RREF blocks
+    ls, strengths = builtin_large_set(), []
+    counts = designs._incidence_counts
+
+    def recording(blocks, v, t):
+        strengths.append(t)
+        return counts(blocks, v, t)
+
+    monkeypatch.setattr(designs, "_incidence_counts", recording)
+    assert verify_large_set(ls).lam == 217
+    assert strengths == [2, 2, 0]
+    # blocks in a container that is not a set may repeat, so the last design is counted as well
+    strengths.clear()
+    last = replace(ls.designs[-1], blocks=dict.fromkeys(ls.designs[-1].blocks).keys())
+    assert verify_large_set(replace(ls, designs=ls.designs[:-1] + (last,))).lam == 217
+    assert strengths == [2, 2, 2]
 
 
 def test_transforms_on_trivial_large_set():

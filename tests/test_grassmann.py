@@ -561,6 +561,44 @@ def test_nogc_keeps_a_callers_disabled_collector(collector_on):
     assert not gc.isenabled()
 
 
+@_nogc
+def _made() -> frozenset:
+    return frozenset([span(3, [1])])
+
+
+def _in_generation(obj, generation: int) -> bool:
+    return any(o is obj for o in gc.get_objects(generation=generation))
+
+
+def test_nogc_promotes_what_the_call_made_to_the_oldest_generation(collector_on):
+    made = _made()
+    assert _in_generation(made, 2)
+    assert gc.get_freeze_count() == 0  # nothing is left frozen
+
+
+def test_nogc_keeps_a_callers_freeze(collector_on):
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        made = _made()
+        assert gc.get_freeze_count() == frozen
+        assert _in_generation(made, 0)
+    finally:
+        gc.unfreeze()
+
+
+def test_nogc_promotes_only_when_it_turns_the_collector_back_on(collector_on):
+    @_nogc
+    def outer() -> bool:
+        inner = _made()
+        return _in_generation(inner, 0)  # the nested call left it young
+
+    assert outer() and gc.isenabled()
+    gc.disable()
+    made = _made()
+    assert _in_generation(made, 0) and not gc.isenabled()
+
+
 def test_nogc_refuses_generator_functions():
     def blocks():
         yield zero_subspace(2)

@@ -18,11 +18,12 @@ from qdesigns.grassmann import (
 from qdesigns.groups import (
     act,
     close_group,
-    orbit_of,
     orbit_partition,
     parse_generator_text,
     read_generator_file,
 )
+
+from oracles import orbit_of
 
 # small cyclic test group: companion-style shift on GF(2)^3 of order 7
 SHIFT3 = BitMatrix(3, (0b010, 0b100, 0b011))

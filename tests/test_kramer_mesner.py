@@ -152,6 +152,48 @@ class DictSearch:
         return next(j for j, _ in self.row_cols[best_i] if self.state[j] == _UNDECIDED)
 
 
+class LowBitSearch(_Search):
+    """Oracle for _Search._propagate: the same rules, each mask walked from its lowest bit with x & -x."""
+
+    def _propagate(self, cnt, tot, undecided, included, full_done, tight_done):
+        g = self.guards
+        lam_rows, lam1_rows = self.lam_rows, self.lam1_rows
+        cols_at, vec_at = self.row_cols_at, self.vec_at
+        while True:
+            c, t = cnt | g, tot | g
+            if (c - lam1_rows) & g or (t - lam_rows) & g != g:
+                return None
+            full = (c - lam_rows) & g
+            tight = g ^ ((t - lam1_rows) & g)
+            new_full, new_tight = full & ~full_done, tight & ~tight_done
+            if not new_full | new_tight:
+                return cnt, tot, undecided, included, full, tight
+            full_done, tight_done = full, tight
+            out = inn = 0
+            while new_full:
+                low = new_full & -new_full
+                out |= cols_at[low.bit_length()]
+                new_full ^= low
+            while new_tight:
+                low = new_tight & -new_tight
+                inn |= cols_at[low.bit_length()]
+                new_tight ^= low
+            out &= undecided
+            inn &= undecided
+            if out & inn:
+                return None
+            undecided ^= out | inn
+            included |= inn
+            while out:
+                low = out & -out
+                tot -= vec_at[low.bit_length()]
+                out ^= low
+            while inn:
+                low = inn & -inn
+                cnt += vec_at[low.bit_length()]
+                inn ^= low
+
+
 def oracle_solve_exact(system, lam, forbidden=(), node_budget=2_000_000):
     search = DictSearch(system, lam, frozenset(forbidden), node_budget)
     try:
@@ -225,6 +267,19 @@ def test_singer_first_solution_node_counts():
         assert res == oracle_solve_exact(system, lam)
         design = design_from_selection(system, res.selection, lam, verify=False)
         assert verify_design(design) == lam
+
+
+def test_top_bit_walks_match_the_low_bit_oracle(monkeypatch):
+    # the G204 lambda = 217 system on a 20,000-node budget, and the Singer (7,2,3) systems at lambda = 2..6
+    from qdesigns.catalog import builtin_group
+
+    cases = [(build_km(8, 2, 4, builtin_group()), 217, 20_000)]
+    cases += [(build_km(7, 2, 3, close_group([SINGER7])), lam, 2_000_000) for lam in range(2, 7)]
+    got = [solve_exact(system, lam, node_budget=budget) for system, lam, budget in cases]
+    monkeypatch.setattr(kramer_mesner, "_Search", LowBitSearch)
+    want = [solve_exact(system, lam, node_budget=budget) for system, lam, budget in cases]
+    assert got == want
+    assert [r.status for r in got] == ["unknown", "infeasible", "solved", "solved", "solved", "solved"]
 
 
 def gf256_normalizer():
