@@ -484,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--builtin", action="store_true",
                    help="supply the shipped LS_2[3](2,4,8) and LS_2[3](2,3,8), each as a leaf if the plan reads it")
     p.add_argument("--size-guard", type=int, default=DEFAULT_SIZE_GUARD,
-                   help="largest Grassmannian a plan node may enumerate")
+                   help="largest Grassmannian a plan node of any kind may hold")
     _add_outputs(p, "output directory")
     p.set_defaults(func=_cmd_construct)
 

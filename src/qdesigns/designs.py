@@ -69,6 +69,10 @@ class Design:
     lam: int
     blocks: frozenset[Subspace]
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.blocks, (set, frozenset)):  # blocks are distinct only in a set
+            raise TypeError(f"a design's blocks must be a set or frozenset, not {type(self.blocks).__name__}")
+
 
 @dataclass(frozen=True)
 class LargeSet:
@@ -272,20 +276,19 @@ def verify_large_set(ls: LargeSet) -> LargeSetReport:
 
     Designs 1..N-1 are counted.  The last gets every other check of verify_design, RREF blocks included, and
     disjointness and coverage prove it: N disjoint sets of distinct blocks, [v k] in all, are Gr(v, k), a
-    t-(v, k, lam_max) design, so each t-subspace lies in lam_max - (N-1)*lam = lam blocks of the last.  Blocks are
-    distinct only in sets, so unless every design's blocks are a set, and before disjointness or coverage fails,
-    the last design is counted too: a broken large set raises what counting all N designs raises first.
+    t-(v, k, lam_max) design, so each t-subspace lies in lam_max - (N-1)*lam = lam blocks of the last.  Before
+    disjointness or coverage fails, the last design is counted too: a broken large set raises what counting all N
+    designs raises first.
     """
     if len(ls.designs) != ls.n:
         raise VerificationError(f"{len(ls.designs)} designs listed, N={ls.n}")
     lam = large_set_lambda(ls.v, ls.k, ls.t, ls.n)
-    distinct = all(isinstance(d.blocks, (set, frozenset)) for d in ls.designs)
     for i, d in enumerate(ls.designs):
         if (d.v, d.k, d.t) != (ls.v, ls.k, ls.t):
             raise VerificationError(f"design {i} has parameters {(d.v, d.k, d.t)}")
         if d.lam != lam:
             raise VerificationError(f"design {i} declares lambda={d.lam}, expected {lam}")
-        if i == ls.n - 1 and distinct:
+        if i == ls.n - 1:
             _check_shape(d)
             _incidence_counts(d.blocks, d.v, 0)  # the RREF check alone: t = 0 makes no point sets
         else:
@@ -297,8 +300,7 @@ def verify_large_set(ls: LargeSet) -> LargeSetReport:
         if total != size:
             raise VerificationError(f"union holds {total} blocks, Grassmannian has {size}")
     except VerificationError:
-        if distinct:
-            verify_design(ls.designs[-1])
+        verify_design(ls.designs[-1])
         raise
     return LargeSetReport(ls.v, ls.k, ls.t, ls.n, lam, tuple(len(d.blocks) for d in ls.designs), size)
 

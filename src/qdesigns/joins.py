@@ -45,10 +45,8 @@ from .grassmann import (
     _canonical,
     _from_columns,
     _nogc,
-    contains,
     enumerate_grassmannian,
     gaussian_binomial,
-    reduce_vector,
     standard_flag_subspace,
 )
 from .planner import LSParams, PlanNode
@@ -69,33 +67,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class JoinChain:
-    """Flag U1 <= U2 inside GF(2)^v."""
+    """Standard flag U1 = <e_0 .. e_(a-1)> <= U2 = <e_0 .. e_(b-1)> inside GF(2)^v; other pairs raise ValueError."""
 
     u1: Subspace
     u2: Subspace
+
+    def __post_init__(self) -> None:
+        v, a, b = self.u2.v, self.u1.dim, self.u2.dim
+        if a > b or (self.u1, self.u2) != (standard_flag_subspace(v, a), standard_flag_subspace(v, b)):
+            raise ValueError("a join's flag must be standard: U1 = <e_0 .. e_(a-1)> <= U2 = <e_0 .. e_(b-1)>")
 
     @property
     def v(self) -> int:
         return self.u1.v
 
 
-def join_chain(u1: Subspace, u2: Subspace) -> JoinChain:
-    if u1.v != u2.v:
-        raise ValueError("flag members must share an ambient space")
-    if not contains(u2, u1):
-        raise ValueError("need u1 <= u2")
-    return JoinChain(u1, u2)
-
-
-def _complement(sup: Subspace, pivots: int) -> tuple[int, ...]:
-    """RREF rows of ``sup`` spanning a complement of ``sub <= sup``, given sub's pivot mask.
-
-    A nonzero sum of RREF rows has the least of their pivots (lowest set
-    bits) as its lowest bit.  So a subspace's pivots are the lowest bits
-    of its nonzero vectors, sub's pivots are among sup's, and no sum of
-    the sup rows whose pivot sub lacks lies in sub.
-    """
-    return tuple(r for r in sup.rows if not r & -r & pivots)
+join_chain = JoinChain  # the flag's constructor under a function's name
 
 
 def avoiding_join(k1s: Iterable[Subspace], k2s: Iterable[Subspace], chain: JoinChain) -> frozenset[Subspace]:
@@ -106,30 +93,32 @@ def avoiding_join(k1s: Iterable[Subspace], k2s: Iterable[Subspace], chain: JoinC
     2^((u1 - dim K1) * (dim K2 - u1)) members, of dimension
     dim K1 + dim K2 - u1, and distinct pairs give disjoint families.
     """
-    k1s, k2s, u1, v = list(k1s), list(k2s), chain.u1, chain.v
+    k1s, k2s, v, a, u2 = list(k1s), list(k2s), chain.v, chain.u1.dim, chain.u2.rows
     if any(s.v != v for s in k1s + k2s) or len({s.dim for s in k1s}) > 1 or len({s.dim for s in k2s}) > 1:
         raise ValueError("operands must live in the chain's ambient space and share a dimension per side")
-    if any(reduce_vector(r, u1.rows) for r in {r for k1 in k1s for r in k1.rows}):
+    if any(r >> a for k1 in k1s for r in k1.rows):
         raise ValueError("first operand must be contained in u1")
-    if not all(contains(k2, chain.u2) for k2 in k2s):
+    if any(k2.rows[:len(u2)] != u2 for k2 in k2s):
         raise ValueError("second operand must contain u2")
     if not (k1s and k2s):
         return frozenset()
     # A member meets each coset c_j + U1, c_j over a complement of U1 in K2,
     # in c_j + x_j + K1 for exactly one x_j of a complement of K1 in U1: its
-    # rows are K1's and each c_j + x_j.  Headed by v like a block, the
-    # members' rows are cut into chunks by _chunks, then made canonical.
-    u1_pivots = sum(r & -r for r in u1.rows)
+    # rows are K1's and each c_j + x_j.  As the flag is standard, K2's rows
+    # after its first a, e_0 .. e_(a-1), span the first complement, and the
+    # unit vectors below a at K1's non-pivot columns the second.  Headed by
+    # v like a block, the members' rows are cut into chunks by _chunks, then
+    # made canonical.
     k1_pivots = [sum(r & -r for r in k1.rows) for k1 in k1s]  # K1s of one pivot mask share a complement in U1
-    shifts = {p: span_table(_complement(u1, p)) if k2s[0].dim > u1.dim else () for p in set(k1_pivots)}
+    shifts = {p: span_table([e for e in chain.u1.rows if not e & p]) if k2s[0].dim > a else () for p in set(k1_pivots)}
     members = itertools.chain.from_iterable(
-        itertools.product((v,), *zip(k1.rows), *[[c ^ x for x in xs] for c in _complement(k2, u1_pivots)])
-        for k1, xs in zip(k1s, map(shifts.get, k1_pivots)) for k2 in k2s
+        itertools.product((v,), *zip(k1.rows), *[[c ^ x for x in xs] for c in cs])
+        for k2 in k2s for cs in [k2[a + 1:]] for k1, xs in zip(k1s, map(shifts.get, k1_pivots))
     )
     out = frozenset(itertools.chain.from_iterable(
         _canonical(v, list(zip(*chunk))[1:], len(chunk)) for chunk in _chunks(members)
     ))
-    expect = len(k1s) * len(k2s) << ((u1.dim - k1s[0].dim) * (k2s[0].dim - u1.dim))
+    expect = len(k1s) * len(k2s) << ((a - k1s[0].dim) * (k2s[0].dim - a))
     if len(out) != expect:
         raise VerificationError(f"avoiding join has {len(out)} members, expected {expect}")
     return out
@@ -232,8 +221,6 @@ def compose_partitions(
     if len(parts2) != n:
         raise ValueError("operands must have the same number of parts")
     v, a, b = chain.v, chain.u1.dim, chain.u2.dim
-    if chain.u1 != standard_flag_subspace(v, a) or chain.u2 != standard_flag_subspace(v, b):
-        raise ValueError("compose_partitions needs a flag of standard subspaces <e_0 .. e_{m-1}>")
     first = _lifted(parts1, a, (), v, "first")
     second = _lifted(parts2, v - b, chain.u2.rows, v, "second")
     parts = []
@@ -340,10 +327,10 @@ def execute_plan(
     """Materialize the large set a plan tree describes.
 
     ``leaves`` supplies the external leaves, one per LS_2[N](t,k,v); each
-    serves the leaf_table nodes with its parameters.  Nodes that would
-    enumerate a Grassmannian larger than ``size_guard`` raise before
-    anything is built.  Each node object is evaluated once, and the root
-    is verified as a large set before it is returned.
+    serves the leaf_table nodes with its parameters.  Every node's parts
+    hold a whole Grassmannian, so a node of one larger than ``size_guard``
+    raises before anything is built.  Each node object is evaluated once,
+    and the root is verified as a large set before it is returned.
     """
     known: dict[LSParams, LargeSet] = {}
     for ls in leaves:
@@ -356,11 +343,9 @@ def execute_plan(
         raise MissingLeafError(list(dict.fromkeys(missing)))
     for n in nodes:
         total = gaussian_binomial(n.params.v, n.params.k)
-        if n.kind in ("leaf_trivial", "decompose") and total > size_guard:
-            raise ValueError(
-                f"{n.kind} node for {n.params} would materialize {total} subspaces; "
-                f"raise the size guard to proceed"
-            )
+        if total > size_guard:
+            raise ValueError(f"{n.kind} node for {n.params} would materialize {total} subspaces; "
+                             "raise the size guard to proceed")
 
     # each node's parts are dropped once the last parent has read them
     reads = Counter(id(c) for n in nodes for c in n.children)

@@ -360,9 +360,6 @@ BREAKS = {
     "last has a wrong v field": lambda ls: _with_design(ls, -1, v=ls.v + 1),
     "last holds a block of the wrong v": lambda ls: _swapped(ls, -1, Subspace(ls.v + 1, _least(ls, -1).rows)),
     "last declares a wrong lambda": lambda ls: _with_design(ls, -1, lam=ls.designs[-1].lam + 1),
-    "last is a list with a repeated block": lambda ls: _with_design(
-        ls, -1, blocks=sorted(ls.designs[-1].blocks)[1:] + [max(ls.designs[-1].blocks)]
-    ),
     "a middle design is broken": lambda ls: _swapped(ls, ls.n // 2, _least(ls, -1)),
 }
 
@@ -397,11 +394,21 @@ def test_verify_large_set_counts_all_but_the_last_design(monkeypatch):
     monkeypatch.setattr(designs, "_incidence_counts", recording)
     assert verify_large_set(ls).lam == 217
     assert strengths == [2, 2, 0]
-    # blocks in a container that is not a set may repeat, so the last design is counted as well
-    strengths.clear()
-    last = replace(ls.designs[-1], blocks=dict.fromkeys(ls.designs[-1].blocks).keys())
-    assert verify_large_set(replace(ls, designs=ls.designs[:-1] + (last,))).lam == 217
-    assert strengths == [2, 2, 2]
+
+
+@pytest.mark.parametrize("make", [
+    lambda b: sorted(b)[1:] + [max(b)],  # repeats one block and misses another: the sizes still sum to [v k]
+    tuple,
+    lambda b: dict.fromkeys(b).keys(),
+], ids=["list_with_a_repeat", "tuple", "keys_view"])
+def test_design_blocks_must_be_a_set(make):
+    # verify_large_set leaves the last design uncounted because a set's blocks are distinct
+    d = trivial_design(4, 2, 0)
+    with pytest.raises(TypeError, match="set or frozenset"):
+        Design(4, 2, 0, d.lam, make(d.blocks))
+    with pytest.raises(TypeError, match="set or frozenset"):
+        replace(d, blocks=make(d.blocks))
+    assert Design(4, 2, 0, d.lam, set(d.blocks)).blocks == d.blocks
 
 
 def test_transforms_on_trivial_large_set():

@@ -1,6 +1,7 @@
 """Tests for the join construction and the plan executor."""
 
 import gc
+import hashlib
 import sys
 
 import pytest
@@ -30,6 +31,7 @@ from qdesigns.grassmann import (
 )
 from qdesigns.groups import trivial_group
 from qdesigns.joins import (
+    JoinChain,
     MissingLeafError,
     avoiding_join,
     compose_partitions,
@@ -89,29 +91,48 @@ class TestJoinChain:
         chain = join_chain(u1, u2)
         assert (chain.u1, chain.u2, chain.v) == (u1, u2, 5)
 
+    def test_refuses_non_standard_flags(self):
+        # joins read complements off row positions, so the chain itself
+        # takes standard flags U_a <= U_b only, however it is built
+        u = standard_flag_subspace(4, 2)
+        for u1, u2 in ((span(4, [1, 4]), span(4, [1, 4])),  # the dimensions of U_2, not its rows
+                       (u, span(4, [1, 4, 8])),
+                       (span(4, [1, 4]), standard_flag_subspace(4, 3)),
+                       (standard_flag_subspace(4, 3), u)):  # u1 > u2
+            for make in (join_chain, JoinChain):
+                with pytest.raises(ValueError, match="standard"):
+                    make(u1, u2)
+
+
+@st.composite
+def standard_flag(draw, v: int, proper: bool):
+    """U1 = U_a <= U2 = U_b in GF(2)^v, with a < b <= a + 3 when proper."""
+    if proper:
+        a = draw(st.integers(0, v - 1))
+        b = draw(st.integers(a + 1, min(a + 3, v)))
+    else:
+        b = draw(st.integers(0, v))
+        a = draw(st.integers(0, b))
+    return standard_flag_subspace(v, a), standard_flag_subspace(v, b)
+
 
 @st.composite
 def join_operands(draw):
-    """K1 <= U1 <= U2 <= K2 in one GF(2)^v, v <= 6, each spanned by random vectors."""
+    """K1 <= U1 <= U2 <= K2 in one GF(2)^v, v <= 6: a random standard flag, K1 and K2 spanned by random vectors."""
     v = draw(st.integers(1, 6))
-    vectors = st.lists(st.integers(0, (1 << v) - 1), max_size=v)
-    u1 = span(v, draw(vectors))
-    u2 = span(v, u1.rows + tuple(draw(vectors)))
-    k1 = span(v, draw(st.lists(st.sampled_from(u1.vectors()), max_size=u1.dim)))
-    k2 = span(v, u2.rows + tuple(draw(vectors)))
+    u1, u2 = draw(standard_flag(v, False))
+    k1 = span(v, draw(st.lists(st.integers(0, (1 << u1.dim) - 1), max_size=u1.dim)))
+    k2 = span(v, u2.rows + tuple(draw(st.lists(st.integers(0, (1 << v) - 1), max_size=v))))
     return k1, k2, u1, u2
 
 
 @st.composite
 def proper_flag_operands(draw):
-    """K1 <= U1 < U2 <= K2 in one GF(2)^v, v <= 8, with at most 2^10 join members."""
+    """K1 <= U1 < U2 <= K2 in one GF(2)^v, v <= 8, the flag standard, with at most 2^10 join members."""
     v = draw(st.integers(2, 8))
-    vector = st.integers(0, (1 << v) - 1)
-    u1 = span(v, draw(st.lists(vector, max_size=v - 1)))
-    outside = draw(st.sampled_from([x for x in range(1 << v) if x not in u1]))
-    u2 = span(v, u1.rows + (outside,) + tuple(draw(st.lists(vector, max_size=2))))
-    k1 = span(v, draw(st.lists(st.sampled_from(u1.vectors()), max_size=u1.dim)))
-    k2 = span(v, u2.rows + tuple(draw(st.lists(vector, max_size=2))))
+    u1, u2 = draw(standard_flag(v, True))
+    k1 = span(v, draw(st.lists(st.integers(0, (1 << u1.dim) - 1), max_size=u1.dim)))
+    k2 = span(v, u2.rows + tuple(draw(st.lists(st.integers(0, (1 << v) - 1), max_size=2))))
     assume((u1.dim - k1.dim) * (k2.dim - u1.dim) <= 10)
     return k1, k2, u1, u2
 
@@ -388,6 +409,16 @@ class TestDecomposition:
         cells = grassmann_decomposition(8, 4, 3)
         assert [cell_size(c) for c in cells] == [65536, 61440, 39680, 22320, 11811]
         assert sum(cell_size(c) for c in cells) == 200787
+
+    def test_materialized_cells_are_the_pinned_ones(self):
+        # one SHA-256 per cell of [8 4]_2 at s = 0, 3 and [7 3]_2 at s = 0..3,
+        # in that order, over the repr of its sorted members; then one of the 26
+        cells = [c for v, k, offsets in ((8, 4, (0, 3)), (7, 3, range(4)))
+                 for s in offsets for c in grassmann_decomposition(v, k, s)]
+        digests = "".join(hashlib.sha256(repr(sorted(materialize_cell(c))).encode()).hexdigest() for c in cells)
+        assert len(cells) == 26
+        assert hashlib.sha256(digests.encode()).hexdigest() == (
+            "0271964655f69f04c6ec29b8dc5e788407bee007940f39eed27cab2269d211a5")
 
 
 class TestPartitionedSet:
@@ -680,6 +711,10 @@ class TestExecutePlan:
         ls = execute_plan(plan, [r.large_set for r in searches])
         assert verify_large_set(ls).lam == 9
         assert [len(d.blocks) for d in ls.designs] == [381] * 7
+        # pinned: one SHA-256 per design over the repr of its sorted blocks, then one of the seven
+        digests = "".join(hashlib.sha256(repr(sorted(d.blocks)).encode()).hexdigest() for d in ls.designs)
+        assert hashlib.sha256(digests.encode()).hexdigest() == (
+            "fd2d5837b29cd78a0e45078fab95a8f5129047e15c5b6c8e7d016044dddd6d46")
 
     def test_missing_leaves_reported_upfront(self):
         plan = plan_series(4, 9)
@@ -698,6 +733,16 @@ class TestExecutePlan:
         with pytest.raises(ValueError, match="decompose node .* would materialize 15"):
             execute_plan(small_plan(), leaves, size_guard=10)
         assert execute_plan(small_plan(), leaves, size_guard=15).n == 3
+
+    def test_size_guard_covers_every_node(self, monkeypatch):
+        # (2,5,10) is a hyperplane_extend root over Gr(10, 5); stand-ins for its two
+        # v = 8 leaves pass the leaf check, and nothing is evaluated before the guard
+        evaluated = []
+        monkeypatch.setattr(joins, "_eval_node", lambda node, *args: evaluated.append(node))
+        stand_ins = [LargeSet(8, k, 2, 3, ()) for k in (3, 4)]
+        with pytest.raises(ValueError, match="hyperplane_extend node .* would materialize 109221651 subspaces"):
+            execute_plan(plan_series(5, 10), stand_ins)
+        assert evaluated == []
 
     def test_root_needs_a_strength(self):
         with pytest.raises(ValueError, match="t >= 0"):
