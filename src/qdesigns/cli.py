@@ -29,6 +29,7 @@ from .designs import (
     LargeSet,
     VerificationError,
     _content_lines,
+    _large_set_files,
     read_design,
     read_large_set,
     verify_design,
@@ -132,6 +133,10 @@ class _Run:
 
     def input_file(self, path: str) -> None:
         self.record["inputs"][path] = _sha256(path)
+
+    def input_large_set(self, path: str) -> None:
+        for p in [path, *_large_set_files(path)[1]]:  # and each member design file read_large_set opens
+            self.input_file(p)
 
     def input_digests(self, digests: dict[str, str]) -> None:
         self.record["inputs"].update(digests)
@@ -255,7 +260,7 @@ def _cmd_transform(args) -> int:
     if not os.path.exists(args.input):
         raise CliError(EXIT_IO, f"no such file: {args.input}")
     run = _Run(args, "transform", True, op=args.op, input=args.input, out=args.out)
-    run.input_file(args.input)
+    run.input_large_set(args.input)
     out = TRANSFORMS[args.op](read_large_set(args.input), verify=True)
     rel = os.path.basename(args.out)
     # the member names write_large_set gives by default: <stem>_design<i>.txt
@@ -366,7 +371,7 @@ def _load_registry(plan: PlanNode, directory: Optional[str], use_builtin: bool, 
                 continue
             path = os.path.join(directory, name)
             registry.append(read_large_set(path))
-            run.input_file(path)
+            run.input_large_set(path)
     return registry
 
 

@@ -503,8 +503,8 @@ def write_large_set(path, ls: LargeSet, design_paths: Optional[Sequence[str]] = 
             fh.write(rel + "\n")
 
 
-def read_large_set(path) -> LargeSet:
-    path = os.fspath(path)
+def _large_set_files(path: str) -> tuple[tuple[int, int, int, int], list[str]]:
+    """The checked header (v, k, t, N) of the .ls file at path, and the paths of the N design files it lists."""
     with open(path, "r", encoding="ascii") as fh:
         lines = list(_content_lines(fh))
     if not lines:
@@ -519,10 +519,16 @@ def read_large_set(path) -> LargeSet:
     if len(rels) != n:
         raise ValueError(f"{path}: {len(rels)} design paths listed, N={n}")
     base = os.path.dirname(path) or "."
+    return (v, k, t, n), [os.path.join(base, rel) for rel in rels]
+
+
+def read_large_set(path) -> LargeSet:
+    path = os.fspath(path)
+    (v, k, t, n), members = _large_set_files(path)
     designs = []
-    for rel in rels:
-        d = read_design(os.path.join(base, rel))
+    for member in members:
+        d = read_design(member)
         if (d.v, d.k, d.t) != (v, k, t):
-            raise ValueError(f"{path}: design {rel} disagrees with manifest header")
+            raise ValueError(f"{path}: design {member} disagrees with manifest header")
         designs.append(d)
     return LargeSet(v, k, t, n, tuple(designs))

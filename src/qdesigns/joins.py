@@ -23,8 +23,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import groupby, repeat
-from operator import and_, lshift, mul, neg, or_, xor
-from typing import Iterable, Iterator, Sequence
+from operator import and_, eq, le, lshift, mul, neg, or_, xor
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .designs import (
     TRANSFORMS,
@@ -88,13 +88,14 @@ join_chain = JoinChain  # the flag's constructor under a function's name
 def avoiding_join(k1s: Iterable[Subspace], k2s: Iterable[Subspace], chain: JoinChain) -> frozenset[Subspace]:
     """Every K meeting U1 exactly in some K1 of ``k1s``, with K + U2 = K2 = K + U1 for some K2 of ``k2s``.
 
-    Each K1 must sit inside U1 and each K2 must contain U2; each side's
-    operands share a dimension.  Each pair (K1, K2) gives exactly
-    2^((u1 - dim K1) * (dim K2 - u1)) members, of dimension
-    dim K1 + dim K2 - u1, and distinct pairs give disjoint families.
+    Each K1 must sit inside U1 = <e_0 .. e_(a-1)> by its rows alone: one of
+    any GF(2)^w, w <= a, is the subspace of U1 with the same rows.  Each K2
+    must contain U2; each side's operands share a dimension.  Each pair
+    (K1, K2) gives exactly 2^((u1 - dim K1) * (dim K2 - u1)) members, of
+    dimension dim K1 + dim K2 - u1, and distinct pairs give disjoint families.
     """
     k1s, k2s, v, a, u2 = list(k1s), list(k2s), chain.v, chain.u1.dim, chain.u2.rows
-    if any(s.v != v for s in k1s + k2s) or len({s.dim for s in k1s}) > 1 or len({s.dim for s in k2s}) > 1:
+    if any(s.v != v for s in k2s) or len(set(map(len, k1s))) > 1 or len(set(map(len, k2s))) > 1:
         raise ValueError("operands must live in the chain's ambient space and share a dimension per side")
     if any(r >> a for k1 in k1s for r in k1.rows):
         raise ValueError("first operand must be contained in u1")
@@ -102,6 +103,7 @@ def avoiding_join(k1s: Iterable[Subspace], k2s: Iterable[Subspace], chain: JoinC
         raise ValueError("second operand must contain u2")
     if not (k1s and k2s):
         return frozenset()
+    d1, d2 = len(k1s[0]) - 1, len(k2s[0]) - 1
     # A member meets each coset c_j + U1, c_j over a complement of U1 in K2,
     # in c_j + x_j + K1 for exactly one x_j of a complement of K1 in U1: its
     # rows are K1's and each c_j + x_j.  As the flag is standard, K2's rows
@@ -110,7 +112,7 @@ def avoiding_join(k1s: Iterable[Subspace], k2s: Iterable[Subspace], chain: JoinC
     # v like a block, the members' rows are cut into chunks by _chunks, then
     # made canonical.
     k1_pivots = [sum(r & -r for r in k1.rows) for k1 in k1s]  # K1s of one pivot mask share a complement in U1
-    shifts = {p: span_table([e for e in chain.u1.rows if not e & p]) if k2s[0].dim > a else () for p in set(k1_pivots)}
+    shifts = {p: span_table([e for e in chain.u1.rows if not e & p]) if d2 > a else () for p in set(k1_pivots)}
     members = itertools.chain.from_iterable(
         itertools.product((v,), *zip(k1.rows), *[[c ^ x for x in xs] for c in cs])
         for k2 in k2s for cs in [k2[a + 1:]] for k1, xs in zip(k1s, map(shifts.get, k1_pivots))
@@ -118,7 +120,7 @@ def avoiding_join(k1s: Iterable[Subspace], k2s: Iterable[Subspace], chain: JoinC
     out = frozenset(itertools.chain.from_iterable(
         _canonical(v, list(zip(*chunk))[1:], len(chunk)) for chunk in _chunks(members)
     ))
-    expect = len(k1s) * len(k2s) << ((a - k1s[0].dim) * (k2s[0].dim - a))
+    expect = len(k1s) * len(k2s) << ((a - d1) * (d2 - a))
     if len(out) != expect:
         raise VerificationError(f"avoiding join has {len(out)} members, expected {expect}")
     return out
@@ -165,31 +167,24 @@ def grassmann_decomposition(v: int, k: int, s: int) -> list[DecompositionCell]:
 
 def materialize_cell(cell: DecompositionCell) -> frozenset[Subspace]:
     """Enumerate one decomposition cell explicitly via its join."""
-    a1, d1 = cell.first_grassmannian
-    a2, d2 = cell.second_grassmannian
-    # First factors live one dimension below U1; pad the ambient space so
-    # the flag prefix of dimension a1 inside U1 carries them.
-    first = (Subspace(a1 + 1, s.rows) for s in enumerate_grassmannian(a1, d1))
-    return compose_partitions([first], [enumerate_grassmannian(a2, d2)], cell.chain, -1)[0]
+    (a1, d1), (a2, d2) = cell.first_grassmannian, cell.second_grassmannian
+    return compose_partitions([enumerate_grassmannian(a1, d1)], [enumerate_grassmannian(a2, d2)], cell.chain, -1)[0]
 
 
-def _lifted(
-    parts: Iterable[Iterable[Subspace]], width: int, head: tuple[int, ...], v: int, what: str
-) -> list[list[Subspace]]:
-    """Each part's operands, once their width-bit local coordinates are checked, read into GF(2)^v.
-
-    An operand's rows are shifted left past the head rows, which come first; both stay in RREF.
-    """
+def _checked(parts: Iterable[Iterable[Subspace]], fits: Callable, width: int, what: str) -> list[list[Subspace]]:
+    """Each part's operands as a list, once fits(s.v, width) holds for each and all share a dimension."""
     local = [list(part) for part in parts]
-    if any(s.v != width for part in local for s in part):
+    if not all(fits(s.v, width) for part in local for s in part):
         raise ValueError(f"{what} operands must use {width}-dimensional local coordinates")
-    if len({s.dim for part in local for s in part}) > 1:
+    if len({len(s) for part in local for s in part}) > 1:
         raise ValueError(f"{what} operands must share a dimension")
-    out = []
-    for part in local:
-        cols = [repeat(h) for h in head] + [map(lshift, c, repeat(len(head))) for c in list(zip(*part))[1:]]
-        out.append(list(_from_columns(v, cols, len(part))))
-    return out
+    return local
+
+
+def _lifted(part: list[Subspace], head: tuple[int, ...], v: int) -> list[Subspace]:
+    """The operands read into GF(2)^v, rows shifted left past the head rows, which come first; both stay in RREF."""
+    cols = [repeat(h) for h in head] + [map(lshift, c, repeat(len(head))) for c in list(zip(*part))[1:]]
+    return list(_from_columns(v, cols, len(part)))
 
 
 @_nogc
@@ -205,9 +200,10 @@ def compose_partitions(
     member of part i of ``parts1`` with every member of part j of
     ``parts2``, over all i + j = m (mod n).  The flag must be standard:
     U1 = <e_0 .. e_{a-1}> <= U2 = <e_0 .. e_{b-1}>.  Members of ``parts1``
-    live in GF(2)^a, which is U1; members of ``parts2`` live in
-    GF(2)^(v-b), which is V/U2 through e_b .. e_{v-1}, so K2 is U2 plus
-    their rows shifted left by b bits.  Each is lifted into GF(2)^v once.
+    live in GF(2)^w, w <= a, inside U1 with the same rows, and are joined as
+    given.  Members of ``parts2`` live in GF(2)^(v-b), which is V/U2 through
+    e_b .. e_{v-1}, so K2 is U2 plus their rows shifted left by b bits; each
+    is lifted into GF(2)^v once.
     Distinct pairs yield disjoint join families, so part m has exactly
     sum_i |part i| * |part j| * 2^((u1 - k1) * (k2 - u1)) members.
     ``t`` is the strength t1 + t2 + 1 the parts should share
@@ -221,8 +217,8 @@ def compose_partitions(
     if len(parts2) != n:
         raise ValueError("operands must have the same number of parts")
     v, a, b = chain.v, chain.u1.dim, chain.u2.dim
-    first = _lifted(parts1, a, (), v, "first")
-    second = _lifted(parts2, v - b, chain.u2.rows, v, "second")
+    first = _checked(parts1, le, a, "first")
+    second = [_lifted(part, chain.u2.rows, v) for part in _checked(parts2, eq, v - b, "second")]
     parts = []
     for m in range(n):  # pieces of one part overlap iff the part is smaller than their sum
         pieces = [avoiding_join(first[i], second[(m - i) % n], chain) for i in range(n)]
@@ -292,9 +288,8 @@ def extend_by_hyperplane(ls_small_k: LargeSet, ls_same_k: LargeSet) -> LargeSet:
     try:
         verify_large_set(out)
     except VerificationError as e:
-        raise VerificationError(
-            f"hyperplane extension failed verification (operand pairing?): {e}"
-        ) from e
+        raise VerificationError(f"hyperplane extension failed verification (operand pairing?): {e}",
+                                witness=e.witness) from e
     return out
 
 
@@ -384,12 +379,8 @@ def _eval_node(
     if node.kind == "decompose":
         cells = grassmann_decomposition(p.v, p.k, node.s)
         buckets: list[set[Subspace]] = [set() for _ in range(p.n)]
-        for cell, (t1, t2), first, second in zip(
-            cells, node.cell_strengths, children[::2], children[1::2]
-        ):
-            a1 = cell.first_grassmannian[0]
-            padded = [(Subspace(a1 + 1, s.rows) for s in part) for part in first]
-            composed = compose_partitions(padded, second, cell.chain, t1 + t2 + 1)
+        for cell, (t1, t2), first, second in zip(cells, node.cell_strengths, children[::2], children[1::2]):
+            composed = compose_partitions(first, second, cell.chain, t1 + t2 + 1)
             for bucket, part in zip(buckets, composed):
                 bucket |= part
         return tuple(_frozen(buckets.pop(0)) for _ in range(p.n))

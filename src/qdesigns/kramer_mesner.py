@@ -314,22 +314,13 @@ class _Search:
                 state = backtrack()
 
 
-def solve_exact(
-    system: KMSystem,
-    lam: int,
-    forbidden: Iterable[int] = (),
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> SolveResult:
-    """First exact 0/1 solution of A*x = lam*1 over the allowed columns.
+def solve_exact(system: KMSystem, lam: int, node_budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
+    """First exact 0/1 solution of A*x = lam*1.
 
     "infeasible" means the search space was exhausted; "unknown" means
     the node budget ran out first.
     """
-    forb = frozenset(forbidden)
-    bad = [j for j in forb if not 0 <= j < system.n_cols]
-    if bad:
-        raise ValueError(f"forbidden column out of range: {sorted(bad)}")
-    search = _Search(system, lam, forb, node_budget)
+    search = _Search(system, lam, frozenset(), node_budget)
     try:
         sel = next(search.solutions(), None)
     except BudgetExceeded as e:

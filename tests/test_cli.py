@@ -186,6 +186,22 @@ class TestTransform:
         assert sorted(outputs) == ["dual.ls"] + [f"dual_design{i}.txt" for i in (1, 2, 3)]
         assert outputs == digests_of_outputs(out)
 
+    def test_manifest_digests_every_file_read(self, tmp_path):
+        # the .ls file and each member design file read_large_set opens for it
+        src = tmp_path / "in.ls"
+        write_large_set(src, lines_ls())
+        members = sorted(tmp_path.glob("*.txt"))
+        assert len(members) == 3
+        argv = ["transform", "--op", "dual", "--in", str(src), "--deterministic"]
+        assert main(argv + ["--out", str(tmp_path / "a" / "dual.ls")]) == 0
+        inputs = manifest(tmp_path / "a")["inputs"]
+        assert inputs == {str(path): sha256_of(path) for path in [src] + members}
+        with open(members[1], "a") as fh:  # a comment line: the same design, other bytes
+            fh.write("# edited\n")
+        assert main(argv + ["--out", str(tmp_path / "b" / "dual.ls")]) == 0
+        assert manifest(tmp_path / "b")["inputs"] == {**inputs, str(members[1]): sha256_of(members[1])}
+        assert sha256_of(members[1]) != inputs[str(members[1])]
+
     def test_deterministic_manifests_match(self, tmp_path):
         src = tmp_path / "in.ls"
         write_large_set(src, lines_ls())
@@ -527,7 +543,8 @@ class TestConstruct:
             name = f"design{i}.txt"
             assert (tmp_path / "r" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         ls = str(decoded / "large_set.ls")
-        assert manifest(tmp_path / "r")["inputs"] == {ls: sha256_of(decoded / "large_set.ls")}
+        read = [decoded / "large_set.ls"] + [decoded / f"design{i}.txt" for i in (1, 2, 3)]
+        assert manifest(tmp_path / "r")["inputs"] == {str(path): sha256_of(path) for path in read}
         assert main(argv + ["--registry", ls, "--out", str(tmp_path / "f")]) == 4
 
     def test_builtin_expands_only_the_leaves_the_plan_reads(self, tmp_path, monkeypatch):

@@ -195,12 +195,16 @@ class TestAvoidingJoin:
     @given(proper_flag_operands())
     def test_proper_flags_match_one_span_per_member(self, operands):
         k1, k2, u1, u2 = operands
-        assert avoiding_join([k1], [k2], join_chain(u1, u2)) == avoiding_join_by_spans(k1, k2, u1)
+        out = avoiding_join([k1], [k2], join_chain(u1, u2))
+        assert out == avoiding_join_by_spans(k1, k2, u1)
+        assert avoiding_join([Subspace(u1.dim, k1.rows)], [k2], join_chain(u1, u2)) == out  # K1 in GF(2)^a
 
     def test_operand_validation(self):
         chain = join_chain(standard_flag_subspace(4, 1), standard_flag_subspace(4, 2))
         with pytest.raises(ValueError):
             avoiding_join([span(4, [2])], [full_space(4)], chain)  # not inside u1
+        with pytest.raises(ValueError, match="contained in u1"):
+            avoiding_join([span(2, [2])], [full_space(4)], chain)  # K1 is read by its rows: one at bit a = 1
         with pytest.raises(ValueError):
             avoiding_join([zero_subspace(4)], [span(4, [1])], chain)  # misses u2
         with pytest.raises(ValueError):
@@ -307,7 +311,7 @@ class TestJoinSets:
         # collector back on, the first one sets off a collection
         cell = grassmann_decomposition(7, 3, 0)[0]
         (a1, d1), (a2, d2) = cell.first_grassmannian, cell.second_grassmannian
-        parts1 = [[Subspace(a1 + 1, s.rows) for s in enumerate_grassmannian(a1, d1)]]
+        parts1 = [list(enumerate_grassmannian(a1, d1))]
         parts2 = [list(enumerate_grassmannian(a2, d2))]
         collections = []
 
@@ -333,6 +337,22 @@ class TestJoinSets:
         finally:
             if not was_on:
                 gc.disable()
+
+    def test_first_operands_joined_as_given(self, monkeypatch):
+        # lines of GF(2)^2 under U1 = U_3 reach avoiding_join as they are, not as copies
+        seen = []
+        join = joins.avoiding_join
+
+        def spy(k1s, k2s, chain):
+            seen.extend(k1s)
+            return join(k1s, k2s, chain)
+
+        monkeypatch.setattr(joins, "avoiding_join", spy)
+        lines = lines_of_plane()
+        chain = join_chain(standard_flag_subspace(5, 3), standard_flag_subspace(5, 3))
+        (out,) = compose_partitions([lines], [lines], chain, -1)
+        assert len(seen) == 3 and all(a is b for a, b in zip(seen, lines))
+        assert len(out) == 3 * 3 << (3 - 1) * (4 - 3)  # K2 = U_3 + a line: dimension 4
 
     def test_coordinate_validation(self):
         chain = join_chain(standard_flag_subspace(4, 2), standard_flag_subspace(4, 2))
@@ -509,8 +529,12 @@ class TestCompose:
     def test_ambient_mismatch(self):
         p = singleton_line_partition()
         tall = join_chain(standard_flag_subspace(5, 3), standard_flag_subspace(5, 3))
-        with pytest.raises(ValueError):
-            compose_partitions(p, p, tall, 1)  # first operand needs u1's dim 3 coords
+        # lines of GF(2)^2, and the same lines padded to GF(2)^3, are lines of U1 = U_3 with the same rows
+        padded = tuple(frozenset(Subspace(3, s.rows) for s in part) for part in p)
+        assert compose_partitions(p, p, tall, 1) == compose_partitions(padded, p, tall, 1)
+        too_wide = tuple(frozenset(Subspace(4, s.rows) for s in part) for part in p)
+        with pytest.raises(ValueError, match="first operands"):
+            compose_partitions(too_wide, p, tall, 1)  # GF(2)^4 is not inside U_3
         wide = join_chain(standard_flag_subspace(5, 2), standard_flag_subspace(5, 2))
         with pytest.raises(ValueError):
             compose_partitions(p, p, wide, 1)  # second operand needs dim 3 quotient coords
@@ -582,6 +606,17 @@ class TestExtendByHyperplane:
         out = extend_by_hyperplane(chunked_large_set(v, k - 1, n), chunked_large_set(v, k, n))
         for d in out.designs:
             assert sys.getsizeof(d.blocks) <= sys.getsizeof(frozenset(list(d.blocks)))
+
+    def test_failed_verification_keeps_its_witness(self):
+        # the 1- and the 2-subspaces of GF(2)^3 cut into 7 one-block parts, each
+        # declared a 1-design: the extension's parts are not 1-designs, and the
+        # raised error carries the 1-subspace its check found missed
+        operands = [LargeSet(3, k, 1, 7, tuple(Design(3, k, 1, 1, frozenset([s]))
+                                                for s in enumerate_grassmannian(3, k))) for k in (1, 2)]
+        with pytest.raises(VerificationError, match="only 11 of 15 1-subspaces are covered") as err:
+            extend_by_hyperplane(*operands)
+        assert err.value.witness == Subspace(4, [5])
+        assert err.value.__cause__.witness == err.value.witness
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -679,11 +714,9 @@ class TestExecutePlan:
         calls = []
         lifted = joins._lifted
 
-        def counting(parts, width, head, v, what):
-            parts = [list(part) for part in parts]
-            if what == "second":  # the operands read as V/U2, after U2's rows
-                calls.extend((width, head, s) for part in parts for s in part)
-            return lifted(parts, width, head, v, what)
+        def counting(part, head, v):  # the second operands, read as V/U2 after U2's rows
+            calls.extend((head, s) for s in part)
+            return lifted(part, head, v)
 
         monkeypatch.setattr(joins, "_lifted", counting)
         ls = execute_plan(mixed_plan(), [line_large_set()])
