@@ -75,11 +75,8 @@ def _data_bytes(name: str) -> bytes:
 
 @lru_cache(maxsize=None)
 def _recorded_digests() -> dict[str, str]:
-    expected = {}
-    for line in _data_bytes("checksums.sha256").decode("ascii").splitlines():
-        digest, _, fname = line.strip().partition("  ")
-        expected[fname] = digest
-    return expected
+    lines = _data_bytes("checksums.sha256").decode("ascii").splitlines()
+    return {fname: digest for digest, _, fname in (line.strip().partition("  ") for line in lines)}
 
 
 @lru_cache(maxsize=None)
@@ -90,9 +87,7 @@ def _verified_data_text(name: str) -> str:
     if name not in expected:
         raise ValueError(f"data file {name} has no recorded checksum")
     if actual != expected[name]:
-        raise ValueError(
-            f"data file {name} fails its checksum: {actual} != {expected[name]}"
-        )
+        raise ValueError(f"data file {name} fails its checksum: {actual} != {expected[name]}")
     return raw.decode("ascii")
 
 

@@ -410,8 +410,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    plan = plan_series(args.k, args.v)
-    _emit(serialize_plan(plan), args.out)
+    _emit(serialize_plan(plan_series(args.k, args.v)), args.out)
     return EXIT_OK
 
 

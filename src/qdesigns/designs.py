@@ -12,10 +12,12 @@ alone show whether each block is an RREF basis of GF(2)^v.  They give the
 point set S_x of every vector x, the blocks that hold x, by the block's
 complement, with one XOR per plane per x in Gray code order.  The
 t-subspace with RREF rows a_1..a_t lies in popcount(S_a1 & ... & S_at)
-blocks.  A chunk holds max(2^21 >> v, 1) blocks, so its 2^v point sets
-hold about 2^21 bits.  _incidences yields these intersections chunk by
-chunk: verify_design sums their popcounts, and build_km reads from their
-bits which k-orbit representatives hold each t-subspace.
+blocks.  A chunk holds max(2^21 >> v, 8192) blocks, so up to v = 8 its 2^v
+point sets hold about 2^21 bits.  Shape, RREF rows and counts come from
+one strict transposition of the chunk, its only pass over the blocks.
+_incidences yields the intersections chunk by chunk: verify_design sums
+their popcounts, and build_km reads from their bits which k-orbit
+representatives hold each t-subspace.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import os
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import accumulate, chain, compress, groupby, islice, repeat
-from operator import add, and_, eq, invert, itemgetter, not_, or_, rshift, xor
+from operator import add, and_, invert, itemgetter, not_, or_, rshift, xor
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .grassmann import (
@@ -34,7 +36,7 @@ from .grassmann import (
     _complements,
     _from_columns,
     _nogc,
-    enumerate_grassmannian,
+    _t_columns,
     gaussian_binomial,
     grassmannian_unrank,
     span,
@@ -118,9 +120,19 @@ def _rref_planes(cols: Iterable[Iterable[int]], v: int, n: int) -> Optional[tupl
     return None if bad else (planes, pivots)
 
 
-def _checked_planes(chunk: list[Subspace], v: int) -> tuple[list[list[int]], list[list[int]]]:
-    """_rref_planes of a chunk of blocks of one dimension; VerificationError names its first block that fails."""
-    found = _rref_planes([map(itemgetter(j), chunk) for j in range(1, len(chunk[0]))], v, len(chunk))
+def _checked_planes(chunk: list[Subspace], v: int, size: int) -> tuple[list[list[int]], list[list[int]]]:
+    """_rref_planes of a chunk of blocks of GF(2)^v, each of length size, read from one strict transposition.
+
+    VerificationError names the chunk's first block of another v or length, or else its first one not in RREF.
+    """
+    try:
+        cols = list(zip(*chunk, strict=True))
+    except ValueError:  # a ragged chunk
+        cols = []
+    if len(cols) != size or not cols or cols[0].count(v) != len(chunk):
+        bad = next(b for b in chunk if len(b) != size or b[:1] != (v,))
+        raise VerificationError(f"block has wrong shape: {bad}", witness=bad)
+    found = _rref_planes(cols[1:], v, len(chunk))
     if found is None:
         block = next(b for b in chunk if _rref_planes(zip(b[1:]), v, 1) is None)
         raise VerificationError(f"block rows are not an RREF basis of GF(2)^{v}: {block}", witness=block)
@@ -148,12 +160,13 @@ def _incidences(blocks: Iterable[Subspace], v: int, t: int) -> Iterator[tuple[in
     """Per chunk of blocks, all of one dimension: the index of its first block, and for each t-subspace of GF(2)^v in
     enumerate_grassmannian(v, t) order the int whose bit i is set iff the chunk's block i holds it.
 
-    A block that is not an RREF basis raises VerificationError (see _checked_planes).  t = 0 makes no point set.
+    A block of another v or length than the first, or not an RREF basis, raises VerificationError.  t = 0 makes no
+    point set.
     """
-    tcols = [list(map(itemgetter(i), enumerate_grassmannian(v, t))) for i in range(1, t + 1)]
-    it, start = iter(blocks), 0
-    for chunk in iter(lambda: list(islice(it, max((_COUNT_BATCH << 5) >> v, 1))), []):
-        planes = _checked_planes(chunk, v)
+    it, start, size, tcols = iter(blocks), 0, None, _t_columns(v, t)
+    for chunk in iter(lambda: list(islice(it, max((_COUNT_BATCH << 5) >> v, _COUNT_BATCH >> 3, 1))), []):
+        size = size or len(chunk[0])
+        planes = _checked_planes(chunk, v, size)
         if t:
             points = _point_sets(*planes, v, len(chunk))
             yield start, reduce(partial(map, and_), [map(points.__getitem__, c) for c in tcols])
@@ -190,20 +203,27 @@ def _batched(kernel: Callable[..., Iterable[Subspace]], blocks: Iterable[Subspac
     return chain.from_iterable(kernel(chunk, *args) for chunk in _chunks(blocks))
 
 
-def _check_shape(d: Design) -> None:
-    """verify_design's checks that need no counting: parameters, block shape, lambda and the block count."""
+def _checked_counts(d: Design, t: int) -> list[int]:
+    """_incidence_counts(d.blocks, d.v, t) after the checks that need no counting: parameters, lambda, block count.
+    A later failure names d's first block not of the shape (v, k rows) if there is one, as a shape pass first would.
+    """
     if not 0 <= d.t <= d.k <= d.v:
         raise VerificationError(f"invalid parameters t={d.t} k={d.k} v={d.v}")
-    size, v = d.k + 1, d.v
-    if not (all(map(eq, map(len, d.blocks), repeat(size))) and all(map(eq, map(itemgetter(0), d.blocks), repeat(v)))):
-        bad = next(b for b in d.blocks if len(b) != size or b[0] != v)
-        raise VerificationError(f"block has wrong shape: {bad}", witness=bad)
-    expected_blocks = d.lam * gaussian_binomial(d.v, d.t)
-    denom = gaussian_binomial(d.k, d.t)
-    if expected_blocks % denom:
-        raise VerificationError(f"lambda={d.lam} is not consistent with any {d.t}-({d.v},{d.k}) design")
-    if len(d.blocks) != expected_blocks // denom:
-        raise VerificationError(f"block count {len(d.blocks)} differs from required {expected_blocks // denom}")
+    try:
+        expected_blocks = d.lam * gaussian_binomial(d.v, d.t)
+        denom = gaussian_binomial(d.k, d.t)
+        if expected_blocks % denom:
+            raise VerificationError(f"lambda={d.lam} is not consistent with any {d.t}-({d.v},{d.k}) design")
+        if len(d.blocks) != expected_blocks // denom:
+            raise VerificationError(f"block count {len(d.blocks)} differs from required {expected_blocks // denom}")
+        if d.blocks and len(next(iter(d.blocks))) != d.k + 1:  # _incidences holds each block to the first's length
+            raise VerificationError("the first block has the wrong length")  # named as a wrong shape below
+        return _incidence_counts(d.blocks, d.v, t)
+    except VerificationError:
+        bad = next((b for b in d.blocks if len(b) != d.k + 1 or b[0] != d.v), None)
+        if bad is None:
+            raise
+        raise VerificationError(f"block has wrong shape: {bad}", witness=bad) from None
 
 
 @_nogc
@@ -213,8 +233,7 @@ def verify_design(d: Design) -> int:
     Every t-subspace of GF(2)^v must lie in exactly d.lam blocks, counted
     by _incidence_counts.
     """
-    _check_shape(d)
-    counts = _incidence_counts(d.blocks, d.v, d.t)
+    counts = _checked_counts(d, d.t)
     if d.lam and 0 in counts:  # an uncovered t-subspace is the witness before any other miscount
         at = counts.index(0)
         message = f"only {len(counts) - counts.count(0)} of {len(counts)} {d.t}-subspaces are covered"
@@ -289,8 +308,7 @@ def verify_large_set(ls: LargeSet) -> LargeSetReport:
         if d.lam != lam:
             raise VerificationError(f"design {i} declares lambda={d.lam}, expected {lam}")
         if i == ls.n - 1:
-            _check_shape(d)
-            _incidence_counts(d.blocks, d.v, 0)  # the RREF check alone: t = 0 makes no point sets
+            _checked_counts(d, 0)  # the shape and RREF checks alone: t = 0 makes no point sets
         else:
             verify_design(d)
     size = gaussian_binomial(ls.v, ls.k)
@@ -426,13 +444,11 @@ def write_design(path, d: Design) -> None:
 
 def _rref_chunk(chunk: list[str], v: int, k: int) -> Optional[list[tuple[int, ...]]]:
     """The chunk's row columns if every line holds the k rows of an RREF block of GF(2)^v, else None."""
-    try:  # ints per line, so no line's strings outlive its parse
-        rows = list(map(tuple, map(map, repeat(int), map(str.split, chunk))))
-    except ValueError:  # the line-by-line read raises it at its line
+    try:  # ints per line, so no line's strings outlive its parse; the transposition is strict, as in _checked_planes
+        cols = list(zip(*map(tuple, map(map, repeat(int), map(str.split, chunk))), strict=True))
+    except ValueError:  # a bad int or a line of another length: the line-by-line read raises it at its line
         return None
-    cols = list(zip(*rows))
-    ok = k and all(map(eq, map(len, rows), repeat(k))) and _rref_planes(cols, v, len(rows)) is not None
-    return cols if ok else None
+    return cols if len(cols) == k and _rref_planes(cols, v, len(chunk)) is not None else None
 
 
 @_nogc

@@ -306,6 +306,15 @@ def _pivot_sets(v: int, k: int) -> tuple[tuple[int, tuple[list[int], ...], tuple
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _t_columns(v: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """The row columns of enumerate_grassmannian(v, t): column j holds row j of each t-subspace, in order.
+
+    Each column is read off its own enumeration, so the t-subspaces are never all held at once.
+    """
+    return tuple(tuple(map(itemgetter(j), enumerate_grassmannian(v, t))) for j in range(1, t + 1))
+
+
 def enumerate_grassmannian(v: int, k: int) -> Iterator[Subspace]:
     """All k-subspaces of GF(2)^v in a fixed documented order."""
     if k < 0 or k > v:

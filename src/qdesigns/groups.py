@@ -174,17 +174,21 @@ class OrbitPartition:
 def orbit_partition(v: int, k: int, group: Group) -> OrbitPartition:
     """Partition the k-subspaces of GF(2)^v into orbits, numbered by their lowest rank.
 
-    Each round takes the max((_COUNT_BATCH >> k) // |G|, 1) lowest ranks no orbit holds yet as starts and expands
-    them in one _images call.  The starts are walked in rank order: one that an earlier start of the round has
-    claimed opens no orbit, and each other one's |G| images are ranked in one grassmann._ranks call.
+    Each round takes the lowest ranks no orbit holds yet as starts and expands them in one _images call: one start
+    in the first round, then twice as many as the last round opened orbits, at least 1 and at most
+    max((_COUNT_BATCH >> k) // |G|, 1), since the lowest ranks often share an orbit.  The starts are walked in rank
+    order: one that an earlier start of the round has claimed opens no orbit, and each other one's |G| images are
+    ranked in one grassmann._ranks call.
     """
     if group.v != v:
         raise ValueError("group dimension differs from ambient dimension")
-    n, order, size = gaussian_binomial(v, k), group.order, max((designs._COUNT_BATCH >> k) // group.order, 1)
+    n, order, cap = gaussian_binomial(v, k), group.order, max((designs._COUNT_BATCH >> k) // group.order, 1)
+    size = 1
     orbit_of_rank, member_ranks = array("i", [-1]) * n, array("I")
     representatives, sizes, starts = [], [], [0]
     unclaimed = compress(count(), map((-1).__eq__, orbit_of_rank))  # read lazily, so it skips ranks claimed since
     for batch in iter(lambda: list(islice(unclaimed, size)), []):
+        opened = len(sizes)
         cols = _images([grassmannian_unrank(v, k, r) for r in batch], group)
         for lo, start in zip(range(0, len(batch) * order, order), batch):
             if orbit_of_rank[start] >= 0:  # an earlier start of the batch claimed it
@@ -197,6 +201,7 @@ def orbit_partition(v: int, k: int, group: Group) -> OrbitPartition:
             representatives.append(Subspace(v, min(zip(*images), default=())))
             sizes.append(len(orbit))
             starts.append(len(member_ranks))
+        size = min(max(2 * (len(sizes) - opened), 1), cap)
     # overlapping orbits, or one that missed its start, break the sum
     if sum(sizes) != n:
         raise ArithmeticError(f"orbit sizes sum to {sum(sizes)}, not [{v} {k}]_2 = {n}")

@@ -175,7 +175,7 @@ def _checked(parts: Iterable[Iterable[Subspace]], fits: Callable, width: int, wh
     """Each part's operands as a list, once fits(s.v, width) holds for each and all share a dimension."""
     local = [list(part) for part in parts]
     if not all(fits(s.v, width) for part in local for s in part):
-        raise ValueError(f"{what} operands must use {width}-dimensional local coordinates")
+        raise ValueError(f"{what} operands must have ambient dimension {'at most ' if fits is le else ''}{width}")
     if len({len(s) for part in local for s in part}) > 1:
         raise ValueError(f"{what} operands must share a dimension")
     return local

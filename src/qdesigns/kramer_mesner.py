@@ -23,6 +23,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -169,13 +170,7 @@ class _Search:
     lam proves the system infeasible.
     """
 
-    def __init__(
-        self,
-        system: KMSystem,
-        lam: int,
-        forbidden: frozenset[int],
-        node_budget: int,
-    ):
+    def __init__(self, system: KMSystem, lam: int, forbidden: frozenset[int], node_budget: int):
         if lam < 0 or lam > system.lambda_max:
             raise ValueError(f"lambda {lam} outside [0, {system.lambda_max}]")
         self.lam = lam
@@ -331,10 +326,7 @@ def solve_exact(system: KMSystem, lam: int, node_budget: int = DEFAULT_NODE_BUDG
 
 
 def selection_blocks(system: KMSystem, selection: Selection) -> frozenset[Subspace]:
-    out: list[Subspace] = []
-    for j in selection.chosen:
-        out.extend(system.k_orbits.members(j))
-    return frozenset(out)
+    return frozenset(chain.from_iterable(map(system.k_orbits.members, selection.chosen)))
 
 
 def design_from_selection(system: KMSystem, selection: Selection, lam: int, verify: bool = True) -> Design:
@@ -438,17 +430,13 @@ def iterated_large_set_search(
 
 
 def _write_reps(path: Path, v: int, d: int, reps: Sequence[Subspace]) -> None:
-    lines = [f"v={v} dim={d} count={len(reps)}"]
-    for s in reps:
-        lines.append(" ".join(str(r) for r in s.rows) if s.rows else "0")
+    lines = [f"v={v} dim={d} count={len(reps)}", *(" ".join(map(str, s.rows)) or "0" for s in reps)]
     path.write_text("\n".join(lines) + "\n")
 
 
 def write_km_system(system: KMSystem, path) -> None:
     p = Path(path)
-    lines = [f"{system.n_rows} {system.n_cols} {system.lambda_max}"]
-    for row in system.matrix:
-        lines.append(" ".join(str(a) for a in row))
-    p.write_text("\n".join(lines) + "\n")
+    head = f"{system.n_rows} {system.n_cols} {system.lambda_max}"
+    p.write_text("\n".join([head, *(" ".join(map(str, row)) for row in system.matrix)]) + "\n")
     _write_reps(p.with_name(p.name + ".treps"), system.v, system.t, system.t_orbits.representatives)
     _write_reps(p.with_name(p.name + ".kreps"), system.v, system.k, system.k_orbits.representatives)

@@ -198,12 +198,8 @@ def generate_table(v_max: int) -> dict[tuple[int, int], str]:
     grid: dict[tuple[int, int], str] = {}
     for v in range(6, v_max + 1):
         for k in range(3, v // 2 + 1):
-            if not admissible(LSParams(2, 3, 2, k, v)):
-                grid[(v, k)] = "-"
-            elif realizable_by_series(k, v):
-                grid[(v, k)] = str(k)
-            else:
-                grid[(v, k)] = "?"
+            admitted = admissible(LSParams(2, 3, 2, k, v))
+            grid[(v, k)] = "-" if not admitted else str(k) if realizable_by_series(k, v) else "?"
     return grid
 
 
@@ -211,14 +207,11 @@ def render_table(grid: dict[tuple[int, int], str]) -> str:
     """Plain-text grid, one row per v, columns k = 3..v/2."""
     v_max = max(v for v, _ in grid)
     k_max = max(k for _, k in grid)
-    width = max(len(c) for c in grid.values())
-    width = max(width, len(str(k_max)), 2)
+    width = max(*map(len, grid.values()), len(str(k_max)), 2)
     header = "  v | " + " ".join(f"{k:>{width}}" for k in range(3, k_max + 1))
     lines = [header, "-" * len(header)]
     for v in range(6, v_max + 1):
-        cells = [
-            f"{grid.get((v, k), ''):>{width}}" for k in range(3, k_max + 1)
-        ]
+        cells = [f"{grid.get((v, k), ''):>{width}}" for k in range(3, k_max + 1)]
         lines.append(f"{v:>3} | " + " ".join(cells).rstrip())
     return "\n".join(lines) + "\n"
 
@@ -289,17 +282,10 @@ def parse_plan(text: str) -> PlanNode:
         for key in _REQUIRED_KEYS:
             if key not in attrs:
                 raise ValueError(f"line {lineno}: {line!r} is missing {key}=")
-        params = LSParams(
-            int(attrs["q"]), int(attrs["N"]), int(attrs["t"]),
-            int(attrs["k"]), int(attrs["v"]),
-        )
+        params = LSParams(*(int(attrs[key]) for key in _REQUIRED_KEYS))  # LSParams(q, n, t, k, v)
         s = int(attrs["s"]) if "s" in attrs else None
-        strengths = None
-        if "strengths" in attrs:
-            strengths = tuple(
-                tuple(int(x) for x in pair.split(":"))
-                for pair in attrs["strengths"].split(",")
-            )
+        pairs = attrs["strengths"].split(",") if "strengths" in attrs else None
+        strengths = None if pairs is None else tuple(tuple(map(int, pair.split(":"))) for pair in pairs)
         children = []
         while pos < len(rows) and rows[pos][1] == depth + 1:
             children.append(build(depth + 1))

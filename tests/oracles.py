@@ -10,24 +10,27 @@ orthogonal complement from one orthogonal row per non-pivot column.
 A quotient frame's preimage is spanned by the transversal images of
 the quotient rows together with the factored-out rows.  The
 Grassmannian is listed block by block in its documented order, one free
-cell at a time.  A large set is verified by counting every design, the
-last one too, and an orbit is the one-representative case of the
-package's batched expansion.
+cell at a time.  A design is verified by checking every block's shape
+before anything else, then counting; a large set by so verifying every
+design, the last one too.  An orbit is the one-representative case of
+the package's batched expansion.
 """
 
-from itertools import combinations, product
+from itertools import combinations, product, repeat
+from operator import eq, itemgetter
 from typing import Iterator
 
 from qdesigns.designs import (
+    Design,
     LargeSet,
     LargeSetReport,
     VerificationError,
+    _incidence_counts,
     check_disjoint,
     large_set_lambda,
-    verify_design,
 )
 from qdesigns.gf2 import vec_mat
-from qdesigns.grassmann import QuotientFrame, Subspace, gaussian_binomial, span
+from qdesigns.grassmann import QuotientFrame, Subspace, gaussian_binomial, grassmannian_unrank, span
 from qdesigns.groups import Group, orbits
 
 
@@ -111,6 +114,32 @@ def orbit_of(s: Subspace, group: Group) -> set[Subspace]:
     return next(orbits([s], group))
 
 
+def verify_design_checking_shapes_first(d: Design) -> int:
+    """Oracle for designs.verify_design: each block's shape is checked in its own pass before anything else."""
+    if not 0 <= d.t <= d.k <= d.v:
+        raise VerificationError(f"invalid parameters t={d.t} k={d.k} v={d.v}")
+    size, v = d.k + 1, d.v
+    if not (all(map(eq, map(len, d.blocks), repeat(size))) and all(map(eq, map(itemgetter(0), d.blocks), repeat(v)))):
+        bad = next(b for b in d.blocks if len(b) != size or b[0] != v)
+        raise VerificationError(f"block has wrong shape: {bad}", witness=bad)
+    expected_blocks = d.lam * gaussian_binomial(d.v, d.t)
+    denom = gaussian_binomial(d.k, d.t)
+    if expected_blocks % denom:
+        raise VerificationError(f"lambda={d.lam} is not consistent with any {d.t}-({d.v},{d.k}) design")
+    if len(d.blocks) != expected_blocks // denom:
+        raise VerificationError(f"block count {len(d.blocks)} differs from required {expected_blocks // denom}")
+    counts = _incidence_counts(d.blocks, d.v, d.t)
+    if d.lam and 0 in counts:  # an uncovered t-subspace is the witness before any other miscount
+        at = counts.index(0)
+        message = f"only {len(counts) - counts.count(0)} of {len(counts)} {d.t}-subspaces are covered"
+    elif counts.count(d.lam) != len(counts):
+        at = next(i for i, c in enumerate(counts) if c != d.lam)
+        message = f"a {d.t}-subspace lies in {counts[at]} blocks, expected {d.lam}"
+    else:
+        return d.lam
+    raise VerificationError(message, witness=grassmannian_unrank(d.v, d.t, at))
+
+
 def verify_large_set_counting_all(ls: LargeSet) -> LargeSetReport:
     """Oracle for designs.verify_large_set: every design is counted, then disjointness and coverage are checked."""
     if len(ls.designs) != ls.n:
@@ -121,7 +150,7 @@ def verify_large_set_counting_all(ls: LargeSet) -> LargeSetReport:
             raise VerificationError(f"design {i} has parameters {(d.v, d.k, d.t)}")
         if d.lam != lam:
             raise VerificationError(f"design {i} declares lambda={d.lam}, expected {lam}")
-        verify_design(d)
+        verify_design_checking_shapes_first(d)
     check_disjoint([d.blocks for d in ls.designs], "designs")
     total = sum(len(d.blocks) for d in ls.designs)
     size = gaussian_binomial(ls.v, ls.k)

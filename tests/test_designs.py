@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdesigns import designs
+from qdesigns import designs, grassmann
 from qdesigns.catalog import builtin_large_set
 from qdesigns.designs import (
     Design,
@@ -43,7 +43,12 @@ from qdesigns.grassmann import (
 from qdesigns.groups import trivial_group
 from qdesigns.kramer_mesner import build_km, iterated_large_set_search
 
-from oracles import elimination_complement, verify_large_set_counting_all, zero_subspace
+from oracles import (
+    elimination_complement,
+    verify_design_checking_shapes_first,
+    verify_large_set_counting_all,
+    zero_subspace,
+)
 
 
 def sort_pack_counts(blocks, v: int, t: int) -> dict[int, int]:
@@ -380,6 +385,89 @@ def test_verify_large_set_fails_as_counting_every_design_does(base, case):
     assert _outcome(verify_large_set, ls) == want
     if case != "unbroken" and base != "n1":  # with N = 1 the last design is design 1, so two breaks change nothing
         assert not isinstance(want, designs.LargeSetReport), "each break must be caught"
+
+
+SHAPE_BREAKS = {
+    "short block": lambda b: Subspace(b.v, b.rows[:-1]),
+    "long block": lambda b: Subspace(b.v, b.rows + b.rows[:1]),
+    "wrong v field": lambda b: Subspace(b.v + 1, b.rows),
+    "non-RREF block": _unreduced,
+}
+
+
+def _broken_late(d: Design, brk, chunk: int) -> Design:
+    """d with one block b replaced by brk(b), which iterates at position chunk or later: in a later chunk."""
+    for b in sorted(d.blocks):
+        blocks = d.blocks - {b} | {brk(b)}
+        if list(blocks).index(brk(b)) >= chunk:
+            return replace(d, blocks=blocks)
+    raise AssertionError("no replacement iterates late enough")
+
+
+@pytest.mark.parametrize("base", ["t1", "t0", "n1", "gr63"])
+@pytest.mark.parametrize("case", list(SHAPE_BREAKS))
+def test_fused_shape_checks_fail_as_checking_shapes_first(base, case, monkeypatch):
+    # shape, RREF rows and counts come from one transposition per chunk; a broken block in a later chunk, of a
+    # counted design or of the uncounted last one, raises what checking every block's shape first raises
+    ls = chunked_large_set(6, 3, 5) if base == "gr63" else small_large_set(base)
+    chunk = 2
+    monkeypatch.setattr(designs, "_COUNT_BATCH", max((chunk << ls.v) >> 5, 1))
+    counted = _broken_late(ls.designs[0], SHAPE_BREAKS[case], chunk)
+    want = _outcome(verify_design_checking_shapes_first, counted)
+    assert want[0] is VerificationError
+    assert _outcome(verify_design, counted) == want
+    broken = _with_design(ls, -1, blocks=_broken_late(ls.designs[-1], SHAPE_BREAKS[case], chunk).blocks)
+    want = _outcome(verify_large_set_counting_all, broken)
+    assert want[0] is VerificationError
+    assert _outcome(verify_large_set, broken) == want
+
+
+@pytest.mark.parametrize("case", [
+    "a short block and one block too many",
+    "a long block and one block too few",
+    "a wrong v field and a lambda no design has",
+    "every block short",
+    "a non-RREF block first, a short block last",
+])
+def test_wrong_shape_is_named_before_any_other_failure(case, monkeypatch):
+    monkeypatch.setattr(designs, "_COUNT_BATCH", 2)  # (2 << 5) >> 5: chunks of 2 blocks at v = 5
+    d = trivial_design(5, 2, 2)
+    least = min(d.blocks)
+    if case == "a short block and one block too many":
+        d = replace(d, blocks=d.blocks | {Subspace(5, least.rows[:1])})
+    elif case == "a long block and one block too few":
+        d = replace(d, blocks=d.blocks - {least, max(d.blocks)} | {Subspace(5, least.rows + (16,))})
+    elif case == "a wrong v field and a lambda no design has":
+        d = replace(d, lam=2, blocks=d.blocks - {least} | {Subspace(6, least.rows)})
+    elif case == "every block short":  # the right block count, and each block alike
+        d = replace(d, blocks=frozenset(Subspace(5, b.rows[:1]) for b in d.blocks))
+    else:  # the non-RREF block in the first chunk, the short one in a later chunk
+        d = next(e for a, b in combinations(sorted(d.blocks), 2)
+                 for e in [replace(d, blocks=d.blocks - {a, b} | {_unreduced(a), Subspace(5, b.rows[:1])})]
+                 if list(e.blocks).index(_unreduced(a)) < 2 <= list(e.blocks).index(Subspace(5, b.rows[:1])))
+    want = _outcome(verify_design_checking_shapes_first, d)
+    assert want[0] is VerificationError and want[1].startswith("block has wrong shape")
+    assert _outcome(verify_design, d) == want
+    ls = LargeSet(5, 2, 2, 1, (d,))
+    assert _outcome(verify_large_set, ls) == _outcome(verify_large_set_counting_all, ls)
+
+
+def test_t_columns_built_once_per_v_and_t():
+    grassmann._t_columns.cache_clear()
+    d = trivial_design(5, 2, 2)
+    assert verify_design(d) == verify_design(d) == d.lam
+    assert grassmann._t_columns.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("v,chunk", [(7, 16384), (8, 8192), (9, 8192), (10, 8192)])
+def test_count_chunks_have_a_floor_of_count_batch_over_8(v, chunk, monkeypatch):
+    # 2^21 >> v blocks per chunk up to v = 8, then 8192 with the default _COUNT_BATCH of 2^16
+    blocks = list(islice(enumerate_grassmannian(v, 3), 20000))
+    starts = [start for start, _ in designs._incidences(blocks, v, 0)]
+    assert starts == list(range(0, len(blocks), chunk))  # Gr(7, 3) has 11,811 blocks: one chunk
+    monkeypatch.setattr(designs, "_COUNT_BATCH", 64)  # max((64 << 5) >> v, 64 >> 3, 1) blocks
+    starts = [start for start, _ in designs._incidences(blocks[:40], v, 0)]
+    assert starts == list(range(0, 40, max(2048 >> v, 8)))
 
 
 def test_verify_large_set_counts_all_but_the_last_design(monkeypatch):

@@ -122,7 +122,8 @@ def test_orbit_partition_without_tables_matches_bfs(monkeypatch):
 def test_orbit_partition_in_small_batches_matches_bfs(monkeypatch, case):
     # a few starts per kernel call, so the last call takes fewer than the others
     if case == "trivial":
-        v, k, group, per_batch = 5, 2, groups.trivial_group(5), 4  # 155 = 38 * 4 + 3 starts
+        # every start opens an orbit, so rounds take 1, 2, 4, then 5 starts: 155 = 1 + 2 + 4 + 29 * 5 + 3
+        v, k, group, per_batch = 5, 2, groups.trivial_group(5), 5
     else:
         # the cyclic shift of the 6 coordinates: orbits of 1, 2, 3 and 6 subspaces
         monkeypatch.setattr(groups, "_ELEMENT_TABLES_MAX", 0)
@@ -134,6 +135,21 @@ def test_orbit_partition_in_small_batches_matches_bfs(monkeypatch, case):
     monkeypatch.setattr(groups, "_images", lambda reps, g: calls.append(len(reps)) or images(reps, g))
     assert_partition_matches_bfs(orbit_partition(v, k, group), group)
     assert max(calls) == per_batch > calls[-1]
+    assert calls[0] == 1
+
+
+@pytest.mark.parametrize("name,orbit_count", [("builtin204", 69), ("singer8", 43)])
+def test_orbit_partition_expands_few_starts_at_small_k(monkeypatch, name, orbit_count):
+    # the lowest unclaimed ranks mostly share an orbit at k = 2: with full-size rounds from the start, G204
+    # expanded 240 starts for its 69 orbits, and the Singer cycle of GF(2^8) 128 for 43
+    group = builtin_group() if name == "builtin204" else close_group([BitMatrix(8, (2, 4, 8, 16, 32, 64, 128, 29))])
+    calls = []
+    images = groups._images
+    monkeypatch.setattr(groups, "_images", lambda reps, g: calls.append(len(reps)) or images(reps, g))
+    part = orbit_partition(8, 2, group)
+    assert part.n_orbits == orbit_count
+    assert calls[0] == 1
+    assert sum(calls) <= 2 * orbit_count
 
 
 def test_orbit_index_rejects_subspaces_outside_the_partition():
