@@ -183,24 +183,26 @@ def _incidence_counts(blocks: Iterable[Subspace], v: int, t: int) -> list[int]:
     return counts
 
 
-def _chunks(blocks: Iterable[Subspace]) -> Iterator[list[Subspace]]:
-    """The blocks in lists of one dimension k, each of at most max(_COUNT_BATCH >> k, 1) blocks.
+def _chunks(blocks: Iterable[Subspace]) -> Iterator[list[tuple[int, ...]]]:
+    """Each chunk's columns, v column first: chunks of one dimension k, of at most max(_COUNT_BATCH >> k, 1) blocks.
 
     A cut of the stream that mixes dimensions is split by dimension and cut again.
     """
     it = iter(blocks)
     for first in it:
         chunk = [first, *islice(it, max(_COUNT_BATCH >> (len(first) - 1), 1) - 1)]
-        if len(set(map(len, chunk))) == 1:
-            yield chunk
-        else:
+        try:
+            cols = list(zip(*chunk, strict=True))
+        except ValueError:  # the cut mixes dimensions
             for _, part in groupby(sorted(chunk, key=len), len):
                 yield from _chunks(part)
+        else:
+            yield cols
 
 
 def _batched(kernel: Callable[..., Iterable[Subspace]], blocks: Iterable[Subspace], *args) -> Iterator[Subspace]:
-    """kernel(chunk, *args) on each chunk of _chunks(blocks), chained."""
-    return chain.from_iterable(kernel(chunk, *args) for chunk in _chunks(blocks))
+    """kernel(cols, *args) on the columns of each chunk of _chunks(blocks), chained."""
+    return chain.from_iterable(kernel(cols, *args) for cols in _chunks(blocks))
 
 
 def _checked_counts(d: Design, t: int) -> list[int]:
@@ -324,21 +326,20 @@ def verify_large_set(ls: LargeSet) -> LargeSetReport:
 
 
 # ---------------------------------------------------------------------------
-# transforms: each runs a kernel over the row columns of every chunk
+# transforms: each runs a kernel over the columns of every chunk (see _chunks)
 
 
-def _through_e0(chunk: list[Subspace], v: int) -> Iterator[Subspace]:
+def _through_e0(cols: Sequence[Sequence[int]], v: int) -> Iterator[Subspace]:
     """The chunk's blocks whose first row is 1, with that row dropped and the others shifted by one."""
-    kept = list(compress(chunk, map((1).__eq__, map(itemgetter(1), chunk))))
-    return _from_columns(v, [map(rshift, c, repeat(1)) for c in list(zip(*kept))[2:]], len(kept))
+    keep = list(map((1).__eq__, cols[1]))
+    return _from_columns(v, [map(rshift, compress(c, keep), repeat(1)) for c in cols[2:]], sum(keep))
 
 
-def _within(chunk: list[Subspace], v: int) -> Iterator[Subspace]:
+def _within(cols: Sequence[Sequence[int]], v: int) -> Iterator[Subspace]:
     """The chunk's blocks whose rows have no bit v or higher, as blocks of GF(2)^v."""
-    cols = list(zip(*chunk))[1:]
-    union = reduce(partial(map, or_), cols, repeat(0, len(chunk)))
+    union = reduce(partial(map, or_), cols[1:], repeat(0, len(cols[0])))
     keep = list(map(not_, map(rshift, union, repeat(v))))
-    return _from_columns(v, [compress(c, keep) for c in cols], sum(keep))
+    return _from_columns(v, [compress(c, keep) for c in cols[1:]], sum(keep))
 
 
 @_nogc

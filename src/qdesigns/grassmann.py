@@ -170,7 +170,6 @@ class VerificationError(Exception):
 # entry x of _DIGIT[b] is the ASCII digit of bit b of the byte x: runs of 2^b zeros, then 2^b ones
 _DIGIT = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
 _BIT = [bytes.maketrans(b"01", bytes((0, 1 << b))) for b in range(8)]  # the ASCII digits 0 and 1 to the bytes 0 and 2^b
-_CROSSOVER = 48  # below this many blocks, one span per block costs less than one _gauss_jordan call (v = 7, 8)
 
 
 def _bit_planes(col: Iterable[int], v: int) -> list[int]:
@@ -233,24 +232,16 @@ def _gauss_jordan(cols: Sequence[Iterable[int]], v: int, n: int, top: bool) -> l
 
 
 def _canonical(v: int, cols: Sequence[Iterable[int]], n: int) -> Iterator[Subspace]:
-    """The n blocks of GF(2)^v spanned by k row columns of independent rows, in any basis and order.
-
-    Below _CROSSOVER blocks span takes one at a time, else _gauss_jordan all at once; dependent rows raise.
-    """
-    if n >= _CROSSOVER:
-        return _from_columns(v, _gauss_jordan(cols, v, n, False), n)
-    blocks = [span(v, b[1:]) for b in _from_columns(v, cols, n)]
-    if any(len(s) <= len(cols) for s in blocks):
-        raise VerificationError("a block's row depends on the rows before it")
-    return iter(blocks)
+    """The n blocks of GF(2)^v spanned by k row columns of independent rows, in any basis; dependent rows raise."""
+    return _from_columns(v, _gauss_jordan(cols, v, n, False), n)
 
 
 # entry x < 256 has bit 8*(f + 1) + t for each bit f of x, 2^t being x's highest bit
 _TOP_SPREAD = [s << (7 + x.bit_length()) for x, s in enumerate(span_table([1 << 8 * f for f in range(8)]))]
 
 
-def _complements(chunk: Sequence[Subspace]) -> Iterator[Subspace]:
-    """Orthogonal complements of blocks that share v and k, made over whole row columns.
+def _complements(cols: Sequence[Sequence[int]]) -> Iterator[Subspace]:
+    """Orthogonal complements of blocks that share v and k, made from their columns, v column first.
 
     _gauss_jordan first reduces each block's rows on their highest bits.  For
     reduced rows h_j, u_f = e_f + sum of top(h_j) over the h_j with bit f is
@@ -258,10 +249,10 @@ def _complements(chunk: Sequence[Subspace]) -> Iterator[Subspace]:
     otherwise: the nonzero u_f, by f, are the complement's RREF.  One int per
     block holds v, then each u_f, in fields a byte wide when v <= 8.
     """
-    v, n = chunk[0][0], len(chunk)
+    v, n = cols[0][0], len(cols[0])
     if not v:
-        return iter(chunk)  # the zero space of GF(2)^0, its own complement
-    cols = _gauss_jordan(list(zip(*chunk))[1:], v, n, True)
+        return _from_columns(v, (), n)  # the zero space of GF(2)^0, its own complement
+    cols = _gauss_jordan(cols[1:], v, n, True)
     w = max(v, 8)
     packed = repeat(v | sum(1 << (f + w * (f + 1)) for f in range(v)), n)  # v, then each e_f
     for h in cols:
@@ -281,7 +272,7 @@ def _complements(chunk: Sequence[Subspace]) -> Iterator[Subspace]:
 
 def orthogonal_complement(s: Subspace) -> Subspace:
     """All vectors orthogonal to s under the standard bilinear form (see _complements)."""
-    return next(_complements([s]))
+    return next(_complements(list(zip(s))))
 
 
 @lru_cache(maxsize=None)

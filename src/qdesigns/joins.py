@@ -109,7 +109,7 @@ def avoiding_join(k1s: Iterable[Subspace], k2s: Iterable[Subspace], chain: JoinC
     # rows are K1's and each c_j + x_j.  As the flag is standard, K2's rows
     # after its first a, e_0 .. e_(a-1), span the first complement, and the
     # unit vectors below a at K1's non-pivot columns the second.  Headed by
-    # v like a block, the members' rows are cut into chunks by _chunks, then
+    # v like a block, the members are cut and transposed by _chunks, then
     # made canonical.
     k1_pivots = [sum(r & -r for r in k1.rows) for k1 in k1s]  # K1s of one pivot mask share a complement in U1
     shifts = {p: span_table([e for e in chain.u1.rows if not e & p]) if d2 > a else () for p in set(k1_pivots)}
@@ -118,7 +118,7 @@ def avoiding_join(k1s: Iterable[Subspace], k2s: Iterable[Subspace], chain: JoinC
         for k2 in k2s for cs in [k2[a + 1:]] for k1, xs in zip(k1s, map(shifts.get, k1_pivots))
     )
     out = frozenset(itertools.chain.from_iterable(
-        _canonical(v, list(zip(*chunk))[1:], len(chunk)) for chunk in _chunks(members)
+        _canonical(v, cols[1:], len(cols[0])) for cols in _chunks(members)
     ))
     expect = len(k1s) * len(k2s) << ((a - d1) * (d2 - a))
     if len(out) != expect:
@@ -238,7 +238,7 @@ def compose_partitions(
     return tuple(parts)
 
 
-def _lifts(chunk: list[Subspace], v: int) -> Iterator[Iterator[Subspace]]:
+def _lifts(cols: Sequence[Sequence[int]], v: int) -> Iterator[Iterator[Subspace]]:
     """The lifts into GF(2)^v of a chunk's blocks inside the hyperplane x_{v-1} = 0, in batches.
 
     A block with pivot columns P lifts once for each w = e_{v-1} + x, x in the span of
@@ -246,9 +246,9 @@ def _lifts(chunk: list[Subspace], v: int) -> Iterator[Iterator[Subspace]]:
     lift's RREF is the block's rows, with w added to each row that has w's lowest bit,
     and w inserted by that bit: one map per row column for all blocks that share P.
     """
-    cols = list(zip(*chunk))[1:]
-    pivots = list(reduce(partial(map, or_), (map(and_, c, map(neg, c)) for c in cols), repeat(0, len(chunk))))
-    for mask, members in groupby(sorted(range(len(chunk)), key=pivots.__getitem__), pivots.__getitem__):
+    n, cols = len(cols[0]), cols[1:]
+    pivots = list(reduce(partial(map, or_), (map(and_, c, map(neg, c)) for c in cols), repeat(0, n)))
+    for mask, members in groupby(sorted(range(n), key=pivots.__getitem__), pivots.__getitem__):
         members = list(members)
         group = [list(map(c.__getitem__, members)) for c in cols]
         for x in span_table([1 << f for f in range(v - 1) if not mask >> f & 1]):
@@ -373,7 +373,7 @@ def _eval_node(
         if node.kind == "hyperplane_extend":
             out = extend_by_hyperplane(*operands)
         else:
-            # verification happens once, at the plan root
+            # unverified here: the plan root is verified, and so is every hyperplane extension node
             out = TRANSFORMS[node.kind](*operands, verify=False)
         return tuple(d.blocks for d in out.designs)
     if node.kind == "decompose":

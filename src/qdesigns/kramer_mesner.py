@@ -173,6 +173,8 @@ class _Search:
     def __init__(self, system: KMSystem, lam: int, forbidden: frozenset[int], node_budget: int):
         if lam < 0 or lam > system.lambda_max:
             raise ValueError(f"lambda {lam} outside [0, {system.lambda_max}]")
+        if node_budget < 0:
+            raise ValueError(f"node budget {node_budget} is negative")
         self.lam = lam
         self.budget = node_budget
         self.nodes = 0
@@ -361,6 +363,10 @@ def iterated_large_set_search(
     Seed rounds are fixed: they are validated, never revisited.  A solved
     search's large set is verified.
     """
+    if n < 1:
+        raise ValueError(f"a large set needs N >= 1 members, got N={n}")
+    if retry_budget < 0:
+        raise ValueError(f"retry budget {retry_budget} is negative")
     lam, rem = divmod(system.lambda_max, n)
     if rem:
         raise ValueError(f"{n} does not divide lambda_max = {system.lambda_max}")

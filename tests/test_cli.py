@@ -375,6 +375,15 @@ class TestKmSolve:
         )
         assert code == 4
 
+    def test_negative_node_budget(self, tmp_path, capsys):
+        code = main(
+            ["km", "solve", "--v", "4", "--t", "1", "--k", "2",
+             "--group", "trivial", "--lam", "1", "--node-budget", "-1",
+             "--out", str(tmp_path / "r")]
+        )
+        assert code == 4
+        assert "node budget -1 is negative" in capsys.readouterr().err
+
 
 class TestKmLsSearch:
     def test_parallelism_of_pg32(self, tmp_path):
@@ -455,6 +464,20 @@ class TestKmLsSearch:
              "--out", str(tmp_path / "r")]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--N", "0"], "got N=0"),
+        (["--N", "-1"], "got N=-1"),
+        (["--N", "7", "--node-budget", "-1"], "node budget -1 is negative"),
+        (["--N", "7", "--retry-budget", "-1"], "retry budget -1 is negative"),
+    ])
+    def test_bad_n_or_negative_budget(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "r"
+        code = main(["km", "ls-search", "--v", "4", "--k", "2", "--t", "1", "--group", "trivial",
+                     *flags, "--out", str(out)])
+        assert code == 4
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_exhausted_search_reports_its_nodes(self, tmp_path):
         code = main(

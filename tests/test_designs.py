@@ -589,6 +589,22 @@ def test_dual_of_a_part_mixing_dimensions(chunk, monkeypatch):
         dual_large_set(ls)
 
 
+def test_chunks_are_columns_of_one_dimension_in_stream_order(monkeypatch):
+    # cuts of max(16 >> k, 1) blocks: 4 lines, 8 points or 16 zero spaces
+    monkeypatch.setattr(designs, "_COUNT_BATCH", 16)
+    v = 4
+    lines, points = list(enumerate_grassmannian(v, 2)), list(enumerate_grassmannian(v, 1))
+    zeros = [zero_subspace(v)] * 15
+    assert list(designs._chunks(lines)) == [list(zip(*lines[i:i + 4])) for i in range(0, len(lines), 4)]
+    stream = [b for triple in zip(lines, points, zeros) for b in triple] + lines[15:]
+    chunks = list(designs._chunks(stream))
+    for cols in chunks:
+        assert cols[0] == (v,) * len(cols[0]) and len(set(map(len, cols))) == 1
+        assert len(cols[0]) <= max(16 >> (len(cols) - 1), 1)
+    for members in (lines, points, zeros):
+        assert [b for cols in chunks if len(cols) == len(members[0]) for b in zip(*cols)] == members
+
+
 def test_design_file_roundtrip(tmp_path):
     d = trivial_design(4, 2, 1)
     path = tmp_path / "d.txt"

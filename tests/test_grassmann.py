@@ -19,7 +19,6 @@ from qdesigns.grassmann import (
     QuotientFrame,
     Subspace,
     VerificationError,
-    _CROSSOVER,
     _canonical,
     _complements,
     _nogc,
@@ -355,9 +354,9 @@ def test_complement_kernel_on_wide_batches(case):
     v, batch = case
     for _, group in groupby(sorted(batch, key=len), len):
         blocks = list(group)
-        perps = list(_complements(blocks))
+        perps = list(_complements(columns(blocks)))
         assert perps == [elimination_complement(s) for s in blocks]
-        assert list(_complements(perps)) == blocks
+        assert list(_complements(columns(perps))) == blocks
         assert all(s.dim + p.dim == v for s, p in zip(blocks, perps))
 
 
@@ -438,9 +437,9 @@ def random_bases(rng: random.Random, v: int, k: int, n: int) -> list[list[int]]:
 def test_canonical_plane_kernel_matches_span(v):
     rng = random.Random(v)
     for k in range(v + 1):
-        blocks = random_bases(rng, v, k, 512 + rng.randrange(64))
-        assert len(blocks) >= _CROSSOVER  # so the batch goes through the plane kernel
-        assert list(_canonical(v, columns(blocks), len(blocks))) == [span(v, rows) for rows in blocks]
+        for n in (1, 2, 47, 48, 49, 300, 512 + rng.randrange(64)):
+            blocks = random_bases(rng, v, k, n)
+            assert list(_canonical(v, columns(blocks), n)) == [span(v, rows) for rows in blocks]
 
 
 @pytest.mark.parametrize("v, k", [(3, 2), (8, 3), (8, 7), (12, 5), (12, 11)])
@@ -464,7 +463,7 @@ def test_rows_too_wide_or_negative_raise_at_whole_byte_widths(v):
         with pytest.raises(VerificationError, match="RREF") as info:
             verify_design(Design(v, 2, 0, 2, frozenset({span(v, [1, 2]), block})))
         assert info.value.witness is block
-        for n in (1, _CROSSOVER, 300):  # one span, then the plane kernel
+        for n in (1, 48, 300):
             blocks = random_bases(rng, v, 2, n)
             blocks[n // 2] = [1, bad]
             with pytest.raises((ValueError, OverflowError)):
@@ -475,9 +474,9 @@ def test_rows_too_wide_or_negative_raise_at_whole_byte_widths(v):
 def test_complement_plane_kernel_on_large_chunks(v, k, size):
     ranks = range(gaussian_binomial(v, k))
     blocks = [grassmannian_unrank(v, k, r) for r in (random.Random(v).sample(ranks, size) if size else ranks)]
-    perps = list(_complements(blocks))
+    perps = list(_complements(columns(blocks)))
     assert perps == [elimination_complement(s) for s in blocks]
-    assert list(_complements(perps)) == blocks
+    assert list(_complements(columns(perps))) == blocks
 
 
 @pytest.mark.parametrize("v", [20, 32])

@@ -467,6 +467,8 @@ def test_solve_rejects_bad_arguments():
     sys = build_km(4, 1, 2, trivial_group(4))
     with pytest.raises(ValueError):
         solve_exact(sys, sys.lambda_max + 1)
+    with pytest.raises(ValueError, match="node budget -1 is negative"):
+        solve_exact(sys, 1, node_budget=-1)
 
 
 def test_parallelism_of_pg32():
@@ -565,6 +567,18 @@ def test_iterated_rejects_bad_seeds():
     seed = solve_exact(sys, 1).selection.chosen
     with pytest.raises(ValueError):
         iterated_large_set_search(sys, 7, seed_selections=[seed, seed])
+
+
+@pytest.mark.parametrize("n, budgets, message", [
+    (0, {}, "N >= 1 members, got N=0"),
+    (-1, {}, "N >= 1 members, got N=-1"),
+    (7, {"node_budget": -1}, "node budget -1 is negative"),
+    (7, {"retry_budget": -1}, "retry budget -1 is negative"),
+])
+def test_iterated_rejects_n_below_one_and_negative_budgets(n, budgets, message):
+    sys = build_km(4, 1, 2, trivial_group(4))
+    with pytest.raises(ValueError, match=message):
+        iterated_large_set_search(sys, n, **budgets)
 
 
 def test_iterated_rejects_seed_columns_outside_the_system():
