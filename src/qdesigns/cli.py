@@ -357,9 +357,9 @@ def _cmd_km_ls_search(args) -> int:
 
 
 def _load_registry(plan: PlanNode, directory: Optional[str], use_builtin: bool, run: _Run) -> list[LargeSet]:
-    registry = []
-    if use_builtin:  # a shipped leaf is expanded only if one of the plan's leaf_table nodes reads it
-        reads = {n.params for n in _postorder(plan, {}).values() if n.kind == "leaf_table"}
+    registry = []  # a leaf, shipped or in the directory, is read only if one of the plan's leaf_table nodes reads it
+    reads = {n.params for n in _postorder(plan, {}).values() if n.kind == "leaf_table"}
+    if use_builtin:
         shipped = {4: catalog.builtin_large_set, 3: catalog.builtin_singer_large_set}
         registry += [make() for k, make in shipped.items() if LSParams(2, 3, 2, k, 8) in reads]
         run.input_digests(catalog.builtin_data_digests())
@@ -370,8 +370,10 @@ def _load_registry(plan: PlanNode, directory: Optional[str], use_builtin: bool, 
             if not name.endswith(".ls"):
                 continue
             path = os.path.join(directory, name)
-            registry.append(read_large_set(path))
-            run.input_large_set(path)
+            (v, k, t, n), _ = _large_set_files(path)
+            if LSParams(2, n, t, k, v) in reads:
+                registry.append(read_large_set(path))
+                run.input_large_set(path)
     return registry
 
 

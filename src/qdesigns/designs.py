@@ -12,12 +12,13 @@ alone show whether each block is an RREF basis of GF(2)^v.  They give the
 point set S_x of every vector x, the blocks that hold x, by the block's
 complement, with one XOR per plane per x in Gray code order.  The
 t-subspace with RREF rows a_1..a_t lies in popcount(S_a1 & ... & S_at)
-blocks.  A chunk holds max(2^21 >> v, 8192) blocks, so up to v = 8 its 2^v
-point sets hold about 2^21 bits.  Shape, RREF rows and counts come from
-one strict transposition of the chunk, its only pass over the blocks.
-_incidences yields the intersections chunk by chunk: verify_design sums
-their popcounts, and build_km reads from their bits which k-orbit
-representatives hold each t-subspace.
+blocks.  Every block stream is cut by _chunks, which transposes each chunk
+of at most _COUNT_BATCH = 8192 blocks once into its row columns, so up to
+v = 8 a chunk's 2^v point sets hold at most 2^21 bits.  Shape, RREF rows
+and counts come from those columns alone, so they can come from any
+source, not only Subspace tuples.  _incidences yields the intersections
+chunk by chunk: verify_design sums their popcounts, and build_km reads
+from their bits which k-orbit representatives hold each t-subspace.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class LargeSetReport:
     grassmannian_size: int
 
 
-_COUNT_BATCH = 1 << 16  # span-table entries per _chunks chunk; 1/32 of the point-set bits per _incidences chunk
+_COUNT_BATCH = 8192  # blocks per chunk of every block stream: _chunks, read_design's lines and orbit batches
 
 
 def _rref_planes(cols: Iterable[Iterable[int]], v: int, n: int) -> Optional[tuple[list[list[int]], list[list[int]]]]:
@@ -120,25 +121,6 @@ def _rref_planes(cols: Iterable[Iterable[int]], v: int, n: int) -> Optional[tupl
     return None if bad else (planes, pivots)
 
 
-def _checked_planes(chunk: list[Subspace], v: int, size: int) -> tuple[list[list[int]], list[list[int]]]:
-    """_rref_planes of a chunk of blocks of GF(2)^v, each of length size, read from one strict transposition.
-
-    VerificationError names the chunk's first block of another v or length, or else its first one not in RREF.
-    """
-    try:
-        cols = list(zip(*chunk, strict=True))
-    except ValueError:  # a ragged chunk
-        cols = []
-    if len(cols) != size or not cols or cols[0].count(v) != len(chunk):
-        bad = next(b for b in chunk if len(b) != size or b[:1] != (v,))
-        raise VerificationError(f"block has wrong shape: {bad}", witness=bad)
-    found = _rref_planes(cols[1:], v, len(chunk))
-    if found is None:
-        block = next(b for b in chunk if _rref_planes(zip(b[1:]), v, 1) is None)
-        raise VerificationError(f"block rows are not an RREF basis of GF(2)^{v}: {block}", witness=block)
-    return found
-
-
 def _point_sets(planes: list[list[int]], pivots: list[list[int]], v: int, n: int) -> list[int]:
     """Entry x is the set of the n blocks that hold the vector x, as an int with bit i for block i.
 
@@ -156,41 +138,14 @@ def _point_sets(planes: list[list[int]], pivots: list[list[int]], v: int, n: int
     return points
 
 
-def _incidences(blocks: Iterable[Subspace], v: int, t: int) -> Iterator[tuple[int, Iterable[int]]]:
-    """Per chunk of blocks, all of one dimension: the index of its first block, and for each t-subspace of GF(2)^v in
-    enumerate_grassmannian(v, t) order the int whose bit i is set iff the chunk's block i holds it.
-
-    A block of another v or length than the first, or not an RREF basis, raises VerificationError.  t = 0 makes no
-    point set.
-    """
-    it, start, size, tcols = iter(blocks), 0, None, _t_columns(v, t)
-    for chunk in iter(lambda: list(islice(it, max((_COUNT_BATCH << 5) >> v, _COUNT_BATCH >> 3, 1))), []):
-        size = size or len(chunk[0])
-        planes = _checked_planes(chunk, v, size)
-        if t:
-            points = _point_sets(*planes, v, len(chunk))
-            yield start, reduce(partial(map, and_), [map(points.__getitem__, c) for c in tcols])
-        else:
-            yield start, [(1 << len(chunk)) - 1]
-        start += len(chunk)
-
-
-def _incidence_counts(blocks: Iterable[Subspace], v: int, t: int) -> list[int]:
-    """How many blocks, all of one dimension, hold each t-subspace of GF(2)^v, in enumerate_grassmannian(v, t) order."""
-    counts = [0] * gaussian_binomial(v, t)
-    for _, held in _incidences(blocks, v, t):
-        counts = list(map(add, counts, map(int.bit_count, held)))
-    return counts
-
-
 def _chunks(blocks: Iterable[Subspace]) -> Iterator[list[tuple[int, ...]]]:
-    """Each chunk's columns, v column first: chunks of one dimension k, of at most max(_COUNT_BATCH >> k, 1) blocks.
+    """Each chunk's columns, v column first: chunks of one dimension, of at most _COUNT_BATCH blocks.
 
     A cut of the stream that mixes dimensions is split by dimension and cut again.
     """
     it = iter(blocks)
     for first in it:
-        chunk = [first, *islice(it, max(_COUNT_BATCH >> (len(first) - 1), 1) - 1)]
+        chunk = [first, *islice(it, _COUNT_BATCH - 1)]
         try:
             cols = list(zip(*chunk, strict=True))
         except ValueError:  # the cut mixes dimensions
@@ -200,14 +155,51 @@ def _chunks(blocks: Iterable[Subspace]) -> Iterator[list[tuple[int, ...]]]:
             yield cols
 
 
+def _incidences(
+    chunks: Iterable[Sequence[Sequence[int]]], v: int, t: int, k: int
+) -> Iterator[tuple[int, Iterable[int]]]:
+    """Per chunk's columns, as _chunks yields them: the stream index of its first block, and for each t-subspace of
+    GF(2)^v in enumerate_grassmannian(v, t) order the int whose bit i is set iff the chunk's block i holds it.
+
+    A chunk whose blocks are not of GF(2)^v with k rows raises VerificationError, and so does a block that is not
+    an RREF basis, with its stream index as the witness.  t = 0 makes no point set.
+    """
+    start, tcols = 0, _t_columns(v, t)
+    for cols in chunks:
+        n = len(cols[0])
+        if len(cols) != k + 1 or cols[0].count(v) != n:
+            raise VerificationError(f"a chunk holds blocks of another shape than ({v}, {k} rows)")
+        planes = _rref_planes(cols[1:], v, n)
+        if planes is None:
+            at, rows = next((i, b) for i, b in enumerate(zip(*cols[1:])) if _rref_planes(zip(b), v, 1) is None)
+            raise VerificationError(f"block rows are not an RREF basis of GF(2)^{v}: {Subspace(v, rows)}",
+                                    witness=start + at)
+        if t:
+            points = _point_sets(*planes, v, n)
+            yield start, reduce(partial(map, and_), [map(points.__getitem__, c) for c in tcols])
+        else:
+            yield start, [(1 << n) - 1]
+        start += n
+
+
+def _incidence_counts(chunks: Iterable[Sequence[Sequence[int]]], v: int, t: int, k: int) -> list[int]:
+    """How many k-blocks of the chunks (see _incidences) hold each t-subspace of GF(2)^v, in Grassmannian order."""
+    counts = [0] * gaussian_binomial(v, t)
+    for _, held in _incidences(chunks, v, t, k):
+        counts = list(map(add, counts, map(int.bit_count, held)))
+    return counts
+
+
 def _batched(kernel: Callable[..., Iterable[Subspace]], blocks: Iterable[Subspace], *args) -> Iterator[Subspace]:
     """kernel(cols, *args) on the columns of each chunk of _chunks(blocks), chained."""
     return chain.from_iterable(kernel(cols, *args) for cols in _chunks(blocks))
 
 
 def _checked_counts(d: Design, t: int) -> list[int]:
-    """_incidence_counts(d.blocks, d.v, t) after the checks that need no counting: parameters, lambda, block count.
-    A later failure names d's first block not of the shape (v, k rows) if there is one, as a shape pass first would.
+    """_incidence_counts of d's blocks after the checks that need no counting: parameters, lambda, block count.
+
+    A later failure names d's first block not of the shape (v, k rows) if there is one, as a shape pass first would,
+    and else the block at the stream index that _incidences names.
     """
     if not 0 <= d.t <= d.k <= d.v:
         raise VerificationError(f"invalid parameters t={d.t} k={d.k} v={d.v}")
@@ -218,14 +210,14 @@ def _checked_counts(d: Design, t: int) -> list[int]:
             raise VerificationError(f"lambda={d.lam} is not consistent with any {d.t}-({d.v},{d.k}) design")
         if len(d.blocks) != expected_blocks // denom:
             raise VerificationError(f"block count {len(d.blocks)} differs from required {expected_blocks // denom}")
-        if d.blocks and len(next(iter(d.blocks))) != d.k + 1:  # _incidences holds each block to the first's length
-            raise VerificationError("the first block has the wrong length")  # named as a wrong shape below
-        return _incidence_counts(d.blocks, d.v, t)
-    except VerificationError:
+        return _incidence_counts(_chunks(d.blocks), d.v, t, d.k)
+    except VerificationError as e:
         bad = next((b for b in d.blocks if len(b) != d.k + 1 or b[0] != d.v), None)
-        if bad is None:
+        if bad is not None:
+            raise VerificationError(f"block has wrong shape: {bad}", witness=bad) from None
+        if e.witness is None:
             raise
-        raise VerificationError(f"block has wrong shape: {bad}", witness=bad) from None
+        raise VerificationError(str(e), witness=next(islice(d.blocks, e.witness, None))) from None
 
 
 @_nogc
@@ -432,9 +424,9 @@ def write_design(path, d: Design) -> None:
     The zero subspace, the one block of a k = 0 design, is written as 0.
     """
     blocks = sorted(d.blocks)  # blocks of one v sort in the order of their rows
-    bad = next((b for b in blocks if len(b) != d.k + 1), None)
+    bad = next((b for b in blocks if len(b) != d.k + 1 or b[0] != d.v), None)
     if bad is not None:
-        raise ValueError(f"block rows {list(bad.rows)} do not span a {d.k}-subspace")
+        raise ValueError(f"block {bad}: its rows do not span a {d.k}-subspace of GF(2)^{d.v}")
     line = " ".join(["%d"] * d.k) + "\n" if d.k else "0\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"q=2 v={d.v} k={d.k} t={d.t} lambda={d.lam}\n")
@@ -445,7 +437,7 @@ def write_design(path, d: Design) -> None:
 
 def _rref_chunk(chunk: list[str], v: int, k: int) -> Optional[list[tuple[int, ...]]]:
     """The chunk's row columns if every line holds the k rows of an RREF block of GF(2)^v, else None."""
-    try:  # ints per line, so no line's strings outlive its parse; the transposition is strict, as in _checked_planes
+    try:  # ints per line, so no line's strings outlive its parse; the transposition is strict, as in _chunks
         cols = list(zip(*map(tuple, map(map, repeat(int), map(str.split, chunk))), strict=True))
     except ValueError:  # a bad int or a line of another length: the line-by-line read raises it at its line
         return None
@@ -466,9 +458,8 @@ def read_design(path) -> Design:
             raise ValueError(f"{path}: empty design file")
         hdr = _parse_header(header, path, ("q", "v", "k", "t", "lambda"))
         v, k = hdr["v"], hdr["k"]
-        size = max(_COUNT_BATCH >> k, 1)
         blocks: list[Subspace] = []
-        for chunk in iter(lambda: list(islice(lines, size)), []):
+        for chunk in iter(lambda: list(islice(lines, _COUNT_BATCH)), []):
             cols = _rref_chunk(chunk, v, k)
             if cols is not None:
                 blocks.extend(_from_columns(v, cols, len(chunk)))

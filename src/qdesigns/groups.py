@@ -120,12 +120,12 @@ def _images(reps: Sequence[Subspace], group: Group) -> list[Sequence[int]]:
 def orbits(reps: Sequence[Subspace], group: Group) -> Iterator[set[Subspace]]:
     """The orbit of each representative in turn: its image under every element of the group.
 
-    The representatives share one dimension k; each _images call expands max((_COUNT_BATCH >> k) // |G|, 1) of them.
+    The representatives share one dimension; each _images call expands max(_COUNT_BATCH // |G|, 1) of them.
     """
     v, order = group.v, group.order
     if any(s.v != v or len(s) != len(reps[0]) for s in reps):
         raise ValueError("representatives must share the group's dimension and one subspace dimension")
-    size = max((designs._COUNT_BATCH >> reps[0].dim) // order, 1) if reps else 1
+    size = max(designs._COUNT_BATCH // order, 1)
     for i in range(0, len(reps), size):
         cols = _images(reps[i:i + size], group)
         for lo in range(0, min(size, len(reps) - i) * order, order):
@@ -176,13 +176,13 @@ def orbit_partition(v: int, k: int, group: Group) -> OrbitPartition:
 
     Each round takes the lowest ranks no orbit holds yet as starts and expands them in one _images call: one start
     in the first round, then twice as many as the last round opened orbits, at least 1 and at most
-    max((_COUNT_BATCH >> k) // |G|, 1), since the lowest ranks often share an orbit.  The starts are walked in rank
+    max(_COUNT_BATCH // |G|, 1), since the lowest ranks often share an orbit.  The starts are walked in rank
     order: one that an earlier start of the round has claimed opens no orbit, and each other one's |G| images are
     ranked in one grassmann._ranks call.
     """
     if group.v != v:
         raise ValueError("group dimension differs from ambient dimension")
-    n, order, cap = gaussian_binomial(v, k), group.order, max((designs._COUNT_BATCH >> k) // group.order, 1)
+    n, order, cap = gaussian_binomial(v, k), group.order, max(designs._COUNT_BATCH // group.order, 1)
     size = 1
     orbit_of_rank, member_ranks = array("i", [-1]) * n, array("I")
     representatives, sizes, starts = [], [], [0]

@@ -181,10 +181,10 @@ def _checked(parts: Iterable[Iterable[Subspace]], fits: Callable, width: int, wh
     return local
 
 
-def _lifted(part: list[Subspace], head: tuple[int, ...], v: int) -> list[Subspace]:
-    """The operands read into GF(2)^v, rows shifted left past the head rows, which come first; both stay in RREF."""
-    cols = [repeat(h) for h in head] + [map(lshift, c, repeat(len(head))) for c in list(zip(*part))[1:]]
-    return list(_from_columns(v, cols, len(part)))
+def _lifted(cols: Sequence[Sequence[int]], head: tuple[int, ...], v: int) -> Iterator[Subspace]:
+    """A chunk's operands read into GF(2)^v, rows shifted left past the head rows, which come first; both stay RREF."""
+    rows = [repeat(h) for h in head] + [map(lshift, c, repeat(len(head))) for c in cols[1:]]
+    return _from_columns(v, rows, len(cols[0]))
 
 
 @_nogc
@@ -218,7 +218,7 @@ def compose_partitions(
         raise ValueError("operands must have the same number of parts")
     v, a, b = chain.v, chain.u1.dim, chain.u2.dim
     first = _checked(parts1, le, a, "first")
-    second = [_lifted(part, chain.u2.rows, v) for part in _checked(parts2, eq, v - b, "second")]
+    second = [list(_batched(_lifted, part, chain.u2.rows, v)) for part in _checked(parts2, eq, v - b, "second")]
     parts = []
     for m in range(n):  # pieces of one part overlap iff the part is smaller than their sum
         pieces = [avoiding_join(first[i], second[(m - i) % n], chain) for i in range(n)]
@@ -228,9 +228,10 @@ def compose_partitions(
             raise VerificationError(f"part {m} has {len(parts[m])} members, expected {expect}")
     check_disjoint(parts)
     if t >= 0:
-        counts = _incidence_counts(parts[0], v, t)
+        k = next((len(s) - 1 for part in parts for s in part), 0)  # the one dimension of every part's members
+        counts = _incidence_counts(_chunks(parts[0]), v, t, k)
         for i in range(1, n):
-            if _incidence_counts(parts[i], v, t) != counts:
+            if _incidence_counts(_chunks(parts[i]), v, t, k) != counts:
                 raise VerificationError(
                     f"composition failed the {t}-equivalence check (wrong part-index"
                     f" convention or operands): parts 0 and {i} are not {t}-equivalent"

@@ -27,7 +27,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .designs import Design, LargeSet, _incidences, large_set, verify_design, verify_large_set
+from .designs import Design, LargeSet, _chunks, _incidences, large_set, verify_design, verify_large_set
 from .grassmann import Subspace, gaussian_binomial
 from .groups import Group, OrbitPartition, orbit_partition
 
@@ -118,7 +118,7 @@ def build_km(v: int, t: int, k: int, group: Group) -> KMSystem:
     k_orbits = orbit_partition(v, k, group)
     matrix = [[0] * k_orbits.n_orbits for _ in range(t_orbits.n_orbits)]
     row_of = t_orbits._orbit_of_rank
-    for start, held in _incidences(k_orbits.representatives, v, t):
+    for start, held in _incidences(_chunks(k_orbits.representatives), v, t, k):
         for rank, bits in enumerate(held):
             row = matrix[row_of[rank]]
             while bits:
@@ -365,6 +365,8 @@ def iterated_large_set_search(
     """
     if n < 1:
         raise ValueError(f"a large set needs N >= 1 members, got N={n}")
+    if node_budget < 0:
+        raise ValueError(f"node budget {node_budget} is negative")
     if retry_budget < 0:
         raise ValueError(f"retry budget {retry_budget} is negative")
     lam, rem = divmod(system.lambda_max, n)

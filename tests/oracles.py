@@ -11,8 +11,9 @@ A quotient frame's preimage is spanned by the transversal images of
 the quotient rows together with the factored-out rows.  The
 Grassmannian is listed block by block in its documented order, one free
 cell at a time.  A design is verified by checking every block's shape
-before anything else, then counting; a large set by so verifying every
-design, the last one too.  An orbit is the one-representative case of
+before anything else, then, after the block count, every block's RREF
+rows in a pass of their own, then counting; a large set by so verifying
+every design, the last one too.  An orbit is the one-representative case of
 the package's batched expansion.
 """
 
@@ -25,6 +26,7 @@ from qdesigns.designs import (
     LargeSet,
     LargeSetReport,
     VerificationError,
+    _chunks,
     _incidence_counts,
     check_disjoint,
     large_set_lambda,
@@ -114,8 +116,17 @@ def orbit_of(s: Subspace, group: Group) -> set[Subspace]:
     return next(orbits([s], group))
 
 
+def is_rref(rows: tuple[int, ...], v: int) -> bool:
+    """Whether the rows are an RREF basis of GF(2)^v: each nonzero and inside v bits, their pivots (lowest bits)
+    strictly rising, and each pivot clear in every other row."""
+    pivots = [r & -r for r in rows]
+    return (all(0 < r < 1 << v for r in rows) and pivots == sorted(set(pivots))
+            and not any(r & p for r in rows for p in pivots if p != r & -r))
+
+
 def verify_design_checking_shapes_first(d: Design) -> int:
-    """Oracle for designs.verify_design: each block's shape is checked in its own pass before anything else."""
+    """Oracle for designs.verify_design: each block's shape is checked in its own pass before anything else, and
+    each block's RREF rows in another before counting."""
     if not 0 <= d.t <= d.k <= d.v:
         raise VerificationError(f"invalid parameters t={d.t} k={d.k} v={d.v}")
     size, v = d.k + 1, d.v
@@ -128,7 +139,10 @@ def verify_design_checking_shapes_first(d: Design) -> int:
         raise VerificationError(f"lambda={d.lam} is not consistent with any {d.t}-({d.v},{d.k}) design")
     if len(d.blocks) != expected_blocks // denom:
         raise VerificationError(f"block count {len(d.blocks)} differs from required {expected_blocks // denom}")
-    counts = _incidence_counts(d.blocks, d.v, d.t)
+    bad = next((b for b in d.blocks if not is_rref(b.rows, v)), None)
+    if bad is not None:
+        raise VerificationError(f"block rows are not an RREF basis of GF(2)^{v}: {bad}", witness=bad)
+    counts = _incidence_counts(_chunks(d.blocks), d.v, d.t, d.k)
     if d.lam and 0 in counts:  # an uncovered t-subspace is the witness before any other miscount
         at = counts.index(0)
         message = f"only {len(counts) - counts.count(0)} of {len(counts)} {d.t}-subspaces are covered"

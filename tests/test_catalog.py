@@ -121,7 +121,7 @@ def test_overlap_error_names_the_first_overlapping_representative(monkeypatch, p
     # the last representative is another basis of the second one's orbit: with 2 representatives per kernel
     # call the two orbits are expanded in different calls, with 4 in the same one
     g = builtin_group()
-    monkeypatch.setattr(designs, "_COUNT_BATCH", (per_batch * g.order) << BLOCK_DIM)
+    monkeypatch.setattr(designs, "_COUNT_BATCH", per_batch * g.order)
     reps = list(builtin_orbit_representatives(1)[:3])
     image = act(span(AMBIENT_DIM, reps[1]), g.elements[1]).rows
     assert image != tuple(reps[1])

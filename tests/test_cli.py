@@ -470,6 +470,9 @@ class TestKmLsSearch:
         (["--N", "-1"], "got N=-1"),
         (["--N", "7", "--node-budget", "-1"], "node budget -1 is negative"),
         (["--N", "7", "--retry-budget", "-1"], "retry budget -1 is negative"),
+        # seeds fill the one round, so no search is built to check the budget
+        (["--N", "1", "--node-budget", "-1", "--seed-columns", " ".join(map(str, range(35)))],
+         "node budget -1 is negative"),
     ])
     def test_bad_n_or_negative_budget(self, tmp_path, capsys, flags, message):
         out = tmp_path / "r"
@@ -569,6 +572,21 @@ class TestConstruct:
         read = [decoded / "large_set.ls"] + [decoded / f"design{i}.txt" for i in (1, 2, 3)]
         assert manifest(tmp_path / "r")["inputs"] == {str(path): sha256_of(path) for path in read}
         assert main(argv + ["--registry", ls, "--out", str(tmp_path / "f")]) == 4
+
+    def test_registry_reads_only_the_leaves_the_plan_reads(self, tmp_path, decoded):
+        # beside the decoded LS_2[3](2,4,8), an LS_2[3](2,3,8) whose member files are missing: the plan of
+        # LS_2[3](2,4,8) does not read it, so neither are its files opened nor are they among the inputs
+        registry = tmp_path / "registry"
+        registry.mkdir()
+        header = (decoded / "large_set.ls").read_text().splitlines()[0]
+        members = [decoded / f"design{i}.txt" for i in (1, 2, 3)]
+        (registry / "a.ls").write_text("\n".join([header, *map(str, members)]) + "\n")
+        (registry / "b.ls").write_text("q=2 v=8 k=3 t=2 N=3 lambda=21\nmissing1.txt\nmissing2.txt\nmissing3.txt\n")
+        out = tmp_path / "c"
+        assert main(["construct", "--k", "4", "--v", "8", "--registry", str(registry), "--out", str(out),
+                     "--deterministic"]) == 0
+        read = [registry / "a.ls", *members]
+        assert manifest(out)["inputs"] == {str(path): sha256_of(path) for path in read}
 
     def test_builtin_expands_only_the_leaves_the_plan_reads(self, tmp_path, monkeypatch):
         # the plan of LS_2[3](2,4,8) is the one leaf_table node of those parameters

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdesigns import designs, grassmann
+from qdesigns import designs, grassmann, groups
 from qdesigns.catalog import builtin_large_set
 from qdesigns.designs import (
     Design,
@@ -28,7 +28,7 @@ from qdesigns.designs import (
     write_design,
     write_large_set,
 )
-from qdesigns.gf2 import rref_raw
+from qdesigns.gf2 import BitMatrix, rref_raw
 from qdesigns.grassmann import (
     QuotientFrame,
     Subspace,
@@ -40,11 +40,12 @@ from qdesigns.grassmann import (
     span,
     standard_flag_subspace,
 )
-from qdesigns.groups import trivial_group
+from qdesigns.groups import close_group, orbit_partition, trivial_group
 from qdesigns.kramer_mesner import build_km, iterated_large_set_search
 
 from oracles import (
     elimination_complement,
+    orbit_of,
     verify_design_checking_shapes_first,
     verify_large_set_counting_all,
     zero_subspace,
@@ -212,7 +213,7 @@ def test_rows_outside_the_space_are_rejected():
 
 
 def test_witness_is_found_inside_a_chunk(monkeypatch):
-    monkeypatch.setattr(designs, "_COUNT_BATCH", 8)  # chunks of (8 << 5) >> 6 = 4 blocks
+    monkeypatch.setattr(designs, "_COUNT_BATCH", 4)  # chunks of 4 blocks
     d = trivial_design(6, 3, 2)
     blocks = sorted(d.blocks)
     twin = Subspace(6, (blocks[100][1] ^ blocks[100][2],) + blocks[100][2:])
@@ -242,17 +243,16 @@ def one_dimension_block_sets(draw):
     t = draw(st.sampled_from([t for t in range(k + 1) if gaussian_binomial(v, t) <= 5000]))
     ranks = st.integers(0, gaussian_binomial(v, k) - 1)
     blocks = [grassmannian_unrank(v, k, r) for r in draw(st.lists(ranks, max_size=12))]
-    return v, t, blocks, draw(st.integers(1, 5))
+    return v, k, t, blocks, draw(st.integers(1, 5))
 
 
 @settings(max_examples=150, deadline=None)
 @given(one_dimension_block_sets())
 def test_incidence_counts_match_sort_pack_oracle(case):
-    v, t, blocks, cap = case
+    v, k, t, blocks, cap = case
     with pytest.MonkeyPatch.context() as mp:
-        # chunks of cap blocks once v >= 5 and of at most 16 below it, so cuts fall inside the set
-        mp.setattr(designs, "_COUNT_BATCH", max((cap << v) >> 5, 1))
-        counts = designs._incidence_counts(blocks, v, t)
+        mp.setattr(designs, "_COUNT_BATCH", cap)  # chunks of cap blocks, so cuts fall inside the set
+        counts = designs._incidence_counts(designs._chunks(blocks), v, t, k)
     assert len(counts) == gaussian_binomial(v, t)
     got = {s.rows: c for s, c in zip(enumerate_grassmannian(v, t), counts) if c}
     assert got == oracle_counts(blocks, v, t)
@@ -273,8 +273,16 @@ def test_t0_design_counts_blocks():
 
 
 def test_incidence_counts_trivial_cover():
-    counts = designs._incidence_counts(enumerate_grassmannian(4, 2), 4, 1)
+    counts = designs._incidence_counts(designs._chunks(enumerate_grassmannian(4, 2)), 4, 1, 2)
     assert counts == [gaussian_binomial(3, 1)] * gaussian_binomial(4, 1)
+
+
+@pytest.mark.parametrize("v,k,t", [(4, 2, 1), (5, 2, 2), (6, 3, 1), (7, 3, 2)])
+def test_incidence_counts_of_subspace_free_columns(v, k, t):
+    # one chunk of the rows of every k-subspace, from the Grassmannian's row columns: no Subspace is built
+    n = gaussian_binomial(v, k)
+    counts = designs._incidence_counts([[(v,) * n, *grassmann._t_columns(v, k)]], v, t, k)
+    assert counts == [gaussian_binomial(v - t, k - t)] * gaussian_binomial(v, t)
 
 
 def test_large_set_lambda_divisibility():
@@ -411,7 +419,7 @@ def test_fused_shape_checks_fail_as_checking_shapes_first(base, case, monkeypatc
     # counted design or of the uncounted last one, raises what checking every block's shape first raises
     ls = chunked_large_set(6, 3, 5) if base == "gr63" else small_large_set(base)
     chunk = 2
-    monkeypatch.setattr(designs, "_COUNT_BATCH", max((chunk << ls.v) >> 5, 1))
+    monkeypatch.setattr(designs, "_COUNT_BATCH", chunk)
     counted = _broken_late(ls.designs[0], SHAPE_BREAKS[case], chunk)
     want = _outcome(verify_design_checking_shapes_first, counted)
     assert want[0] is VerificationError
@@ -430,7 +438,7 @@ def test_fused_shape_checks_fail_as_checking_shapes_first(base, case, monkeypatc
     "a non-RREF block first, a short block last",
 ])
 def test_wrong_shape_is_named_before_any_other_failure(case, monkeypatch):
-    monkeypatch.setattr(designs, "_COUNT_BATCH", 2)  # (2 << 5) >> 5: chunks of 2 blocks at v = 5
+    monkeypatch.setattr(designs, "_COUNT_BATCH", 2)  # chunks of 2 blocks
     d = trivial_design(5, 2, 2)
     least = min(d.blocks)
     if case == "a short block and one block too many":
@@ -459,15 +467,30 @@ def test_t_columns_built_once_per_v_and_t():
     assert grassmann._t_columns.cache_info().misses == 1
 
 
-@pytest.mark.parametrize("v,chunk", [(7, 16384), (8, 8192), (9, 8192), (10, 8192)])
-def test_count_chunks_have_a_floor_of_count_batch_over_8(v, chunk, monkeypatch):
-    # 2^21 >> v blocks per chunk up to v = 8, then 8192 with the default _COUNT_BATCH of 2^16
-    blocks = list(islice(enumerate_grassmannian(v, 3), 20000))
-    starts = [start for start, _ in designs._incidences(blocks, v, 0)]
-    assert starts == list(range(0, len(blocks), chunk))  # Gr(7, 3) has 11,811 blocks: one chunk
-    monkeypatch.setattr(designs, "_COUNT_BATCH", 64)  # max((64 << 5) >> v, 64 >> 3, 1) blocks
-    starts = [start for start, _ in designs._incidences(blocks[:40], v, 0)]
-    assert starts == list(range(0, 40, max(2048 >> v, 8)))
+def test_every_block_stream_is_cut_at_count_batch(tmp_path, monkeypatch):
+    # one chunk size for every v and k: _chunks, _incidences, read_design's lines and both orbit functions
+    monkeypatch.setattr(designs, "_COUNT_BATCH", 4)
+    for v, k in [(4, 1), (5, 2), (6, 4)]:
+        blocks = list(islice(enumerate_grassmannian(v, k), 10))
+        assert [len(cols[0]) for cols in designs._chunks(blocks)] == [4, 4, 2]
+        assert [start for start, _ in designs._incidences(designs._chunks(blocks), v, 1, k)] == [0, 4, 8]
+    path = tmp_path / "d.txt"
+    path.write_text("q=2 v=4 k=1 t=0 lambda=10\n" + "\n".join(str(1 << i) for i in range(4)) + "\n3\n5\n")
+    reads = []
+    monkeypatch.setattr(designs, "_rref_chunk", lambda chunk, v, k: reads.append(len(chunk)))
+    assert len(read_design(path).blocks) == 6 and reads == [4, 2]
+    group = close_group([BitMatrix(4, (2, 4, 8, 1))])  # the cyclic shift of 4 coordinates: |G| = 4
+    reps = list(islice(enumerate_grassmannian(4, 2), 5))
+    want = [orbit_of(rep, group) for rep in reps]
+    calls = []
+    images = groups._images
+    monkeypatch.setattr(groups, "_images", lambda reps, g: calls.append(len(reps)) or images(reps, g))
+    monkeypatch.setattr(designs, "_COUNT_BATCH", 2 * group.order)  # two representatives per _images call
+    assert list(groups.orbits(reps, group)) == want
+    assert calls == [2, 2, 1]
+    calls.clear()
+    orbit_partition(4, 2, group)
+    assert max(calls) == 2 and len(calls) > 2
 
 
 def test_verify_large_set_counts_all_but_the_last_design(monkeypatch):
@@ -475,9 +498,9 @@ def test_verify_large_set_counts_all_but_the_last_design(monkeypatch):
     ls, strengths = builtin_large_set(), []
     counts = designs._incidence_counts
 
-    def recording(blocks, v, t):
+    def recording(chunks, v, t, k):
         strengths.append(t)
-        return counts(blocks, v, t)
+        return counts(chunks, v, t, k)
 
     monkeypatch.setattr(designs, "_incidence_counts", recording)
     assert verify_large_set(ls).lam == 217
@@ -540,7 +563,7 @@ def five_chunks_of_gr52() -> LargeSet:
 def test_derived_and_residual_match_quotient_frame_oracle(ls, chunk, monkeypatch):
     # oracle: a contains filter, then elimination into QuotientFrame coordinates
     if chunk:  # blocks per chunk; parts of 31 and 1395 blocks end in a partial chunk
-        monkeypatch.setattr(designs, "_COUNT_BATCH", chunk << ls.k)
+        monkeypatch.setattr(designs, "_COUNT_BATCH", chunk)
     v = ls.v
     point, hyperplane = span(v, [1]), standard_flag_subspace(v, v - 1)
     through = QuotientFrame(full_space(v), point)
@@ -568,7 +591,7 @@ def test_dual_matches_elimination_oracle_on_whole_grassmannians(chunk, monkeypat
     for v in range(7):
         for k in range(v + 1):
             if chunk:
-                monkeypatch.setattr(designs, "_COUNT_BATCH", chunk << k)
+                monkeypatch.setattr(designs, "_COUNT_BATCH", chunk)
             ls = whole_grassmannian(v, k)
             out = dual_large_set(ls)  # verified: a large set with N = 1 again
             assert (out.v, out.k, out.t, out.n) == (v, v - k, 0, 1)
@@ -578,7 +601,7 @@ def test_dual_matches_elimination_oracle_on_whole_grassmannians(chunk, monkeypat
 @pytest.mark.parametrize("chunk", [None, 3], ids=["default_chunks", "chunks_of_3"])
 def test_dual_of_a_part_mixing_dimensions(chunk, monkeypatch):
     if chunk:
-        monkeypatch.setattr(designs, "_COUNT_BATCH", chunk << 3)
+        monkeypatch.setattr(designs, "_COUNT_BATCH", chunk)
     v = 5
     lines, planes = list(enumerate_grassmannian(v, 2)), list(enumerate_grassmannian(v, 3))
     part = frozenset(lines[::3] + planes[::5])  # interleaved once iterated
@@ -590,8 +613,8 @@ def test_dual_of_a_part_mixing_dimensions(chunk, monkeypatch):
 
 
 def test_chunks_are_columns_of_one_dimension_in_stream_order(monkeypatch):
-    # cuts of max(16 >> k, 1) blocks: 4 lines, 8 points or 16 zero spaces
-    monkeypatch.setattr(designs, "_COUNT_BATCH", 16)
+    # cuts of 4 blocks of any dimension
+    monkeypatch.setattr(designs, "_COUNT_BATCH", 4)
     v = 4
     lines, points = list(enumerate_grassmannian(v, 2)), list(enumerate_grassmannian(v, 1))
     zeros = [zero_subspace(v)] * 15
@@ -600,7 +623,7 @@ def test_chunks_are_columns_of_one_dimension_in_stream_order(monkeypatch):
     chunks = list(designs._chunks(stream))
     for cols in chunks:
         assert cols[0] == (v,) * len(cols[0]) and len(set(map(len, cols))) == 1
-        assert len(cols[0]) <= max(16 >> (len(cols) - 1), 1)
+        assert len(cols[0]) <= 4
     for members in (lines, points, zeros):
         assert [b for cols in chunks if len(cols) == len(members[0]) for b in zip(*cols)] == members
 
@@ -668,6 +691,15 @@ def test_write_design_rejects_block_of_wrong_dimension(tmp_path):
         write_design(tmp_path / "d.txt", d)
 
 
+def test_write_design_rejects_block_of_another_v(tmp_path):
+    # its line, 8, does not fit in 3 coordinates, so read_design would refuse the file
+    outside = Subspace(4, [8])
+    d = Design(3, 1, 0, 2, {span(3, [1]), outside})
+    with pytest.raises(ValueError, match=re.escape(f"block {outside}: its rows do not span a 1-subspace of GF(2)^3")):
+        write_design(tmp_path / "d.txt", d)
+    assert not (tmp_path / "d.txt").exists()
+
+
 def test_design_file_rejects_repeated_block(tmp_path):
     # a 1-(5,2,15) design file with 156 block lines for its 155 blocks
     d = trivial_design(5, 2, 1)
@@ -689,8 +721,9 @@ def test_design_file_rejects_repeated_block_in_another_basis(tmp_path):
         read_design(path)
 
 
-def test_design_file_read_in_chunks(tmp_path):
-    # k = 4 lines are read in chunks of 2^16 >> 4 = 4096, so line 4501 is in the second
+def test_design_file_read_in_chunks(tmp_path, monkeypatch):
+    # lines are read in chunks of _COUNT_BATCH, here 4096, so line 4501 is in the second
+    monkeypatch.setattr(designs, "_COUNT_BATCH", 4096)
     blocks = list(islice(enumerate_grassmannian(8, 4), 5000))
     lines = [" ".join(map(str, b.rows)) for b in blocks]
     path = tmp_path / "d.txt"
@@ -718,7 +751,7 @@ def test_design_file_reports_its_first_bad_line(tmp_path):
 
 
 def test_design_file_of_one_block_wider_than_a_chunk(tmp_path):
-    # 2^16 >> 17 is 0, so without the floor of one line the block would be skipped
+    # one line of 17 rows
     d = Design(17, 17, 0, 1, frozenset([full_space(17)]))
     path = tmp_path / "d.txt"
     write_design(path, d)
@@ -842,5 +875,5 @@ def test_random_small_design_search_consistency():
     # sanity: counting by blocks agrees with counting by containment
     rng = random.Random(31)
     blocks = rng.sample(sorted(enumerate_grassmannian(5, 2), key=lambda s: s.rows), 40)
-    counts = designs._incidence_counts(blocks, 5, 1)
+    counts = designs._incidence_counts(designs._chunks(blocks), 5, 1, 2)
     assert sum(counts) == len(blocks) * gaussian_binomial(2, 1)

@@ -129,7 +129,7 @@ def test_orbit_partition_in_small_batches_matches_bfs(monkeypatch, case):
         monkeypatch.setattr(groups, "_ELEMENT_TABLES_MAX", 0)
         v, k, group, per_batch = 6, 3, close_group([BitMatrix(6, (2, 4, 8, 16, 32, 1))]), 4
         assert group.element_image_tables is None
-    monkeypatch.setattr(designs, "_COUNT_BATCH", (per_batch * group.order) << k)
+    monkeypatch.setattr(designs, "_COUNT_BATCH", per_batch * group.order)
     calls = []
     images = groups._images
     monkeypatch.setattr(groups, "_images", lambda reps, g: calls.append(len(reps)) or images(reps, g))

@@ -222,11 +222,10 @@ def lifted_cell_operands(cell: joins.DecompositionCell) -> tuple[list[Subspace],
 class TestJoinBatches:
     """avoiding_join on operand sets, cut into kernel chunks smaller than in use."""
 
-    @pytest.fixture(params=[3, 40, 1 << 12])
+    @pytest.fixture(params=[1, 5, 512])
     def cap(self, request, monkeypatch):
-        # chunks of max(cap >> k, 1) members of dimension k: one member per
-        # chunk at cap 3 once k >= 2, chunks that cut pairs apart at 40, and
-        # at 1 << 12 chunks of hundreds of members
+        # chunks of cap members: one member per chunk at cap 1, chunks that
+        # cut pairs apart at 5, and at 512 chunks of hundreds of members
         sizes = []
         canonical = joins._canonical
 
@@ -243,8 +242,8 @@ class TestJoinBatches:
         out = avoiding_join(k1s, k2s, chain)
         spans = (avoiding_join_by_spans(k1, k2, chain.u1) for k1 in k1s for k2 in k2s)
         assert out == frozenset().union(*spans)
-        k = k1s[0].dim + k2s[0].dim - chain.u1.dim
-        assert sum(sizes) == len(out) and max(sizes) <= max(limit >> k, 1)
+        assert sum(sizes) == len(out) and max(sizes) <= limit
+        assert len(sizes) == -(-len(out) // limit)  # full chunks, then one partial chunk at most
 
     @pytest.mark.parametrize("s", range(4))
     def test_cells_match_one_span_per_member(self, cap, s):
@@ -486,9 +485,10 @@ class TestCompose:
     def test_each_part_counted_once(self, monkeypatch):
         counted = []
 
-        def counting(blocks, v, t):
-            counted.append(blocks)
-            return designs._incidence_counts(blocks, v, t)
+        def counting(chunks, v, t, k):
+            chunks = list(chunks)
+            counted.append({b for cols in chunks for b in zip(*cols)})
+            return designs._incidence_counts(chunks, v, t, k)
 
         monkeypatch.setattr(joins, "_incidence_counts", counting)
         chain = join_chain(standard_flag_subspace(4, 2), standard_flag_subspace(4, 2))
@@ -584,10 +584,10 @@ class TestExtendByHyperplane:
     @pytest.mark.parametrize("v,k,n,count_batch", [
         pytest.param(3, 2, 7, None, id="3-2-7"),
         pytest.param(4, 2, 5, None, id="4-2-5"),
-        # chunks of 2 first-operand blocks and 1 second-operand block: the
-        # chunks cut through pivot groups, and parts end in partial chunks
-        pytest.param(4, 2, 5, 4, id="4-2-5-small_chunks"),
-        pytest.param(5, 3, 5, 8, id="5-3-5-small_chunks"),
+        # chunks of 2 or 3 blocks: the chunks cut through pivot groups, and
+        # parts of 3, 7 and 31 blocks end in partial chunks
+        pytest.param(4, 2, 5, 2, id="4-2-5-small_chunks"),
+        pytest.param(5, 3, 5, 3, id="5-3-5-small_chunks"),
     ])
     def test_chunked_operands_match_quotient_frame_lifts(self, v, k, n, count_batch, monkeypatch):
         if count_batch:
@@ -711,9 +711,9 @@ class TestExecutePlan:
         calls = []
         lifted = joins._lifted
 
-        def counting(part, head, v):  # the second operands, read as V/U2 after U2's rows
-            calls.extend((head, s) for s in part)
-            return lifted(part, head, v)
+        def counting(cols, head, v):  # a chunk of second operands, read as V/U2 after U2's rows
+            calls.extend((head, s) for s in zip(*cols))
+            return lifted(cols, head, v)
 
         monkeypatch.setattr(joins, "_lifted", counting)
         ls = execute_plan(mixed_plan(), [line_large_set()])

@@ -402,10 +402,20 @@ def test_build_matches_mapped_local_subspaces(v, t, k, group):
 @pytest.mark.parametrize("chunk", [1, 2, 3, 4])
 @pytest.mark.parametrize("v,group", [(6, "trivial"), (7, "singer")])
 def test_build_in_small_chunks_matches_mapped_local_subspaces(monkeypatch, v, group, chunk):
-    # designs._incidences cuts the representatives into chunks of max((_COUNT_BATCH << 5) >> v, 1)
-    monkeypatch.setattr(designs, "_COUNT_BATCH", (chunk << v) >> 5)
+    # designs._chunks cuts the representatives into chunks of _COUNT_BATCH
+    monkeypatch.setattr(designs, "_COUNT_BATCH", chunk)
+    starts = []
+    incidences = kramer_mesner._incidences
+
+    def recording(chunks, v, t, k):
+        for start, held in incidences(chunks, v, t, k):
+            starts.append(start)
+            yield start, held
+
+    monkeypatch.setattr(kramer_mesner, "_incidences", recording)
     system = build_km(v, 2, 3, close_group([SINGER7]) if group == "singer" else trivial_group(v))
     assert system.matrix == oracle_matrix(system)
+    assert starts == list(range(0, system.k_orbits.n_orbits, chunk))
 
 
 def test_build_rejects_bad_parameters():
@@ -579,6 +589,14 @@ def test_iterated_rejects_n_below_one_and_negative_budgets(n, budgets, message):
     sys = build_km(4, 1, 2, trivial_group(4))
     with pytest.raises(ValueError, match=message):
         iterated_large_set_search(sys, n, **budgets)
+
+
+def test_iterated_rejects_a_negative_node_budget_when_seeds_fill_every_round():
+    # the one round of N = 1 is seeded, so the search that checks its own budget is never built
+    sys = build_km(4, 1, 2, trivial_group(4))
+    assert iterated_large_set_search(sys, 1, node_budget=0, seed_selections=[range(sys.n_cols)]).status == "solved"
+    with pytest.raises(ValueError, match="node budget -1 is negative"):
+        iterated_large_set_search(sys, 1, node_budget=-1, seed_selections=[range(sys.n_cols)])
 
 
 def test_iterated_rejects_seed_columns_outside_the_system():
